@@ -33,7 +33,6 @@ from .netmodel import (
     equilibrium,
 )
 from .sim import (
-    MicrogridScenario,
     SimConfig,
     Trace,
     build_microgrid,
@@ -43,7 +42,6 @@ from .sim import (
 )
 from .spectral import (
     Graph,
-    Laplacian,
     ModifiedLaplacian,
     SpectralDecomposition,
     build_laplacian,
@@ -57,20 +55,17 @@ from .transverse import (
     TransverseSystem,
     disturbance_maps,
     psi_blocks,
-    transverse_matrix,
     transverse_system,
 )
 from .tuning import (
     Certificate,
     Condition,
-    H1Matrix,
     certify,
     certify_heterogeneous_pid,
     certify_homogeneous_pd,
     certify_homogeneous_pi,
     certify_homogeneous_pid,
     convergence_rate,
-    h1_matrix,
     min_alpha,
     z_infinity_bound,
 )

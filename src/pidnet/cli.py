@@ -25,23 +25,9 @@ from .errors import (
     StepTooLarge,
     UnstableAverage,
 )
-from .netmodel import Gains, Instance, NodeEnsemble, equilibrium
-from .sim import (
-    MicrogridScenario,
-    SimConfig,
-    Trace,
-    build_microgrid,
-    default_x0,
-    integrate,
-    metrics,
-)
-from .spectral import (
-    Graph,
-    build_laplacian,
-    h_norm_bound,
-    modified_laplacian,
-    spectral_decompose,
-)
+from .netmodel import Gains, equilibrium
+from .sim import Trace, build_microgrid, integrate, metrics
+from .spectral import h_norm_bound, modified_laplacian
 from .transverse import psi_blocks, transverse_system
 from .tuning import certify, min_alpha
 
@@ -54,24 +40,12 @@ EXIT_NUMERIC = 4
 # benchmark in the literature; echoed for comparison, never asserted.
 BENCHMARK_ALPHA_REFERENCE = 5.92
 
-
-def benchmark_scenario(gains: Gains) -> MicrogridScenario:
-    """Bundled six-inverter benchmark: ring of weight-5 links.
-
-    The ring is a reconstruction of the benchmark topology chosen so the
-    algebraic connectivity equals 5 with uniform weight 5; the shipped
-    config file carries the same edge set so it can be corrected in data.
-    """
-    return MicrogridScenario(
-        graph=Graph.ring(6, 5.0),
-        local_gains=np.array([-2.0, 0.0, 0.0, -4.0, 0.0, -6.0]),
-        injections=np.array([150.0, 80.0, 120.0, 100.0, 100.0, 50.0]),
-        gains=gains,
-    )
+# The six-inverter benchmark that ``reproduce`` runs, shipped with the package.
+BENCHMARK_CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), "microgrid6.yaml")
 
 
 def _analysis_values(cfg: InstanceConfig) -> dict:
-    instance = cfg.instance()
+    instance = cfg.instance
     dec = instance.dec
     gamma = cfg.gains.gamma
     mod_lap = modified_laplacian(dec, gamma)
@@ -88,9 +62,8 @@ def _analysis_values(cfg: InstanceConfig) -> dict:
 
 
 def _certificate_report(cfg: InstanceConfig) -> dict:
-    instance = cfg.instance()
-    gains = cfg.system().gains if cfg.microgrid else cfg.gains
-    cert = certify(instance, gains)
+    gains = cfg.system.gains
+    cert = certify(cfg.instance, gains)
     report = cert.to_dict()
     if cfg.microgrid:
         report["distributed_alpha"] = cfg.gains.alpha
@@ -145,7 +118,7 @@ def _write_trace(trace: Trace, path: str) -> None:
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
     report = {"analysis": _analysis_values(cfg), "certificate": _certificate_report(cfg)}
-    sys_ = cfg.system()
+    sys_ = cfg.system
     try:
         eq = equilibrium(sys_)
         report["equilibrium"] = {
@@ -165,7 +138,7 @@ def cmd_analyze(args) -> int:
 
 
 def _simulate_once(cfg: InstanceConfig, strict: bool) -> tuple[dict, Trace]:
-    sys_ = cfg.system()
+    sys_ = cfg.system
     cert_report = _certificate_report(cfg)
     if not cert_report["certified"]:
         warnings.warn("instance is not certified; simulating anyway", stacklevel=2)
@@ -229,8 +202,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_tune(args) -> int:
     cfg = load_config(args.config)
-    instance = cfg.instance()
+    instance = cfg.instance
     gamma = cfg.gains.gamma if args.gamma is None else args.gamma
+    if not 0.0 <= gamma <= sys.float_info.max:
+        raise ConfigError(f"--gamma: expected a finite number >= 0, got {gamma}")
     alpha_exact = min_alpha(instance, gamma)
     alpha_cons = min_alpha(instance, gamma, conservative=True)
     report = {
@@ -259,20 +234,15 @@ REPRODUCE_SCENARIOS = (
 
 def cmd_reproduce(args) -> int:
     os.makedirs(args.out, exist_ok=True)
+    cfg = load_config(BENCHMARK_CONFIG)
+    instance = cfg.instance
     results = {}
     for name, gains in REPRODUCE_SCENARIOS:
-        scenario = benchmark_scenario(gains)
-        sys_ = build_microgrid(scenario)
-        dec = sys_.dec
-        instance = Instance(
-            dec=dec, ensemble=NodeEnsemble(rho=scenario.local_gains, delta=scenario.injections)
-        )
+        sys_ = build_microgrid(instance, gains)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             cert = certify(instance, sys_.gains)
-        trace = integrate(
-            sys_, SimConfig(t_end=30.0, x0=default_x0(6, 1.0), record_stride=10)
-        )
+        trace = integrate(sys_, cfg.sim_config())
         x_inf = None
         try:
             x_inf = equilibrium(sys_).x_inf
@@ -291,11 +261,7 @@ def cmd_reproduce(args) -> int:
             "z_inf_bound": cert.z_inf_bound,
         }
 
-    scenario = benchmark_scenario(Gains(alpha=6.0, beta=5.0, gamma=1.0))
-    dec = spectral_decompose(build_laplacian(scenario.graph))
-    instance = Instance(
-        dec=dec, ensemble=NodeEnsemble(rho=scenario.local_gains, delta=scenario.injections)
-    )
+    gamma = cfg.gains.gamma
     report = {
         "scenarios": results,
         "comparison": {
@@ -311,8 +277,8 @@ def cmd_reproduce(args) -> int:
                 < results["proportional_a10"]["steady_disagreement"],
             },
             "alpha_threshold": {
-                "exact": min_alpha(instance, 1.0),
-                "conservative": min_alpha(instance, 1.0, conservative=True),
+                "exact": min_alpha(instance, gamma),
+                "conservative": min_alpha(instance, gamma, conservative=True),
                 "reference": BENCHMARK_ALPHA_REFERENCE,
             },
         },

@@ -9,14 +9,16 @@ loudly instead of silently using defaults.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import yaml
 
 from .errors import ConfigError, PidnetError
-from .netmodel import ClosedLoopSystem, Gains, Instance, NodeEnsemble
-from .sim import MicrogridScenario, SimConfig, build_microgrid, default_x0
+from .netmodel import ClosedLoopSystem, Gains, Instance, NodeEnsemble, assemble_instance
+from .sim import SimConfig, build_microgrid, default_x0
 from .spectral import Graph
 
 
@@ -32,6 +34,11 @@ def _check_keys(section: dict, allowed: set[str], path: str) -> None:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)} (allowed: {sorted(allowed)})")
 
 
+def _finite(val) -> bool:
+    # False for nan, +-inf and ints beyond the float range; never raises.
+    return abs(val) <= sys.float_info.max
+
+
 def _number(section: dict, key: str, path: str, required: bool = True, default=None):
     if key not in section:
         if required:
@@ -40,6 +47,8 @@ def _number(section: dict, key: str, path: str, required: bool = True, default=N
     val = section[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
+    if not _finite(val):
+        raise ConfigError(f"{path}.{key}: expected a finite number, got {val!r}")
     return float(val)
 
 
@@ -51,6 +60,8 @@ def _vector(section: dict, key: str, path: str, n: int) -> np.ndarray:
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in val
     ):
         raise ConfigError(f"{path}.{key}: expected a list of numbers")
+    if not all(_finite(v) for v in val):
+        raise ConfigError(f"{path}.{key}: every entry must be a finite number")
     if len(val) != n:
         raise ConfigError(f"{path}.{key}: expected {n} entries, got {len(val)}")
     return np.asarray(val, dtype=float)
@@ -93,21 +104,15 @@ class InstanceConfig:
     x0_scale: float
     record_stride: int
 
+    @cached_property
     def instance(self) -> Instance:
+        """The graph's one spectral decomposition with the agent data."""
         return Instance.from_graph(self.graph, self.rho, self.delta)
 
+    @cached_property
     def system(self) -> ClosedLoopSystem:
-        if self.microgrid:
-            scenario = MicrogridScenario(
-                graph=self.graph,
-                local_gains=self.rho,
-                injections=self.delta,
-                gains=self.gains,
-            )
-            return build_microgrid(scenario)
-        from .netmodel import assemble_instance
-
-        return assemble_instance(self.instance(), self.gains)
+        build = build_microgrid if self.microgrid else assemble_instance
+        return build(self.instance, self.gains)
 
     def sim_config(self) -> SimConfig:
         x0 = self.x0 if self.x0 is not None else default_x0(self.graph.node_count, self.x0_scale)

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, StepTooLarge
-from .netmodel import ClosedLoopSystem, Gains, NodeEnsemble, assemble
-from .spectral import Graph, build_laplacian, modified_laplacian, spectral_decompose
+from .netmodel import ClosedLoopSystem, Gains, Instance, assemble_instance
 
 # dt * spectral_radius(A) must stay below this for RK4 stability.
 STEP_GUARD = 2.5
@@ -158,7 +157,6 @@ def integrate(sys: ClosedLoopSystem, cfg: SimConfig, strict: bool = False) -> Tr
 class TraceMetrics:
     final_disagreement: float
     final_offset: float | None  # ||x(t_end) - x_inf * ones||
-    max_z_norm: float
     final_z_norm: float
     steady_z_norm: float        # averaged over the trailing window
     steady_disagreement: float
@@ -201,7 +199,6 @@ def metrics(
         final_offset=(
             float(np.linalg.norm(trace.x[-1] - x_inf)) if x_inf is not None else None
         ),
-        max_z_norm=float(trace.z_norm.max()),
         final_z_norm=float(trace.z_norm[-1]),
         steady_z_norm=float(trace.z_norm[-tail:].mean()),
         steady_disagreement=float(d[-tail:].mean()),
@@ -209,38 +206,13 @@ def metrics(
     )
 
 
-@dataclass(frozen=True)
-class MicrogridScenario:
-    """Droop-controlled inverter network with local feedback gains.
+def build_microgrid(instance: Instance, gains: Gains) -> ClosedLoopSystem:
+    """Assemble a droop-controlled inverter network as a generic closed loop.
 
-    Maps onto the generic closed loop with poles given by the local gains,
-    disturbances given by the nominal power injections, and an effective
-    proportional gain of 1 + alpha (the physical power flow contributes one
-    unit of diffusive coupling on top of the distributed protocol).
+    The instance carries the local feedback gains k_i as poles and the
+    nominal power injections P*_i as disturbances. The effective
+    proportional gain is 1 + alpha: the physical power flow contributes one
+    unit of diffusive coupling on top of the distributed protocol.
     """
-
-    graph: Graph
-    local_gains: np.ndarray   # k_i, becomes the pole vector
-    injections: np.ndarray    # nominal power P*_i, becomes the disturbance
-    gains: Gains
-
-    def __post_init__(self):
-        object.__setattr__(self, "local_gains", np.asarray(self.local_gains, dtype=float))
-        object.__setattr__(self, "injections", np.asarray(self.injections, dtype=float))
-        n = self.graph.node_count
-        if self.local_gains.shape != (n,) or self.injections.shape != (n,):
-            raise DimensionMismatch(f"local_gains and injections must have shape ({n},)")
-
-    @property
-    def effective_gains(self) -> Gains:
-        return Gains(
-            alpha=1.0 + self.gains.alpha, beta=self.gains.beta, gamma=self.gains.gamma
-        )
-
-
-def build_microgrid(scenario: MicrogridScenario) -> ClosedLoopSystem:
-    """Assemble the inverter network as a generic closed-loop system."""
-    dec = spectral_decompose(build_laplacian(scenario.graph))
-    mod_lap = modified_laplacian(dec, scenario.gains.gamma)
-    ensemble = NodeEnsemble(rho=scenario.local_gains, delta=scenario.injections)
-    return assemble(dec, mod_lap, ensemble, scenario.effective_gains)
+    effective = Gains(alpha=1.0 + gains.alpha, beta=gains.beta, gamma=gains.gamma)
+    return assemble_instance(instance, effective)

@@ -11,6 +11,7 @@ combinations of its inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -93,28 +94,8 @@ class Graph:
         return Graph(node_count, edges)
 
 
-@dataclass(frozen=True)
-class Laplacian:
-    """Symmetric zero-row-sum matrix of a connected graph."""
-
-    matrix: np.ndarray
-    eigenvalues: np.ndarray  # ascending, eigenvalues[0] == 0
-
-    @property
-    def node_count(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def lambda_2(self) -> float:
-        return float(self.eigenvalues[1])
-
-    @property
-    def lambda_max(self) -> float:
-        return float(self.eigenvalues[-1])
-
-
-def build_laplacian(graph: Graph) -> Laplacian:
-    """Assemble the weighted combinatorial Laplacian and its spectrum."""
+def build_laplacian(graph: Graph) -> np.ndarray:
+    """Assemble the weighted combinatorial Laplacian matrix."""
     n = graph.node_count
     L = np.zeros((n, n))
     for i, j, w in graph.edges:
@@ -122,13 +103,7 @@ def build_laplacian(graph: Graph) -> Laplacian:
         L[j, j] += w
         L[i, j] -= w
         L[j, i] -= w
-    eigs = np.linalg.eigvalsh(L)
-    lam_max = float(eigs[-1]) if n > 1 else 0.0
-    if n > 1 and eigs[1] <= CONNECTIVITY_RTOL * max(lam_max, 1.0):
-        raise DisconnectedGraph(f"lambda_2 = {eigs[1]:.3e} is numerically zero")
-    eigs = eigs.copy()
-    eigs[0] = 0.0  # exact by construction (L @ ones = 0)
-    return Laplacian(matrix=L, eigenvalues=eigs)
+    return L
 
 
 @dataclass(frozen=True)
@@ -145,6 +120,8 @@ class SpectralDecomposition:
     lam: np.ndarray
     U: np.ndarray
     U_inv: np.ndarray
+    # ModifiedLaplacian per gamma, filled by modified_laplacian().
+    modified: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def node_count(self) -> int:
@@ -174,25 +151,20 @@ class SpectralDecomposition:
     def R22(self) -> np.ndarray:
         return self.U_inv[1:, 1:]
 
-    @property
-    def Lambda_hat(self) -> np.ndarray:
-        """diag(lambda_2, ..., lambda_N)."""
-        return np.diag(self.lam[1:])
 
-
-def spectral_decompose(lap: Laplacian, tol: float = IDENTITY_TOL) -> SpectralDecomposition:
+def spectral_decompose(L: np.ndarray, tol: float = IDENTITY_TOL) -> SpectralDecomposition:
     """Compute the block-normalized spectral decomposition of a Laplacian.
 
-    The eigenvector of the zero eigenvalue is fixed to +ones/sqrt(N) exactly;
-    the sign of every other eigenvector is fixed so its first entry above
-    the noise floor is positive. Within a repeated eigenvalue any orthonormal
-    basis is accepted.
+    This is the only eigensolve of a graph. The eigenvector of the zero
+    eigenvalue is fixed to +ones/sqrt(N) exactly; the sign of every other
+    eigenvector is fixed so its first entry above the noise floor is
+    positive. Within a repeated eigenvalue any orthonormal basis is accepted.
     """
-    L = lap.matrix
     n = L.shape[0]
     eigs, V = np.linalg.eigh(L)
-    eigs = eigs.copy()
-    eigs[0] = 0.0
+    if n > 1 and eigs[1] <= CONNECTIVITY_RTOL * max(float(eigs[-1]), 1.0):
+        raise DisconnectedGraph(f"lambda_2 = {eigs[1]:.3e} is numerically zero")
+    eigs[0] = 0.0  # exact by construction (L @ ones = 0)
     # lambda_1 is simple for connected graphs, so the remaining columns are
     # already orthogonal to ones; replace column 0 exactly.
     V[:, 0] = 1.0 / np.sqrt(n)
@@ -246,10 +218,15 @@ class ModifiedLaplacian:
     def L22_hat(self) -> np.ndarray:
         return self.L_tilde_inv[1:, 1:]
 
-    @property
+    @cached_property
     def h_norm(self) -> float:
         """Exact spectral norm of H_hat."""
         return float(np.linalg.norm(self.H_hat, 2))
+
+    @cached_property
+    def h1_norm(self) -> float:
+        """Exact spectral norm of I + H_hat (heterogeneous gain condition)."""
+        return float(np.linalg.norm(np.eye(self.node_count - 1) + self.H_hat, 2))
 
 
 def modified_laplacian(dec: SpectralDecomposition, gamma: float) -> ModifiedLaplacian:
@@ -257,21 +234,25 @@ def modified_laplacian(dec: SpectralDecomposition, gamma: float) -> ModifiedLapl
 
     The inverse is computed by a dense linear solve, not through the
     eigendecomposition, so the diagonalization identities cross-check two
-    independent computation paths.
+    independent computation paths. The result is kept on ``dec``, so each
+    (graph, gamma) pair is solved once.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    if gamma in dec.modified:
+        return dec.modified[gamma]
     n = dec.node_count
     L_tilde = np.eye(n) + gamma * dec.laplacian
     L_tilde_inv = np.linalg.solve(L_tilde, np.eye(n))
     denom = gamma * dec.lam[1:] + 1.0
-    return ModifiedLaplacian(
+    mod_lap = dec.modified[gamma] = ModifiedLaplacian(
         gamma=float(gamma),
         L_tilde=L_tilde,
         L_tilde_inv=L_tilde_inv,
         Gamma_hat=np.diag(dec.lam[1:] / denom),
         Sigma_hat_inv=np.diag(1.0 / denom),
     )
+    return mod_lap
 
 
 def h_norm_bound(dec: SpectralDecomposition, gamma: float) -> float:

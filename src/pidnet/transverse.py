@@ -11,6 +11,7 @@ certifies against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,45 +93,27 @@ class TransverseSystem:
     A_tv: np.ndarray
     shift_map: np.ndarray | None
 
-    @property
-    def node_count(self) -> int:
-        return (self.A_tv.shape[0] + 1) // 2
-
     def shift(self, delta: np.ndarray) -> np.ndarray:
         if self.shift_map is None:
             raise ZeroDivisionError("shift undefined: psi11 = 0")
         return self.shift_map @ np.asarray(delta, dtype=float)
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.A_tv)
+    @cached_property
+    def _eigenvalues(self) -> np.ndarray:
+        eigs = np.linalg.eigvals(self.A_tv)
+        eigs.flags.writeable = False  # shared by every caller
+        return eigs
 
-    def sub_block(self) -> np.ndarray:
-        """The (x_hat, z_hat) dynamics, excluding the average mode."""
-        return self.A_tv[1:, 1:]
+    def eigenvalues(self) -> np.ndarray:
+        return self._eigenvalues
 
     def sub_block_eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.sub_block())
+        """Spectrum of the (x_hat, z_hat) dynamics, excluding the average mode."""
+        return np.linalg.eigvals(self.A_tv[1:, 1:])
 
     def is_hurwitz(self, include_average_mode: bool = True) -> bool:
         eigs = self.eigenvalues() if include_average_mode else self.sub_block_eigenvalues()
         return bool(np.all(eigs.real < 0))
-
-
-def transverse_matrix(
-    psi: PsiBlocks, mod_lap: ModifiedLaplacian, gains: Gains
-) -> TransverseSystem:
-    """Assemble the shifted transverse system matrix."""
-    m = psi.Psi22.shape[0]  # N - 1
-    Gamma = mod_lap.Gamma_hat
-    zeros_m = np.zeros((m, m))
-    A_tv = np.block(
-        [
-            [np.array([[psi.psi11]]), psi.Psi12, np.zeros((1, m))],
-            [psi.Psi21, psi.Psi22 - gains.alpha * Gamma, np.eye(m)],
-            [np.zeros((m, 1)), -gains.beta * Gamma, zeros_m],
-        ]
-    )
-    return TransverseSystem(A_tv=A_tv, shift_map=None)
 
 
 def transverse_system(
@@ -139,9 +122,18 @@ def transverse_system(
     ensemble: NodeEnsemble,
     gains: Gains,
 ) -> TransverseSystem:
-    """Full construction including the disturbance shift map."""
+    """Assemble the shifted transverse system matrix and its disturbance
+    shift map."""
     psi = psi_blocks(dec, mod_lap, ensemble)
-    base = transverse_matrix(psi, mod_lap, gains)
+    m = psi.Psi22.shape[0]  # N - 1
+    Gamma = mod_lap.Gamma_hat
+    A_tv = np.block(
+        [
+            [np.array([[psi.psi11]]), psi.Psi12, np.zeros((1, m))],
+            [psi.Psi21, psi.Psi22 - gains.alpha * Gamma, np.eye(m)],
+            [np.zeros((m, 1)), -gains.beta * Gamma, np.zeros((m, m))],
+        ]
+    )
     maps = disturbance_maps(dec, mod_lap)
     n = dec.node_count
     shift_map = None
@@ -150,4 +142,4 @@ def transverse_system(
         mid = np.zeros((n - 1, n))
         bottom = maps.R_hat - (psi.Psi21 @ maps.q) / psi.psi11
         shift_map = np.vstack([top, mid, bottom])
-    return TransverseSystem(A_tv=base.A_tv, shift_map=shift_map)
+    return TransverseSystem(A_tv=A_tv, shift_map=shift_map)

@@ -10,13 +10,13 @@ free parameter is exposed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotHomogeneous, SingularEnsemble, UnstableAverage
 from .netmodel import Gains, Instance
-from .spectral import ModifiedLaplacian, h_norm_bound, modified_laplacian
+from .spectral import h_norm_bound, modified_laplacian
 from .transverse import psi_blocks
 
 REGIME_HOMOGENEOUS_PID = "HomogeneousPID"
@@ -63,22 +63,6 @@ class Certificate:
             "epsilon_bound": self.epsilon_bound,
             "mu": self.mu,
         }
-
-
-@dataclass(frozen=True)
-class H1Matrix:
-    """I + H_hat and its spectral norm, used by the heterogeneous condition."""
-
-    H1: np.ndarray
-    norm: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "norm", float(np.linalg.norm(self.H1, 2)))
-
-
-def h1_matrix(mod_lap: ModifiedLaplacian) -> H1Matrix:
-    m = mod_lap.node_count - 1
-    return H1Matrix(H1=np.eye(m) + mod_lap.H_hat)
 
 
 def _require_homogeneous(instance: Instance) -> float:
@@ -201,9 +185,20 @@ def convergence_rate(instance: Instance, gains: Gains) -> float:
 
 def _heterogeneous_quantities(instance: Instance, gamma: float):
     mod_lap = modified_laplacian(instance.dec, gamma)
-    psi = psi_blocks(instance.dec, mod_lap, instance.ensemble)
-    h1 = h1_matrix(mod_lap)
-    return mod_lap, psi, h1
+    return mod_lap, psi_blocks(instance.dec, mod_lap, instance.ensemble)
+
+
+def _gain_threshold_rhs(instance: Instance, psi, h1_norm: float) -> float:
+    """Right-hand side of the heterogeneous proportional-gain condition,
+    (max|rho| + rho_bar.rho_bar ||I + H_hat||^2 / (4 |psi11|)) / N.
+
+    Raises UnstableAverage unless the average pole psi11 is negative.
+    """
+    if psi.psi11 >= 0:
+        raise UnstableAverage(f"average pole psi11 = {psi.psi11:.6g} is nonnegative")
+    rr = float(psi.rho_bar @ psi.rho_bar)
+    rho = instance.ensemble.rho
+    return (np.max(np.abs(rho)) + rr / (4.0 * abs(psi.psi11)) * h1_norm**2) / instance.node_count
 
 
 def min_alpha(instance: Instance, gamma: float, conservative: bool = False) -> float:
@@ -212,15 +207,10 @@ def min_alpha(instance: Instance, gamma: float, conservative: bool = False) -> f
     With ``conservative=True`` the closed-form bound 1 + N/(gamma*lambda_2+1)
     replaces the exact spectral norm of I + H_hat.
     """
-    _, psi, h1 = _heterogeneous_quantities(instance, gamma)
-    if psi.psi11 >= 0:
-        raise UnstableAverage(f"average pole psi11 = {psi.psi11:.6g} is nonnegative")
-    n = instance.node_count
+    mod_lap, psi = _heterogeneous_quantities(instance, gamma)
+    h1_norm = 1.0 + h_norm_bound(instance.dec, gamma) if conservative else mod_lap.h1_norm
     lam2 = instance.dec.lambda_2
-    h1_norm = 1.0 + h_norm_bound(instance.dec, gamma) if conservative else h1.norm
-    rho = instance.ensemble.rho
-    rr = float(psi.rho_bar @ psi.rho_bar)
-    rhs = (np.max(np.abs(rho)) + rr / (4.0 * abs(psi.psi11)) * h1_norm**2) / n
+    rhs = _gain_threshold_rhs(instance, psi, h1_norm)
     return float(rhs * (gamma * lam2 + 1.0) / lam2)
 
 
@@ -233,7 +223,7 @@ def z_infinity_bound(
     spectral norm of H_hat; for identical agents that reduces the expression
     to the homogeneous closed form.
     """
-    mod_lap, psi, _ = _heterogeneous_quantities(instance, gains.gamma)
+    mod_lap, psi = _heterogeneous_quantities(instance, gains.gamma)
     n = instance.node_count
     rho_bar_norm = float(np.linalg.norm(psi.rho_bar))
     if rho_bar_norm > 0 and psi.psi11 == 0.0:
@@ -248,17 +238,10 @@ def certify_heterogeneous_pid(instance: Instance, gains: Gains) -> Certificate:
     """Heterogeneous agents under full PID: negative average pole plus a
     proportional-gain threshold. With beta = 0 the integral action is
     missing and the certificate fails its beta condition."""
-    _, psi, h1 = _heterogeneous_quantities(instance, gains.gamma)
-    if psi.psi11 >= 0:
-        raise UnstableAverage(f"average pole psi11 = {psi.psi11:.6g} is nonnegative")
-    n = instance.node_count
+    mod_lap, psi = _heterogeneous_quantities(instance, gains.gamma)
     lam2 = instance.dec.lambda_2
     lhs = gains.alpha * lam2 / (gains.gamma * lam2 + 1.0)
-    rr = float(psi.rho_bar @ psi.rho_bar)
-    rhs = (
-        np.max(np.abs(instance.ensemble.rho))
-        + rr / (4.0 * abs(psi.psi11)) * h1.norm**2
-    ) / n
+    rhs = _gain_threshold_rhs(instance, psi, mod_lap.h1_norm)
     conditions = (
         Condition("average_pole_negative", psi.psi11 < 0, -psi.psi11),
         Condition("beta_positive", gains.beta > 0, gains.beta),

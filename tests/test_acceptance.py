@@ -12,7 +12,6 @@ from pidnet import (
     Gains,
     Graph,
     Instance,
-    MicrogridScenario,
     NodeEnsemble,
     SimConfig,
     UnstableAverage,
@@ -53,10 +52,7 @@ def bench_instance() -> Instance:
 
 def test_criterion_1_benchmark_reproduction():
     """Six-inverter benchmark converges to the predicted value of 50."""
-    scenario = MicrogridScenario(
-        graph=Graph.ring(6, 5.0), local_gains=BENCH_K, injections=BENCH_P, gains=BENCH_GAINS
-    )
-    sys_ = build_microgrid(scenario)
+    sys_ = build_microgrid(bench_instance(), BENCH_GAINS)
     start = time.perf_counter()
     trace = integrate(sys_, SimConfig(t_end=30.0))
     elapsed = time.perf_counter() - start

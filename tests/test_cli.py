@@ -8,7 +8,7 @@ import pytest
 
 from pidnet.cli import BENCHMARK_ALPHA_REFERENCE, main
 
-BENCH_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "microgrid6.yaml"
+BENCH_CONFIG = Path(__file__).resolve().parent.parent / "src" / "pidnet" / "microgrid6.yaml"
 
 HOMOGENEOUS = """
 graph:
@@ -46,6 +46,20 @@ def run_json(capsys, argv) -> tuple[int, dict]:
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Count calls of the numpy.linalg solvers by name."""
+    counts = dict.fromkeys(("eigh", "eigvalsh", "eigvals", "solve"), 0)
+    for name in counts:
+
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
 
 
 def test_analyze_benchmark(capsys):
@@ -89,6 +103,44 @@ def test_config_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, old, new",
+    [
+        ("analyze", "alpha: 2.0", "alpha: .nan"),
+        ("analyze", "alpha: 2.0", "alpha: .inf"),
+        ("analyze", "{i: 0, j: 1, w: 1.0}", "{i: 0, j: 1, w: .nan}"),
+        ("analyze", "delta: [1.0,", "delta: [.nan,"),
+        ("tune", "rho: [-2.0,", "rho: [.nan,"),
+        ("simulate", "t_end: 60.0", "t_end: .inf"),
+    ],
+    ids=["alpha-nan", "alpha-inf", "weight-nan", "delta-nan", "rho-nan", "t_end-inf"],
+)
+def test_non_finite_config_exit_code(tmp_path, capsys, command, old, new):
+    p = tmp_path / "nonfinite.yaml"
+    p.write_text(HOMOGENEOUS.replace(old, new))
+    argv = [command, "--config", str(p), "--json"]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    assert "finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf", "-1"])
+def test_tune_rejects_bad_gamma(capsys, hom_config, gamma):
+    assert main(["tune", "--config", hom_config, f"--gamma={gamma}"]) == 3
+    assert "finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", ["bench", "homogeneous"])
+@pytest.mark.parametrize("command", ["analyze", "tune"])
+def test_one_eigensolve_per_command(capsys, hom_config, linalg_calls, config, command):
+    path = str(BENCH_CONFIG) if config == "bench" else hom_config
+    assert main([command, "--config", path, "--json"]) == 0
+    capsys.readouterr()
+    eigvals = 2 if command == "analyze" else 0  # full and sub-block transverse spectra
+    assert linalg_calls == {"eigh": 1, "eigvalsh": 0, "eigvals": eigvals, "solve": 1}
+
+
 def test_simulate_writes_outputs(tmp_path, capsys, hom_config):
     out = tmp_path / "out"
     code, report = run_json(
@@ -130,10 +182,12 @@ def test_tune_homogeneous_closed_form(capsys, hom_config):
     assert report["alpha_min_exact"] == pytest.approx(2.0 * (0.5 * 2 + 1) / (4 * 2), rel=1e-9)
 
 
-def test_reproduce_outputs(tmp_path, capsys):
+def test_reproduce_outputs(tmp_path, capsys, linalg_calls):
     out = tmp_path / "repro"
     code, report = run_json(capsys, ["reproduce", "--out", str(out), "--json"])
     assert code == 0
+    # one decomposition of the bundled graph serves all four scenarios
+    assert linalg_calls["eigh"] == 1
     for name in ("proportional_a10", "proportional_a30", "pid", "pi"):
         assert (out / f"{name}.csv").exists()
     report_file = json.loads((out / "report.json").read_text())

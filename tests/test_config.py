@@ -49,7 +49,7 @@ def test_valid_ensemble_config():
     assert not cfg.microgrid
     assert cfg.gains.alpha == 2.0
     assert cfg.dt == 0.01 and cfg.t_end == 5.0 and cfg.record_stride == 2
-    sys_ = cfg.system()
+    sys_ = cfg.system
     assert sys_.gains.alpha == 2.0  # no effective-gain shift outside microgrid mode
     sc = cfg.sim_config()
     assert sc.dt == 0.01 and np.array_equal(sc.x0, [1.0, 2.0, 3.0])
@@ -58,7 +58,7 @@ def test_valid_ensemble_config():
 def test_valid_microgrid_config():
     cfg = parse_config(MICROGRID)
     assert cfg.microgrid
-    sys_ = cfg.system()
+    sys_ = cfg.system
     assert sys_.gains.alpha == 4.0  # distributed 3 plus one unit of physical coupling
     assert np.array_equal(sys_.ensemble.rho, [-1.0, 0.0, -2.0])
     assert cfg.t_end == 30.0  # default horizon
@@ -124,7 +124,7 @@ def test_load_config_missing_file(tmp_path):
 def test_bundled_benchmark_config():
     from pathlib import Path
 
-    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "microgrid6.yaml")
+    cfg = load_config(Path(__file__).resolve().parent.parent / "src" / "pidnet" / "microgrid6.yaml")
     assert cfg.microgrid
     assert cfg.graph.node_count == 6
     assert np.array_equal(cfg.rho, [-2.0, 0.0, 0.0, -4.0, 0.0, -6.0])

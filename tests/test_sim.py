@@ -7,7 +7,6 @@ from pidnet import (
     Gains,
     Graph,
     Instance,
-    MicrogridScenario,
     NonFinite,
     SimConfig,
     SingularEnsemble,
@@ -28,10 +27,7 @@ BENCH_P = np.array([150.0, 80.0, 120.0, 100.0, 100.0, 50.0])
 
 
 def bench_system(gains: Gains):
-    return build_microgrid(
-        MicrogridScenario(graph=Graph.ring(6, 5.0), local_gains=BENCH_K,
-                          injections=BENCH_P, gains=gains)
-    )
+    return build_microgrid(Instance.from_graph(Graph.ring(6, 5.0), BENCH_K, BENCH_P), gains)
 
 
 def replace_dynamics(sys_, A, b):
@@ -199,8 +195,7 @@ def test_microgrid_effective_alpha():
 
 def test_microgrid_zero_gains_singular():
     sys_ = build_microgrid(
-        MicrogridScenario(graph=Graph.ring(4, 1.0), local_gains=np.zeros(4),
-                          injections=np.zeros(4), gains=Gains(1.0, 1.0, 0.0))
+        Instance.from_graph(Graph.ring(4, 1.0), np.zeros(4), np.zeros(4)), Gains(1.0, 1.0, 0.0)
     )
     with pytest.raises(SingularEnsemble):
         equilibrium(sys_)

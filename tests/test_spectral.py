@@ -49,35 +49,35 @@ def test_graph_rejects_disconnected():
 
 
 def test_two_node_laplacian_analytic():
-    lap = build_laplacian(Graph(2, ((0, 1, 1.0),)))
-    assert np.array_equal(lap.matrix, np.array([[1.0, -1.0], [-1.0, 1.0]]))
-    assert np.allclose(lap.eigenvalues, [0.0, 2.0], atol=TOL)
+    g = Graph(2, ((0, 1, 1.0),))
+    assert np.array_equal(build_laplacian(g), np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    assert np.allclose(decompose(g).lam, [0.0, 2.0], atol=TOL)
 
 
 def test_ring6_weight5_algebraic_connectivity():
-    lap = build_laplacian(Graph.ring(6, 5.0))
-    assert abs(lap.lambda_2 - 5.0) < TOL
-    assert abs(lap.lambda_max - 20.0) < TOL
+    dec = decompose(Graph.ring(6, 5.0))
+    assert abs(dec.lambda_2 - 5.0) < TOL
+    assert abs(dec.lambda_max - 20.0) < TOL
     # full spectrum of the weight-5 six-cycle
-    assert np.allclose(np.sort(lap.eigenvalues), [0.0, 5.0, 5.0, 15.0, 15.0, 20.0], atol=TOL)
+    assert np.allclose(np.sort(dec.lam), [0.0, 5.0, 5.0, 15.0, 15.0, 20.0], atol=TOL)
 
 
 def test_complete4_unit_weight_spectrum():
-    lap = build_laplacian(Graph.complete(4, 1.0))
+    dec = decompose(Graph.complete(4, 1.0))
     # oracle: brute-force eigensolve of the explicit 4x4 matrix
     explicit = 4.0 * np.eye(4) - np.ones((4, 4))
-    assert np.allclose(lap.matrix, explicit)
-    assert np.allclose(lap.eigenvalues, np.linalg.eigvalsh(explicit), atol=TOL)
-    assert np.allclose(lap.eigenvalues, [0.0, 4.0, 4.0, 4.0], atol=TOL)
+    assert np.allclose(dec.laplacian, explicit)
+    assert np.allclose(dec.lam, np.linalg.eigvalsh(explicit), atol=TOL)
+    assert np.allclose(dec.lam, [0.0, 4.0, 4.0, 4.0], atol=TOL)
 
 
 def test_laplacian_zero_row_sums_random(rng):
     for _ in range(20):
-        lap = build_laplacian(random_graph(rng, int(rng.integers(2, 13))))
-        assert np.max(np.abs(lap.matrix @ np.ones(lap.node_count))) < TOL
-        assert np.max(np.abs(lap.matrix - lap.matrix.T)) == 0.0
-        assert lap.eigenvalues[0] == 0.0
-        assert lap.lambda_2 > 0
+        dec = decompose(random_graph(rng, int(rng.integers(2, 13))))
+        assert np.max(np.abs(dec.laplacian @ np.ones(dec.node_count))) < TOL
+        assert np.max(np.abs(dec.laplacian - dec.laplacian.T)) == 0.0
+        assert dec.lam[0] == 0.0
+        assert dec.lambda_2 > 0
 
 
 # ---------------------------------------------- spectral decomposition

@@ -16,7 +16,6 @@ from pidnet import (
     modified_laplacian,
     psi_blocks,
     spectral_decompose,
-    transverse_matrix,
     transverse_system,
 )
 from conftest import random_graph, random_heterogeneous_instance
@@ -103,7 +102,7 @@ def test_transverse_block_layout(rng):
     inst, mod = make(rng, 5, 0.8)
     gains = Gains(alpha=2.0, beta=1.5, gamma=0.8)
     psi = psi_blocks(inst.dec, mod, inst.ensemble)
-    tv = transverse_matrix(psi, mod, gains)
+    tv = transverse_system(inst.dec, mod, inst.ensemble, gains)
     m = 4
     A = tv.A_tv
     assert A.shape == (2 * 5 - 1, 2 * 5 - 1)

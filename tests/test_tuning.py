@@ -18,7 +18,6 @@ from pidnet import (
     certify_homogeneous_pid,
     convergence_rate,
     equilibrium,
-    h1_matrix,
     integrate,
     metrics,
     min_alpha,
@@ -254,8 +253,7 @@ def test_min_alpha_conservative_dominates_exact(rng):
 def test_h1_matrix_norm_bound(rng):
     inst = random_heterogeneous_instance(rng, 7)
     mod = modified_laplacian(inst.dec, 1.3)
-    h1 = h1_matrix(mod)
-    assert h1.norm <= 1.0 + mod.h_norm + TOL
+    assert mod.h1_norm <= 1.0 + mod.h_norm + TOL
 
 
 def test_z_bound_homogeneous_reduction(rng):
