@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     ConfigError,
-    DegenerateDecomposition,
     DimensionMismatch,
     DisconnectedGraph,
     InvalidGraph,
@@ -22,13 +21,10 @@ from .errors import (
     UnstableAverage,
 )
 from .netmodel import (
-    ClosedLoopSystem,
-    Equilibrium,
     Gains,
     Instance,
     NodeEnsemble,
     assemble,
-    assemble_instance,
     consensus_protocol_input,
     equilibrium,
 )
@@ -42,24 +38,17 @@ from .sim import (
 )
 from .spectral import (
     Graph,
-    ModifiedLaplacian,
-    SpectralDecomposition,
     build_laplacian,
     h_norm_bound,
     modified_laplacian,
     spectral_decompose,
 )
 from .transverse import (
-    DisturbanceMaps,
-    PsiBlocks,
-    TransverseSystem,
     disturbance_maps,
     psi_blocks,
     transverse_system,
 )
 from .tuning import (
-    Certificate,
-    Condition,
     certify,
     certify_heterogeneous_pid,
     certify_homogeneous_pd,

@@ -23,10 +23,11 @@ from .errors import (
     PidnetError,
     SingularEnsemble,
     StepTooLarge,
+    TraceTooLarge,
     UnstableAverage,
 )
-from .netmodel import Gains, equilibrium
-from .sim import Trace, build_microgrid, integrate, metrics
+from .netmodel import ClosedLoopSystem, Gains, equilibrium
+from .sim import SimConfig, Trace, TraceMetrics, build_microgrid, integrate, metrics
 from .spectral import h_norm_bound, modified_laplacian
 from .transverse import psi_blocks, transverse_system
 from .tuning import certify, min_alpha
@@ -49,7 +50,7 @@ def _analysis_values(cfg: InstanceConfig) -> dict:
     dec = instance.dec
     gamma = cfg.gains.gamma
     mod_lap = modified_laplacian(dec, gamma)
-    psi = psi_blocks(dec, mod_lap, instance.ensemble)
+    psi = psi_blocks(instance, gamma)
     return {
         "nodes": dec.node_count,
         "lambda_2": dec.lambda_2,
@@ -127,7 +128,7 @@ def cmd_analyze(args) -> int:
         }
     except SingularEnsemble as exc:
         report["equilibrium"] = {"error": str(exc)}
-    tv = transverse_system(sys_.dec, sys_.mod_lap, sys_.ensemble, sys_.gains)
+    tv = transverse_system(cfg.instance, sys_.gains)
     report["transverse"] = {
         "hurwitz": tv.is_hurwitz(),
         "hurwitz_sub_block": tv.is_hurwitz(include_average_mode=False),
@@ -137,18 +138,24 @@ def cmd_analyze(args) -> int:
     return EXIT_OK if report["certificate"]["certified"] else EXIT_UNCERTIFIED
 
 
-def _simulate_once(cfg: InstanceConfig, strict: bool) -> tuple[dict, Trace]:
-    sys_ = cfg.system
-    cert_report = _certificate_report(cfg)
-    if not cert_report["certified"]:
-        warnings.warn("instance is not certified; simulating anyway", stacklevel=2)
-    trace = integrate(sys_, cfg.sim_config(), strict=strict)
+def _run(
+    sys_: ClosedLoopSystem, sim_cfg: SimConfig, strict: bool
+) -> tuple[Trace, float | None, TraceMetrics]:
+    """Integrate, then summarise the trace against the consensus value."""
+    trace = integrate(sys_, sim_cfg, strict=strict)
     x_inf = None
     try:
         x_inf = equilibrium(sys_).x_inf
     except SingularEnsemble:
         pass
-    summary = metrics(trace, x_inf=x_inf)
+    return trace, x_inf, metrics(trace, x_inf=x_inf)
+
+
+def _simulate_once(cfg: InstanceConfig, strict: bool) -> tuple[dict, Trace]:
+    cert_report = _certificate_report(cfg)
+    if not cert_report["certified"]:
+        warnings.warn("instance is not certified; simulating anyway", stacklevel=2)
+    trace, x_inf, summary = _run(cfg.system, cfg.sim, strict)
     report = {
         "certificate": cert_report,
         "simulation": {
@@ -239,16 +246,8 @@ def cmd_reproduce(args) -> int:
     results = {}
     for name, gains in REPRODUCE_SCENARIOS:
         sys_ = build_microgrid(instance, gains)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cert = certify(instance, sys_.gains)
-        trace = integrate(sys_, cfg.sim_config())
-        x_inf = None
-        try:
-            x_inf = equilibrium(sys_).x_inf
-        except SingularEnsemble:
-            pass
-        summary = metrics(trace, x_inf=x_inf)
+        cert = certify(instance, sys_.gains)
+        trace, x_inf, summary = _run(sys_, cfg.sim, strict=False)
         _write_trace(trace, os.path.join(args.out, f"{name}.csv"))
         results[name] = {
             "gains": {"alpha": gains.alpha, "beta": gains.beta, "gamma": gains.gamma},
@@ -334,7 +333,7 @@ def main(argv=None) -> int:
     except UnstableAverage as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_UNCERTIFIED
-    except (NonFinite, StepTooLarge, DegenerateDecomposition, SingularEnsemble) as exc:
+    except (NonFinite, StepTooLarge, TraceTooLarge, DegenerateDecomposition, SingularEnsemble) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except PidnetError as exc:

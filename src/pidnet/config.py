@@ -17,7 +17,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError, PidnetError
-from .netmodel import ClosedLoopSystem, Gains, Instance, NodeEnsemble, assemble_instance
+from .netmodel import ClosedLoopSystem, Gains, Instance, assemble
 from .sim import SimConfig, build_microgrid, default_x0
 from .spectral import Graph
 
@@ -98,11 +98,7 @@ class InstanceConfig:
     delta: np.ndarray
     gains: Gains
     microgrid: bool
-    dt: float | None
-    t_end: float
-    x0: np.ndarray | None
-    x0_scale: float
-    record_stride: int
+    sim: SimConfig
 
     @cached_property
     def instance(self) -> Instance:
@@ -111,14 +107,8 @@ class InstanceConfig:
 
     @cached_property
     def system(self) -> ClosedLoopSystem:
-        build = build_microgrid if self.microgrid else assemble_instance
+        build = build_microgrid if self.microgrid else assemble
         return build(self.instance, self.gains)
-
-    def sim_config(self) -> SimConfig:
-        x0 = self.x0 if self.x0 is not None else default_x0(self.graph.node_count, self.x0_scale)
-        return SimConfig(
-            t_end=self.t_end, dt=self.dt, x0=x0, record_stride=self.record_stride
-        )
 
 
 def parse_config(text: str) -> InstanceConfig:
@@ -163,20 +153,15 @@ def parse_config(text: str) -> InstanceConfig:
     _check_keys(sim_raw, {"dt", "t_end", "x0", "x0_scale", "record_stride"}, "sim")
     dt = _number(sim_raw, "dt", "sim", required=False)
     t_end = _number(sim_raw, "t_end", "sim", required=False, default=30.0)
-    x0 = _vector(sim_raw, "x0", "sim", n) if "x0" in sim_raw else None
     x0_scale = _number(sim_raw, "x0_scale", "sim", required=False, default=1.0)
+    x0 = _vector(sim_raw, "x0", "sim", n) if "x0" in sim_raw else default_x0(n, x0_scale)
     stride = sim_raw.get("record_stride", 1)
-    if not isinstance(stride, int) or isinstance(stride, bool) or stride < 1:
+    if not isinstance(stride, int) or isinstance(stride, bool):
         raise ConfigError("sim.record_stride: expected a positive integer")
-    if dt is not None and dt <= 0:
-        raise ConfigError("sim.dt: must be positive")
-    if t_end <= 0:
-        raise ConfigError("sim.t_end: must be positive")
-
     try:
-        NodeEnsemble(rho=rho, delta=delta)  # dimension cross-check
-    except PidnetError as exc:
-        raise ConfigError(str(exc)) from exc
+        sim = SimConfig(t_end=t_end, dt=dt, x0=x0, record_stride=stride)
+    except ValueError as exc:
+        raise ConfigError(f"sim: {exc}") from exc
 
     return InstanceConfig(
         graph=graph,
@@ -184,11 +169,7 @@ def parse_config(text: str) -> InstanceConfig:
         delta=delta,
         gains=gains,
         microgrid=has_microgrid,
-        dt=dt,
-        t_end=t_end,
-        x0=x0,
-        x0_scale=x0_scale,
-        record_stride=stride,
+        sim=sim,
     )
 
 

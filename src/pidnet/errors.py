@@ -45,5 +45,9 @@ class NonFinite(PidnetError):
     """State overflowed during integration."""
 
 
+class TraceTooLarge(PidnetError):
+    """Requested trace would exceed the recorded-sample budget."""
+
+
 class ConfigError(PidnetError):
     """Invalid or unreadable instance configuration."""

@@ -9,7 +9,7 @@ explicit 2N-dimensional augmented system integrated by :mod:`pidnet.sim`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,6 +78,8 @@ class Instance:
 
     dec: SpectralDecomposition
     ensemble: NodeEnsemble
+    # PsiBlocks per gamma, filled by transverse.psi_blocks().
+    psi: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dec.node_count != self.ensemble.node_count:
@@ -121,20 +123,11 @@ class ClosedLoopSystem:
         return self.A[n:, :n]
 
 
-def assemble(
-    dec: SpectralDecomposition,
-    mod_lap: ModifiedLaplacian,
-    ensemble: NodeEnsemble,
-    gains: Gains,
-) -> ClosedLoopSystem:
+def assemble(instance: Instance, gains: Gains) -> ClosedLoopSystem:
     """Build the 2N-dimensional closed-loop system matrix and affine term."""
+    dec, ensemble = instance.dec, instance.ensemble
+    mod_lap = modified_laplacian(dec, gains.gamma)
     n = dec.node_count
-    if mod_lap.node_count != n or ensemble.node_count != n:
-        raise DimensionMismatch("graph, modified Laplacian and ensemble sizes differ")
-    if mod_lap.gamma != gains.gamma:
-        raise DimensionMismatch(
-            f"modified Laplacian built for gamma={mod_lap.gamma}, gains have gamma={gains.gamma}"
-        )
     L = dec.laplacian
     Linv = mod_lap.L_tilde_inv
     A1 = Linv @ (ensemble.P - gains.alpha * L)
@@ -144,12 +137,6 @@ def assemble(
     return ClosedLoopSystem(
         A=A, affine=affine, dec=dec, mod_lap=mod_lap, ensemble=ensemble, gains=gains
     )
-
-
-def assemble_instance(instance: Instance, gains: Gains) -> ClosedLoopSystem:
-    """Convenience wrapper deriving the modified Laplacian from the gains."""
-    mod_lap = modified_laplacian(instance.dec, gains.gamma)
-    return assemble(instance.dec, mod_lap, instance.ensemble, gains)
 
 
 @dataclass(frozen=True)

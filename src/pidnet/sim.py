@@ -14,11 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite, StepTooLarge
-from .netmodel import ClosedLoopSystem, Gains, Instance, assemble_instance
+from .errors import DimensionMismatch, NonFinite, StepTooLarge, TraceTooLarge
+from .netmodel import ClosedLoopSystem, Gains, Instance, assemble
 
 # dt * spectral_radius(A) must stay below this for RK4 stability.
 STEP_GUARD = 2.5
+
+# Largest trace integrate() records, counted in stored values (samples x 2N).
+MAX_RECORDED_VALUES = 2**25
 
 # Fraction of the horizon averaged when reporting steady-state quantities.
 STEADY_STATE_FRACTION = 0.1
@@ -116,26 +119,30 @@ def integrate(sys: ClosedLoopSystem, cfg: SimConfig, strict: bool = False) -> Tr
             stacklevel=2,
         )
 
-    steps = max(1, math.ceil(cfg.t_end / dt))
+    stride = cfg.record_stride
+    # Checked before math.ceil, which raises on an infinite step count; the int
+    # budget is scaled by the stride so that no stride overflows a float.
+    steps_float = cfg.t_end / dt
+    if steps_float * 2 * n > MAX_RECORDED_VALUES * stride:
+        raise TraceTooLarge(
+            f"{steps_float:.3g} steps of dt = {dt:.3g}, recorded every {stride}, would hold "
+            f"more than {MAX_RECORDED_VALUES} values; raise sim.record_stride or shorten sim.t_end"
+        )
+    steps = max(1, math.ceil(steps_float))
     state = np.concatenate([x0, z0])
-    rec_idx = list(range(0, steps + 1, cfg.record_stride))
-    if rec_idx[-1] != steps:
-        rec_idx.append(steps)
-    rec_set = set(rec_idx)
-    samples = np.empty((len(rec_idx), 2 * n))
-    times = np.empty(len(rec_idx))
-    pos = 0
-    if 0 in rec_set:
-        samples[pos] = state
-        times[pos] = 0.0
-        pos += 1
+    count = steps // stride + 1 + (steps % stride != 0)
+    samples = np.empty((count, 2 * n))
+    times = np.empty(count)
+    samples[0] = state
+    times[0] = 0.0
+    pos = 1
     for step in range(1, steps + 1):
         k1 = A @ state + b
         k2 = A @ (state + 0.5 * dt * k1) + b
         k3 = A @ (state + 0.5 * dt * k2) + b
         k4 = A @ (state + dt * k3) + b
         state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if step in rec_set:
+        if step % stride == 0 or step == steps:
             if not np.all(np.isfinite(state)):
                 raise NonFinite(f"state overflowed at t = {step * dt:.6g}")
             samples[pos] = state
@@ -215,4 +222,4 @@ def build_microgrid(instance: Instance, gains: Gains) -> ClosedLoopSystem:
     unit of diffusive coupling on top of the distributed protocol.
     """
     effective = Gains(alpha=1.0 + gains.alpha, beta=gains.beta, gamma=gains.gamma)
-    return assemble_instance(instance, effective)
+    return assemble(instance, effective)

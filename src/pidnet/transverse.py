@@ -15,9 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .netmodel import Gains, NodeEnsemble
-from .spectral import ModifiedLaplacian, SpectralDecomposition
+from .netmodel import Gains, Instance
+from .spectral import modified_laplacian
 
 
 @dataclass(frozen=True)
@@ -29,7 +28,6 @@ class PsiBlocks:
     Psi21: np.ndarray  # (N-1) x 1
     Psi22: np.ndarray  # (N-1) x (N-1)
     rho_bar: np.ndarray  # [rho_2 - rho_1, ..., rho_N - rho_1]
-    P_hat: np.ndarray  # diag(rho_2, ..., rho_N)
 
     def assembled(self) -> np.ndarray:
         top = np.concatenate([[self.psi11], self.Psi12.ravel()])[None, :]
@@ -37,28 +35,30 @@ class PsiBlocks:
         return np.vstack([top, bottom])
 
 
-def psi_blocks(
-    dec: SpectralDecomposition,
-    mod_lap: ModifiedLaplacian,
-    ensemble: NodeEnsemble,
-) -> PsiBlocks:
-    """Closed-form Psi blocks (equal to the direct product U^-1 L_tilde^-1 P U)."""
+def psi_blocks(instance: Instance, gamma: float) -> PsiBlocks:
+    """Closed-form Psi blocks (equal to the direct product U^-1 L_tilde^-1 P U).
+
+    The result is kept on ``instance``, so each (instance, gamma) pair is
+    computed once.
+    """
+    if gamma in instance.psi:
+        return instance.psi[gamma]
+    dec = instance.dec
     n = dec.node_count
-    if mod_lap.node_count != n or ensemble.node_count != n:
-        raise DimensionMismatch("inconsistent dimensions for Psi blocks")
-    rho = ensemble.rho
+    rho = instance.ensemble.rho
     rho_bar = rho[1:] - rho[0]
     R22 = dec.R22
-    H = mod_lap.H_hat
+    H = modified_laplacian(dec, gamma).H_hat
     ones = np.ones((n - 1, 1))
     P_hat = np.diag(rho[1:])
-    psi11 = float(np.mean(rho))
-    Psi12 = rho_bar[None, :] @ R22.T
-    Psi21 = R22 @ H @ rho_bar[:, None]
-    Psi22 = n * R22 @ H @ (P_hat + rho[0] * (ones @ ones.T)) @ R22.T
-    return PsiBlocks(
-        psi11=psi11, Psi12=Psi12, Psi21=Psi21, Psi22=Psi22, rho_bar=rho_bar, P_hat=P_hat
+    psi = instance.psi[gamma] = PsiBlocks(
+        psi11=float(np.mean(rho)),
+        Psi12=rho_bar[None, :] @ R22.T,
+        Psi21=R22 @ H @ rho_bar[:, None],
+        Psi22=n * R22 @ H @ (P_hat + rho[0] * (ones @ ones.T)) @ R22.T,
+        rho_bar=rho_bar,
     )
+    return psi
 
 
 @dataclass(frozen=True)
@@ -69,34 +69,38 @@ class DisturbanceMaps:
     R_hat: np.ndarray  # (N-1) x N
 
 
-def disturbance_maps(
-    dec: SpectralDecomposition, mod_lap: ModifiedLaplacian
-) -> DisturbanceMaps:
+def disturbance_maps(instance: Instance, gamma: float) -> DisturbanceMaps:
+    dec = instance.dec
     n = dec.node_count
-    if mod_lap.node_count != n:
-        raise DimensionMismatch("inconsistent dimensions for disturbance maps")
     q = np.full((1, n), 1.0 / n)
     bracket = np.hstack([-np.ones((n - 1, 1)), np.eye(n - 1)])
-    R_hat = dec.R22 @ mod_lap.H_hat @ bracket
+    R_hat = dec.R22 @ modified_laplacian(dec, gamma).H_hat @ bracket
     return DisturbanceMaps(q=q, R_hat=R_hat)
 
 
 @dataclass(frozen=True)
 class TransverseSystem:
-    """Shifted (2N-1)-dimensional dynamics transverse to consensus.
-
-    ``shift_map`` is the (2N-1) x N matrix mapping a disturbance vector to
-    the origin-shift of the coordinates; it is None when psi11 = 0 (the
-    shift is then undefined).
-    """
+    """Shifted (2N-1)-dimensional dynamics transverse to consensus."""
 
     A_tv: np.ndarray
-    shift_map: np.ndarray | None
+    instance: Instance
+    gamma: float
 
     def shift(self, delta: np.ndarray) -> np.ndarray:
-        if self.shift_map is None:
+        """Origin shift of the coordinates absorbing the disturbance ``delta``.
+
+        Built from the (2N-1) x N disturbance shift map on each call; it is
+        undefined when psi11 = 0.
+        """
+        psi = psi_blocks(self.instance, self.gamma)
+        if psi.psi11 == 0.0:
             raise ZeroDivisionError("shift undefined: psi11 = 0")
-        return self.shift_map @ np.asarray(delta, dtype=float)
+        maps = disturbance_maps(self.instance, self.gamma)
+        n = self.instance.node_count
+        top = maps.q / psi.psi11
+        mid = np.zeros((n - 1, n))
+        bottom = maps.R_hat - (psi.Psi21 @ maps.q) / psi.psi11
+        return np.vstack([top, mid, bottom]) @ np.asarray(delta, dtype=float)
 
     @cached_property
     def _eigenvalues(self) -> np.ndarray:
@@ -116,17 +120,11 @@ class TransverseSystem:
         return bool(np.all(eigs.real < 0))
 
 
-def transverse_system(
-    dec: SpectralDecomposition,
-    mod_lap: ModifiedLaplacian,
-    ensemble: NodeEnsemble,
-    gains: Gains,
-) -> TransverseSystem:
-    """Assemble the shifted transverse system matrix and its disturbance
-    shift map."""
-    psi = psi_blocks(dec, mod_lap, ensemble)
+def transverse_system(instance: Instance, gains: Gains) -> TransverseSystem:
+    """Assemble the shifted transverse system matrix."""
+    psi = psi_blocks(instance, gains.gamma)
     m = psi.Psi22.shape[0]  # N - 1
-    Gamma = mod_lap.Gamma_hat
+    Gamma = modified_laplacian(instance.dec, gains.gamma).Gamma_hat
     A_tv = np.block(
         [
             [np.array([[psi.psi11]]), psi.Psi12, np.zeros((1, m))],
@@ -134,12 +132,4 @@ def transverse_system(
             [np.zeros((m, 1)), -gains.beta * Gamma, np.zeros((m, m))],
         ]
     )
-    maps = disturbance_maps(dec, mod_lap)
-    n = dec.node_count
-    shift_map = None
-    if psi.psi11 != 0.0:
-        top = maps.q / psi.psi11
-        mid = np.zeros((n - 1, n))
-        bottom = maps.R_hat - (psi.Psi21 @ maps.q) / psi.psi11
-        shift_map = np.vstack([top, mid, bottom])
-    return TransverseSystem(A_tv=A_tv, shift_map=shift_map)
+    return TransverseSystem(A_tv=A_tv, instance=instance, gamma=gains.gamma)

@@ -183,11 +183,6 @@ def convergence_rate(instance: Instance, gains: Gains) -> float:
     return float(abs(worst))
 
 
-def _heterogeneous_quantities(instance: Instance, gamma: float):
-    mod_lap = modified_laplacian(instance.dec, gamma)
-    return mod_lap, psi_blocks(instance.dec, mod_lap, instance.ensemble)
-
-
 def _gain_threshold_rhs(instance: Instance, psi, h1_norm: float) -> float:
     """Right-hand side of the heterogeneous proportional-gain condition,
     (max|rho| + rho_bar.rho_bar ||I + H_hat||^2 / (4 |psi11|)) / N.
@@ -207,7 +202,8 @@ def min_alpha(instance: Instance, gamma: float, conservative: bool = False) -> f
     With ``conservative=True`` the closed-form bound 1 + N/(gamma*lambda_2+1)
     replaces the exact spectral norm of I + H_hat.
     """
-    mod_lap, psi = _heterogeneous_quantities(instance, gamma)
+    mod_lap = modified_laplacian(instance.dec, gamma)
+    psi = psi_blocks(instance, gamma)
     h1_norm = 1.0 + h_norm_bound(instance.dec, gamma) if conservative else mod_lap.h1_norm
     lam2 = instance.dec.lambda_2
     rhs = _gain_threshold_rhs(instance, psi, h1_norm)
@@ -223,7 +219,8 @@ def z_infinity_bound(
     spectral norm of H_hat; for identical agents that reduces the expression
     to the homogeneous closed form.
     """
-    mod_lap, psi = _heterogeneous_quantities(instance, gains.gamma)
+    mod_lap = modified_laplacian(instance.dec, gains.gamma)
+    psi = psi_blocks(instance, gains.gamma)
     n = instance.node_count
     rho_bar_norm = float(np.linalg.norm(psi.rho_bar))
     if rho_bar_norm > 0 and psi.psi11 == 0.0:
@@ -238,7 +235,8 @@ def certify_heterogeneous_pid(instance: Instance, gains: Gains) -> Certificate:
     """Heterogeneous agents under full PID: negative average pole plus a
     proportional-gain threshold. With beta = 0 the integral action is
     missing and the certificate fails its beta condition."""
-    mod_lap, psi = _heterogeneous_quantities(instance, gains.gamma)
+    mod_lap = modified_laplacian(instance.dec, gains.gamma)
+    psi = psi_blocks(instance, gains.gamma)
     lam2 = instance.dec.lambda_2
     lhs = gains.alpha * lam2 / (gains.gamma * lam2 + 1.0)
     rhs = _gain_threshold_rhs(instance, psi, mod_lap.h1_norm)

@@ -15,7 +15,7 @@ from pidnet import (
     NodeEnsemble,
     SimConfig,
     UnstableAverage,
-    assemble_instance,
+    assemble,
     build_laplacian,
     build_microgrid,
     certify,
@@ -74,8 +74,7 @@ def test_criterion_1_benchmark_reproduction():
 def test_criterion_2_benchmark_analysis_values():
     """Spectral/average-pole values exact; alpha threshold certifies 6."""
     inst = bench_instance()
-    mod = modified_laplacian(inst.dec, 1.0)
-    psi = psi_blocks(inst.dec, mod, inst.ensemble)
+    psi = psi_blocks(inst, 1.0)
     lam2_ok = abs(inst.dec.lambda_2 - 5.0) < 1e-9
     psi_ok = psi.psi11 == -2.0
     rr = float(psi.rho_bar @ psi.rho_bar)
@@ -135,7 +134,7 @@ def test_criterion_3_identity_suite():
         ]
         # closed-form Psi blocks against the direct product
         ens = NodeEnsemble(rng.uniform(-3.0, 1.0, n), rng.normal(0.0, 2.0, n))
-        psi = psi_blocks(dec, mod, ens)
+        psi = psi_blocks(Instance(dec, ens), gamma)
         direct = dec.U_inv @ mod.L_tilde_inv @ ens.P @ dec.U
         res.append(np.max(np.abs(psi.assembled() - direct)))
         worst = max(worst, max(float(r) for r in res))
@@ -154,8 +153,7 @@ def test_criterion_4_rate_formula():
         inst = Instance.from_graph(random_graph(rng, n), -rho_star * np.ones(n), np.zeros(n))
         gains = Gains(float(rng.uniform(0.1, 5)), float(rng.uniform(0.1, 5)),
                       float(rng.uniform(0.0, 3)))
-        mod = modified_laplacian(inst.dec, gains.gamma)
-        tv = transverse_system(inst.dec, mod, inst.ensemble, gains)
+        tv = transverse_system(inst, gains)
         mu_eig = float(-np.max(tv.sub_block_eigenvalues().real))
         worst_formula = max(worst_formula, abs(convergence_rate(inst, gains) - mu_eig))
 
@@ -175,7 +173,7 @@ def test_criterion_4_rate_formula():
         gains = Gains(alpha, float(rng.uniform(0.3, 1.0)) * alpha,
                       float(rng.uniform(0.0, 1.5)))
         mu = convergence_rate(inst, gains)
-        sys_ = assemble_instance(inst, gains)
+        sys_ = assemble(inst, gains)
         trace = integrate(sys_, SimConfig(t_end=16.0 / mu))
         mu_hat = metrics(trace).empirical_rate
         assert mu_hat is not None
@@ -223,11 +221,10 @@ def test_criterion_5a_integral_state_bound():
     worst = -np.inf
     sims = 0
     for k, (inst, gains, cert) in enumerate(cases):
-        sys_ = assemble_instance(inst, gains)
+        sys_ = assemble(inst, gains)
         observed = float(np.linalg.norm(equilibrium(sys_).z_star))
         if k < 12:  # simulate a subset to steady state; check the rest algebraically
-            mod = modified_laplacian(inst.dec, gains.gamma)
-            tv = transverse_system(inst.dec, mod, inst.ensemble, gains)
+            tv = transverse_system(inst, gains)
             rate = float(-np.max(tv.eigenvalues().real))
             trace = integrate(sys_, SimConfig(t_end=min(14.0 / rate, 300.0)))
             observed = max(observed, metrics(trace).steady_z_norm)
@@ -273,7 +270,7 @@ def test_criterion_5b_pd_disagreement_bound():
         if not cert.certified:
             continue
         total += 1
-        sys_ = assemble_instance(inst, gains)
+        sys_ = assemble(inst, gains)
         rate = float(-np.max(np.linalg.eigvals(sys_.A1).real))
         trace = integrate(sys_, SimConfig(t_end=min(max(20.0, 14.0 / max(rate, 1e-3)), 300.0)))
         observed = metrics(trace).steady_disagreement
@@ -325,7 +322,7 @@ def test_criterion_6_integrator_order():
         inst = Instance.from_graph(random_graph(rng, n), rho, rng.normal(0, 2, n))
         gains = Gains(float(rng.uniform(0.5, 3)), float(rng.uniform(0.3, 2)),
                       float(rng.uniform(0, 1.5)))
-        sys_ = assemble_instance(inst, gains)
+        sys_ = assemble(inst, gains)
         x0 = rng.normal(0, 1, n)
         v0 = np.concatenate([x0, np.zeros(n)])
         exact = exact_affine_solution(sys_.A, sys_.affine, v0, 2.0)
@@ -346,8 +343,7 @@ def test_criterion_7_hurwitz_consistency():
     hurwitz_ok = True
     checked = 0
     for inst, gains, cert in _certified_pi_pid_instances(rng, 30):
-        mod = modified_laplacian(inst.dec, gains.gamma)
-        tv = transverse_system(inst.dec, mod, inst.ensemble, gains)
+        tv = transverse_system(inst, gains)
         include_avg = cert.regime == "HeterogeneousPID"
         if not tv.is_hurwitz(include_average_mode=include_avg):
             hurwitz_ok = False
@@ -362,7 +358,7 @@ def test_criterion_7_hurwitz_consistency():
     flagged = not cert.certified and any(
         c.name == "stable_poles" and not c.satisfied for c in cert.conditions
     )
-    sys_ = assemble_instance(inst, gains)
+    sys_ = assemble(inst, gains)
     trace = integrate(sys_, SimConfig(t_end=12.0))
     d_ratio = trace.disagreement[-1] / trace.disagreement[0]
     growth = abs(trace.x[-1, 0]) / abs(trace.x[0, 0])

@@ -1,14 +1,19 @@
 """End-to-end CLI behavior: subcommands, exit codes, file outputs."""
 
+import importlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pidnet import transverse
 from pidnet.cli import BENCHMARK_ALPHA_REFERENCE, main
 
-BENCH_CONFIG = Path(__file__).resolve().parent.parent / "src" / "pidnet" / "microgrid6.yaml"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_CONFIG = ROOT / "src" / "pidnet" / "microgrid6.yaml"
 
 HOMOGENEOUS = """
 graph:
@@ -48,17 +53,30 @@ def run_json(capsys, argv) -> tuple[int, dict]:
     return code, json.loads(out)
 
 
+def load_pidbench(name: str):
+    """Import a module of the benchmark harness (not a package) by file path."""
+    spec = importlib.util.spec_from_file_location(f"pidbench_{name}", ROOT / "pidbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """Count calls of the numpy.linalg solvers by name."""
-    counts = dict.fromkeys(("eigh", "eigvalsh", "eigvals", "solve"), 0)
-    for name in counts:
+    """Count calls of the numpy.linalg solvers by name, Psi computations
+    (PsiBlocks constructions, key "psi") and disturbance_maps calls."""
+    targets = {name: (np.linalg, name) for name in ("eigh", "eigvalsh", "eigvals", "solve")}
+    targets["psi"] = (transverse, "PsiBlocks")
+    targets["disturbance_maps"] = (transverse, "disturbance_maps")
+    counts = dict.fromkeys(targets, 0)
+    for key, (owner, attr) in targets.items():
 
-        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
-            counts[_name] += 1
+        def counted(*args, _key=key, _fn=getattr(owner, attr), **kwargs):
+            counts[_key] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(owner, attr, counted)
     return counts
 
 
@@ -138,7 +156,9 @@ def test_one_eigensolve_per_command(capsys, hom_config, linalg_calls, config, co
     assert main([command, "--config", path, "--json"]) == 0
     capsys.readouterr()
     eigvals = 2 if command == "analyze" else 0  # full and sub-block transverse spectra
-    assert linalg_calls == {"eigh": 1, "eigvalsh": 0, "eigvals": eigvals, "solve": 1}
+    assert linalg_calls == {
+        "eigh": 1, "eigvalsh": 0, "eigvals": eigvals, "solve": 1, "psi": 1, "disturbance_maps": 0
+    }
 
 
 def test_simulate_writes_outputs(tmp_path, capsys, hom_config):
@@ -164,6 +184,32 @@ def test_simulate_idempotent_csv(tmp_path, capsys, hom_config):
     assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "sim",
+    ["", "sim: {t_end: 1.0e+300, dt: 1.0e-300}\n"],
+    ids=["auto-dt-stride-1", "overflowing-step-count"],
+)
+def test_simulate_sample_budget_exit_code(tmp_path, capsys, sim):
+    # stiff N = 50 benchmark instance (alpha in the thousands): at the
+    # automatic dt and stride 1 its default 30-s horizon records ~1.4e8 values
+    inst = load_pidbench("inputs").random_instance(np.random.default_rng(1), 50)
+    p = tmp_path / "n50.yaml"
+    p.write_text(inst.to_yaml() + sim)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(p), "--out", str(out), "--json"]) == 4
+    assert "sim.record_stride" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_benchmark_trace_hooks_resolve():
+    # the benchmark tracer wraps these by name; a rename must show up here
+    for module, attr in load_pidbench("traced").TRACED:
+        obj = importlib.import_module(f"pidnet.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), (module, attr)
+
+
 def test_tune_benchmark(capsys):
     code, report = run_json(
         capsys, ["tune", "--config", str(BENCH_CONFIG), "--gamma", "1.0", "--json"]
@@ -186,8 +232,10 @@ def test_reproduce_outputs(tmp_path, capsys, linalg_calls):
     out = tmp_path / "repro"
     code, report = run_json(capsys, ["reproduce", "--out", str(out), "--json"])
     assert code == 0
-    # one decomposition of the bundled graph serves all four scenarios
+    # one decomposition of the bundled graph serves all four scenarios, and
+    # one Psi each gamma in use (0 and 1)
     assert linalg_calls["eigh"] == 1
+    assert linalg_calls["psi"] == 2
     for name in ("proportional_a10", "proportional_a30", "pid", "pi"):
         assert (out / f"{name}.csv").exists()
     report_file = json.loads((out / "report.json").read_text())

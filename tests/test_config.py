@@ -48,10 +48,10 @@ def test_valid_ensemble_config():
     assert np.array_equal(cfg.rho, [-1.0, -2.0, -3.0])
     assert not cfg.microgrid
     assert cfg.gains.alpha == 2.0
-    assert cfg.dt == 0.01 and cfg.t_end == 5.0 and cfg.record_stride == 2
+    assert cfg.sim.dt == 0.01 and cfg.sim.t_end == 5.0 and cfg.sim.record_stride == 2
     sys_ = cfg.system
     assert sys_.gains.alpha == 2.0  # no effective-gain shift outside microgrid mode
-    sc = cfg.sim_config()
+    sc = cfg.sim
     assert sc.dt == 0.01 and np.array_equal(sc.x0, [1.0, 2.0, 3.0])
 
 
@@ -61,7 +61,7 @@ def test_valid_microgrid_config():
     sys_ = cfg.system
     assert sys_.gains.alpha == 4.0  # distributed 3 plus one unit of physical coupling
     assert np.array_equal(sys_.ensemble.rho, [-1.0, 0.0, -2.0])
-    assert cfg.t_end == 30.0  # default horizon
+    assert cfg.sim.t_end == 30.0  # default horizon
 
 
 def test_unknown_keys_rejected():
@@ -114,6 +114,8 @@ def test_bad_yaml_and_bad_types():
         parse_config(VALID.replace("record_stride: 2", "record_stride: 0"))
     with pytest.raises(ConfigError, match="dt"):
         parse_config(VALID.replace("dt: 0.01", "dt: -0.5"))
+    with pytest.raises(ConfigError, match="t_end"):
+        parse_config(VALID.replace("dt: 0.01\n  t_end: 5.0", "dt: 1.0\n  t_end: 0.5"))
 
 
 def test_load_config_missing_file(tmp_path):

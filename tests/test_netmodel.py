@@ -14,11 +14,9 @@ from pidnet import (
     SimConfig,
     SingularEnsemble,
     assemble,
-    assemble_instance,
     consensus_protocol_input,
     equilibrium,
     integrate,
-    modified_laplacian,
 )
 from conftest import random_graph, random_heterogeneous_instance
 
@@ -53,36 +51,29 @@ def test_homogeneity_detection():
 
 def test_assemble_proportional_only_reduces(rng):
     inst = random_heterogeneous_instance(rng, 5)
-    sys_ = assemble_instance(inst, Gains(alpha=1.7, beta=0.0, gamma=0.0))
+    sys_ = assemble(inst, Gains(alpha=1.7, beta=0.0, gamma=0.0))
     expected_A1 = inst.ensemble.P - 1.7 * inst.dec.laplacian
     assert np.max(np.abs(sys_.A1 - expected_A1)) < TOL
     assert np.max(np.abs(sys_.A2)) == 0.0
 
 
-def test_assemble_rejects_mismatched_gamma(rng):
-    inst = random_heterogeneous_instance(rng, 4)
-    mod = modified_laplacian(inst.dec, 0.5)
-    with pytest.raises(DimensionMismatch):
-        assemble(inst.dec, mod, inst.ensemble, Gains(alpha=1.0, beta=1.0, gamma=1.0))
-
-
 def test_integral_rows_annihilate_ones(rng):
     inst = random_heterogeneous_instance(rng, 6)
-    sys_ = assemble_instance(inst, Gains(alpha=2.0, beta=1.5, gamma=0.8))
+    sys_ = assemble(inst, Gains(alpha=2.0, beta=1.5, gamma=0.8))
     # ones^T A2 = 0: the integral states keep zero sum
     assert np.max(np.abs(np.ones(6) @ sys_.A2)) < TOL
 
 
 def test_equilibrium_zero_disturbance(rng):
     inst = Instance.from_graph(random_graph(rng, 4), -np.ones(4), np.zeros(4))
-    eq = equilibrium(assemble_instance(inst, Gains(alpha=1.0, beta=1.0, gamma=0.5)))
+    eq = equilibrium(assemble(inst, Gains(alpha=1.0, beta=1.0, gamma=0.5)))
     assert eq.x_inf == 0.0
     assert np.max(np.abs(eq.z_star)) < TOL
 
 
 def test_equilibrium_benchmark_consensus_value():
     inst = Instance.from_graph(Graph.ring(6, 5.0), BENCH_RHO, BENCH_DELTA)
-    sys_ = assemble_instance(inst, Gains(alpha=7.0, beta=5.0, gamma=1.0))
+    sys_ = assemble(inst, Gains(alpha=7.0, beta=5.0, gamma=1.0))
     eq = equilibrium(sys_)
     assert eq.x_inf == pytest.approx(50.0, abs=1e-12)
     assert np.allclose(eq.x_star, 50.0)
@@ -91,7 +82,7 @@ def test_equilibrium_benchmark_consensus_value():
 
 def test_equilibrium_homogeneous_formula(rng):
     inst = Instance.from_graph(random_graph(rng, 4), -2.0 * np.ones(4), np.ones(4))
-    eq = equilibrium(assemble_instance(inst, Gains(alpha=1.0, beta=1.0, gamma=0.0)))
+    eq = equilibrium(assemble(inst, Gains(alpha=1.0, beta=1.0, gamma=0.0)))
     assert eq.x_inf == pytest.approx(0.5, abs=1e-12)
 
 
@@ -101,7 +92,7 @@ def test_equilibrium_is_fixed_point(rng):
         inst = random_heterogeneous_instance(rng, 5)
         gains = Gains(alpha=float(rng.uniform(0.5, 4)), beta=float(rng.uniform(0.2, 3)),
                       gamma=float(rng.uniform(0, 2)))
-        sys_ = assemble_instance(inst, gains)
+        sys_ = assemble(inst, gains)
         eq = equilibrium(sys_)
         state = np.concatenate([eq.x_star, eq.z_star])
         assert np.max(np.abs(sys_.A @ state + sys_.affine)) < TOL
@@ -111,7 +102,7 @@ def test_equilibrium_is_fixed_point(rng):
 def test_equilibrium_oracle_linear_solve(rng):
     # oracle: solve the 2N system with the zero-sum constraint appended
     inst = random_heterogeneous_instance(rng, 6)
-    sys_ = assemble_instance(inst, Gains(alpha=2.0, beta=1.0, gamma=0.7))
+    sys_ = assemble(inst, Gains(alpha=2.0, beta=1.0, gamma=0.7))
     n = 6
     M = np.vstack([sys_.A, np.concatenate([np.zeros(n), np.ones(n)])])
     rhs = np.concatenate([-sys_.affine, [0.0]])
@@ -123,15 +114,15 @@ def test_equilibrium_oracle_linear_solve(rng):
 def test_singular_ensemble(rng):
     inst = Instance.from_graph(random_graph(rng, 4), [1.0, -1.0, 2.0, -2.0], np.ones(4))
     with pytest.raises(SingularEnsemble):
-        equilibrium(assemble_instance(inst, Gains(alpha=1.0)))
+        equilibrium(assemble(inst, Gains(alpha=1.0)))
     inst0 = Instance.from_graph(random_graph(rng, 3), np.zeros(3), np.ones(3))
     with pytest.raises(SingularEnsemble):
-        equilibrium(assemble_instance(inst0, Gains(alpha=1.0)))
+        equilibrium(assemble(inst0, Gains(alpha=1.0)))
 
 
 def test_protocol_vanishes_on_consensus(rng):
     inst = random_heterogeneous_instance(rng, 5)
-    sys_ = assemble_instance(inst, Gains(alpha=1.0, beta=2.0, gamma=0.3))
+    sys_ = assemble(inst, Gains(alpha=1.0, beta=2.0, gamma=0.3))
     c = 3.7
     u = consensus_protocol_input(sys_, c * np.ones(5), np.zeros(5), 5 * c * np.ones(5))
     assert np.max(np.abs(u)) < TOL
@@ -139,7 +130,7 @@ def test_protocol_vanishes_on_consensus(rng):
 
 def test_protocol_proportional_column(rng):
     inst = random_heterogeneous_instance(rng, 5)
-    sys_ = assemble_instance(inst, Gains(alpha=1.0, beta=0.0, gamma=0.0))
+    sys_ = assemble(inst, Gains(alpha=1.0, beta=0.0, gamma=0.0))
     e1 = np.zeros(5)
     e1[0] = 1.0
     u = consensus_protocol_input(sys_, e1, np.zeros(5), np.zeros(5))
@@ -148,7 +139,7 @@ def test_protocol_proportional_column(rng):
 
 def test_protocol_balances_at_equilibrium():
     inst = Instance.from_graph(Graph.ring(6, 5.0), BENCH_RHO, BENCH_DELTA)
-    sys_ = assemble_instance(inst, Gains(alpha=7.0, beta=5.0, gamma=1.0))
+    sys_ = assemble(inst, Gains(alpha=7.0, beta=5.0, gamma=1.0))
     eq = equilibrium(sys_)
     # proportional and derivative terms vanish on the consensus manifold with
     # xdot = 0, so the steady protocol input is carried by the integral term:
@@ -166,7 +157,7 @@ def test_protocol_balances_at_equilibrium():
 
 def test_z_sum_invariant_along_trajectory(rng):
     inst = random_heterogeneous_instance(rng, 5)
-    sys_ = assemble_instance(inst, Gains(alpha=3.0, beta=2.0, gamma=0.5))
+    sys_ = assemble(inst, Gains(alpha=3.0, beta=2.0, gamma=0.5))
     trace = integrate(sys_, SimConfig(t_end=10.0))
     drift = np.max(np.abs(trace.z.sum(axis=1)))
     assert drift < 1e-8
@@ -184,7 +175,7 @@ def test_property_equilibrium_residual(n, seed):
     inst = Instance.from_graph(random_graph(g, n), rho, delta)
     gains = Gains(alpha=float(g.uniform(0.5, 4)), beta=float(g.uniform(0, 3)),
                   gamma=float(g.uniform(0, 2)))
-    sys_ = assemble_instance(inst, gains)
+    sys_ = assemble(inst, gains)
     eq = equilibrium(sys_)
     state = np.concatenate([eq.x_star, eq.z_star])
     assert np.max(np.abs(sys_.A @ state + sys_.affine)) < TOL

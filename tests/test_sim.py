@@ -12,7 +12,7 @@ from pidnet import (
     SingularEnsemble,
     StepTooLarge,
     Trace,
-    assemble_instance,
+    assemble,
     build_microgrid,
     convergence_rate,
     default_x0,
@@ -55,7 +55,7 @@ def test_default_x0_spread():
 
 def test_constant_solution(rng):
     inst = random_heterogeneous_instance(rng, 3)
-    sys_ = assemble_instance(inst, Gains(1.0))
+    sys_ = assemble(inst, Gains(1.0))
     frozen = replace_dynamics(sys_, np.zeros((6, 6)), np.zeros(6))
     x0 = np.array([1.0, -2.0, 0.5])
     trace = integrate(frozen, SimConfig(t_end=2.0, dt=0.01, x0=x0))
@@ -64,7 +64,7 @@ def test_constant_solution(rng):
 
 def test_scalar_exponential_decay(rng):
     inst = Instance.from_graph(Graph(2, ((0, 1, 1.0),)), -np.ones(2), np.zeros(2))
-    sys_ = assemble_instance(inst, Gains(1.0))
+    sys_ = assemble(inst, Gains(1.0))
     A = np.diag([-1.0, -1.0, 0.0, 0.0])
     decayed = replace_dynamics(sys_, A, np.zeros(4))
     trace = integrate(decayed, SimConfig(t_end=1.0, dt=0.01, x0=np.ones(2)))
@@ -77,7 +77,7 @@ def test_rk4_matches_matrix_exponential(rng):
         inst = random_heterogeneous_instance(rng, int(rng.integers(3, 7)))
         gains = Gains(float(rng.uniform(0.5, 3)), float(rng.uniform(0.2, 2)),
                       float(rng.uniform(0, 1.5)))
-        sys_ = assemble_instance(inst, gains)
+        sys_ = assemble(inst, gains)
         n = inst.node_count
         x0 = rng.normal(0, 1, n)
         trace = integrate(sys_, SimConfig(t_end=3.0, x0=x0))
@@ -90,7 +90,7 @@ def test_rk4_matches_matrix_exponential(rng):
 
 def test_rk4_fourth_order_convergence(rng):
     inst = random_heterogeneous_instance(rng, 4)
-    sys_ = assemble_instance(inst, Gains(2.0, 1.0, 0.5))
+    sys_ = assemble(inst, Gains(2.0, 1.0, 0.5))
     x0 = rng.normal(0, 1, 4)
     v0 = np.concatenate([x0, np.zeros(4)])
     t_end = 2.0
@@ -106,7 +106,7 @@ def test_rk4_fourth_order_convergence(rng):
 
 def test_step_guard_strict_and_warn(rng):
     inst = random_heterogeneous_instance(rng, 4)
-    sys_ = assemble_instance(inst, Gains(5.0, 2.0, 0.0))
+    sys_ = assemble(inst, Gains(5.0, 2.0, 0.0))
     radius = float(np.max(np.abs(np.linalg.eigvals(sys_.A))))
     big = SimConfig(t_end=10.0, dt=3.0 / radius)
     with pytest.raises(StepTooLarge):
@@ -119,21 +119,21 @@ def test_nonfinite_on_divergence():
     # homogeneous unstable poles with proportional-only coupling on a
     # disconnected-from-consensus average mode: the mean state blows up
     inst = Instance.from_graph(Graph.complete(3, 1.0), np.ones(3), np.zeros(3))
-    sys_ = assemble_instance(inst, Gains(1.0))
+    sys_ = assemble(inst, Gains(1.0))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite):
         integrate(sys_, SimConfig(t_end=2000.0, dt=0.05, x0=np.array([1.0, 1.0, 1.0])))
 
 
 def test_nonzero_z0_warns(rng):
     inst = random_heterogeneous_instance(rng, 3)
-    sys_ = assemble_instance(inst, Gains(1.0, 1.0, 0.0))
+    sys_ = assemble(inst, Gains(1.0, 1.0, 0.0))
     with pytest.warns(UserWarning, match="integral"):
         integrate(sys_, SimConfig(t_end=1.0, dt=0.01, z0=np.array([0.1, 0.0, -0.1])))
 
 
 def test_record_stride_and_final_sample(rng):
     inst = random_heterogeneous_instance(rng, 3)
-    sys_ = assemble_instance(inst, Gains(1.0, 1.0, 0.5))
+    sys_ = assemble(inst, Gains(1.0, 1.0, 0.5))
     trace = integrate(sys_, SimConfig(t_end=1.0, dt=0.01, record_stride=7))
     assert trace.times[0] == 0.0
     assert trace.times[-1] == pytest.approx(1.0, abs=1e-9)
@@ -143,7 +143,7 @@ def test_record_stride_and_final_sample(rng):
 def test_u_reconstruction_satisfies_agent_equation(rng):
     # xdot from the ODE right-hand side must equal rho*x + delta + u
     inst = random_heterogeneous_instance(rng, 5)
-    sys_ = assemble_instance(inst, Gains(2.0, 1.0, 0.7))
+    sys_ = assemble(inst, Gains(2.0, 1.0, 0.7))
     trace = integrate(sys_, SimConfig(t_end=5.0, dt=0.01, record_stride=10))
     states = np.hstack([trace.x, trace.z])
     xdot = states @ sys_.A[:5, :].T + sys_.affine[:5]
@@ -178,7 +178,7 @@ def test_empirical_rate_matches_formula(rng):
     inst = random_homogeneous_instance(rng, 5, rho_star=1.0)
     gains = Gains(2.0, 1.5, 0.5)
     mu = convergence_rate(inst, gains)
-    sys_ = assemble_instance(inst, gains)
+    sys_ = assemble(inst, gains)
     trace = integrate(sys_, SimConfig(t_end=18.0 / mu))
     m = metrics(trace)
     assert m.empirical_rate is not None
@@ -225,7 +225,7 @@ def test_proportional_residual_decreases_with_alpha():
 
 def test_csv_export_roundtrip(tmp_path, rng):
     inst = random_heterogeneous_instance(rng, 3)
-    sys_ = assemble_instance(inst, Gains(1.0, 1.0, 0.5))
+    sys_ = assemble(inst, Gains(1.0, 1.0, 0.5))
     trace = integrate(sys_, SimConfig(t_end=2.0, dt=0.01, record_stride=20))
     path = tmp_path / "trace.csv"
     trace.to_csv(path)

@@ -10,7 +10,7 @@ from pidnet import (
     Graph,
     Instance,
     NodeEnsemble,
-    assemble_instance,
+    assemble,
     build_laplacian,
     disturbance_maps,
     modified_laplacian,
@@ -36,7 +36,7 @@ def test_psi_closed_form_equals_direct_product(rng):
     for _ in range(10):
         n = int(rng.integers(3, 9))
         inst, mod = make(rng, n, float(rng.uniform(0, 3)))
-        psi = psi_blocks(inst.dec, mod, inst.ensemble)
+        psi = psi_blocks(inst, mod.gamma)
         direct = inst.dec.U_inv @ mod.L_tilde_inv @ inst.ensemble.P @ inst.dec.U
         assert np.max(np.abs(psi.assembled() - direct)) < TOL
 
@@ -44,9 +44,8 @@ def test_psi_closed_form_equals_direct_product(rng):
 def test_psi_homogeneous_decoupling(rng):
     g = random_graph(rng, 6)
     dec = spectral_decompose(build_laplacian(g))
-    mod = modified_laplacian(dec, 0.0)
     ens = NodeEnsemble(rho=-np.ones(6), delta=np.zeros(6))
-    psi = psi_blocks(dec, mod, ens)
+    psi = psi_blocks(Instance(dec, ens), 0.0)
     assert psi.psi11 == pytest.approx(-1.0, abs=1e-12)
     assert np.max(np.abs(psi.Psi12)) < 1e-10
     assert np.max(np.abs(psi.Psi21)) < 1e-10
@@ -57,14 +56,13 @@ def test_psi_homogeneous_with_gamma_is_scaled_diagonal(rng):
     dec = spectral_decompose(build_laplacian(random_graph(rng, 5)))
     mod = modified_laplacian(dec, 1.3)
     ens = NodeEnsemble(rho=-2.0 * np.ones(5), delta=np.zeros(5))
-    psi = psi_blocks(dec, mod, ens)
+    psi = psi_blocks(Instance(dec, ens), 1.3)
     assert np.max(np.abs(psi.Psi22 + 2.0 * mod.Sigma_hat_inv)) < TOL
 
 
 def test_psi_benchmark_values():
     dec = spectral_decompose(build_laplacian(Graph.ring(6, 5.0)))
-    mod = modified_laplacian(dec, 1.0)
-    psi = psi_blocks(dec, mod, NodeEnsemble(rho=BENCH_RHO, delta=np.zeros(6)))
+    psi = psi_blocks(Instance(dec, NodeEnsemble(rho=BENCH_RHO, delta=np.zeros(6))), 1.0)
     assert psi.psi11 == -2.0
     assert np.array_equal(psi.rho_bar, [2.0, 2.0, -2.0, 2.0, -4.0])
     assert float(psi.rho_bar @ psi.rho_bar) == 32.0
@@ -75,7 +73,7 @@ def test_disturbance_maps_row_partition(rng):
     for _ in range(8):
         n = int(rng.integers(3, 9))
         inst, mod = make(rng, n, float(rng.uniform(0, 3)))
-        maps = disturbance_maps(inst.dec, mod)
+        maps = disturbance_maps(inst, mod.gamma)
         direct = inst.dec.U_inv @ mod.L_tilde_inv
         assert np.array_equal(maps.q, np.full((1, n), 1.0 / n))
         assert np.max(np.abs(direct[0:1, :] - maps.q)) < 1e-10
@@ -86,7 +84,7 @@ def test_disturbance_maps_row_partition(rng):
 
 def test_r_hat_gamma_zero_closed_form(rng):
     inst, mod = make(rng, 6, 0.0)
-    maps = disturbance_maps(inst.dec, mod)
+    maps = disturbance_maps(inst, mod.gamma)
     bracket = np.hstack([-np.ones((5, 1)), np.eye(5)])
     assert np.max(np.abs(maps.R_hat - inst.dec.R22 @ bracket)) < 1e-12
 
@@ -94,15 +92,15 @@ def test_r_hat_gamma_zero_closed_form(rng):
 def test_r_hat_norm_bounded_by_h_norm(rng):
     for _ in range(10):
         inst, mod = make(rng, int(rng.integers(3, 10)), float(rng.uniform(0, 4)))
-        maps = disturbance_maps(inst.dec, mod)
+        maps = disturbance_maps(inst, mod.gamma)
         assert np.linalg.norm(maps.R_hat, 2) <= mod.h_norm + TOL
 
 
 def test_transverse_block_layout(rng):
     inst, mod = make(rng, 5, 0.8)
     gains = Gains(alpha=2.0, beta=1.5, gamma=0.8)
-    psi = psi_blocks(inst.dec, mod, inst.ensemble)
-    tv = transverse_system(inst.dec, mod, inst.ensemble, gains)
+    psi = psi_blocks(inst, mod.gamma)
+    tv = transverse_system(inst, gains)
     m = 4
     A = tv.A_tv
     assert A.shape == (2 * 5 - 1, 2 * 5 - 1)
@@ -124,8 +122,8 @@ def test_transverse_spectrum_matches_full_loop(rng):
         inst = random_heterogeneous_instance(rng, n)
         gains = Gains(alpha=float(rng.uniform(0.5, 4)), beta=float(rng.uniform(0.2, 3)),
                       gamma=float(rng.uniform(0, 2)))
-        sys_ = assemble_instance(inst, gains)
-        tv = transverse_system(inst.dec, sys_.mod_lap, inst.ensemble, gains)
+        sys_ = assemble(inst, gains)
+        tv = transverse_system(inst, gains)
         full = np.linalg.eigvals(sys_.A)
         for ev in tv.eigenvalues():
             assert np.min(np.abs(full - ev)) < 1e-7
@@ -140,10 +138,9 @@ def test_shift_absorbs_equilibrium(rng):
         inst = random_heterogeneous_instance(rng, n)
         gains = Gains(alpha=float(rng.uniform(0.5, 4)), beta=float(rng.uniform(0.2, 3)),
                       gamma=float(rng.uniform(0, 2)))
-        mod = modified_laplacian(inst.dec, gains.gamma)
-        tv = transverse_system(inst.dec, mod, inst.ensemble, gains)
+        tv = transverse_system(inst, gains)
         delta = inst.ensemble.delta
-        maps = disturbance_maps(inst.dec, mod)
+        maps = disturbance_maps(inst, gains.gamma)
         transformed = np.concatenate([(maps.q @ delta), maps.R_hat @ delta, np.zeros(n - 1)])
         shift = tv.shift(delta)
         assert np.max(np.abs(tv.A_tv @ shift - transformed)) < 1e-8
@@ -152,8 +149,7 @@ def test_shift_absorbs_equilibrium(rng):
 def test_homogeneous_sub_block_decouples(rng):
     inst = Instance.from_graph(random_graph(rng, 6), -1.5 * np.ones(6), np.zeros(6))
     gains = Gains(alpha=1.0, beta=1.0, gamma=0.5)
-    mod = modified_laplacian(inst.dec, 0.5)
-    tv = transverse_system(inst.dec, mod, inst.ensemble, gains)
+    tv = transverse_system(inst, gains)
     assert np.max(np.abs(tv.A_tv[0, 1:])) < 1e-10
     assert np.max(np.abs(tv.A_tv[1:, 0])) < 1e-10
 
@@ -166,8 +162,7 @@ def test_homogeneous_positive_gains_hurwitz_sub_block(rng):
         )
         gains = Gains(alpha=float(rng.uniform(0.1, 5)), beta=float(rng.uniform(0.1, 5)),
                       gamma=float(rng.uniform(0.01, 3)))
-        mod = modified_laplacian(inst.dec, gains.gamma)
-        tv = transverse_system(inst.dec, mod, inst.ensemble, gains)
+        tv = transverse_system(inst, gains)
         assert tv.is_hurwitz(include_average_mode=False)
         assert tv.is_hurwitz()  # stable poles: average mode negative too
 
@@ -176,8 +171,7 @@ def test_unstable_average_flagged_non_hurwitz():
     # ensemble with positive pole sum can destabilize the average mode
     inst = Instance.from_graph(Graph.complete(4, 1.0), [1.0, 0.5, -0.2, 0.3], np.zeros(4))
     gains = Gains(alpha=2.0, beta=1.0, gamma=0.5)
-    mod = modified_laplacian(inst.dec, 0.5)
-    tv = transverse_system(inst.dec, mod, inst.ensemble, gains)
+    tv = transverse_system(inst, gains)
     assert not tv.is_hurwitz()
 
 
@@ -193,6 +187,6 @@ def test_property_psi_equivalence(n, seed, gamma):
         random_graph(g, n), g.uniform(-3, 1, n), g.normal(0, 2, n)
     )
     mod = modified_laplacian(inst.dec, gamma)
-    psi = psi_blocks(inst.dec, mod, inst.ensemble)
+    psi = psi_blocks(inst, gamma)
     direct = inst.dec.U_inv @ mod.L_tilde_inv @ inst.ensemble.P @ inst.dec.U
     assert np.max(np.abs(psi.assembled() - direct)) < TOL

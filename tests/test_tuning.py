@@ -10,7 +10,7 @@ from pidnet import (
     NotHomogeneous,
     SimConfig,
     UnstableAverage,
-    assemble_instance,
+    assemble,
     certify,
     certify_heterogeneous_pid,
     certify_homogeneous_pd,
@@ -127,8 +127,7 @@ def test_rate_matches_eigensolve(rng):
         inst = random_homogeneous_instance(rng, int(rng.integers(2, 11)))
         gains = Gains(float(rng.uniform(0.1, 5)), float(rng.uniform(0.1, 5)),
                       float(rng.uniform(0.0, 3)))
-        mod = modified_laplacian(inst.dec, gains.gamma)
-        tv = transverse_system(inst.dec, mod, inst.ensemble, gains)
+        tv = transverse_system(inst, gains)
         mu_eig = float(-np.max(tv.sub_block_eigenvalues().real))
         assert convergence_rate(inst, gains) == pytest.approx(mu_eig, abs=1e-8)
 
@@ -143,7 +142,7 @@ def test_pd_epsilon_formula():
     expected = (21.0 / 6.0) * (6.0 / 202.0) * np.linalg.norm(BENCH_DELTA)
     assert cert.epsilon_bound == pytest.approx(expected, rel=1e-12)
     # cross-check: simulated steady disagreement respects epsilon here
-    sys_ = assemble_instance(inst, Gains(10, 0, 1))
+    sys_ = assemble(inst, Gains(10, 0, 1))
     trace = integrate(sys_, SimConfig(t_end=40.0))
     assert metrics(trace).steady_disagreement <= cert.epsilon_bound
 
@@ -186,7 +185,7 @@ def test_pd_epsilon_can_underestimate_disagreement():
     assert found is not None, "expected at least one instance exceeding the formula value"
     # cross-check the violation dynamically as well
     spread, eps, inst, gains = found
-    sys_ = assemble_instance(inst, gains)
+    sys_ = assemble(inst, gains)
     trace = integrate(sys_, SimConfig(t_end=60.0))
     assert metrics(trace).steady_disagreement > eps * (1 + 1e-6)
 
@@ -285,7 +284,7 @@ def test_z_bound_holds_in_simulation_benchmark():
     gains = Gains(7.0, 5.0, 1.0)  # effective proportional gain of the benchmark
     cert = certify_heterogeneous_pid(inst, gains)
     assert cert.certified
-    sys_ = assemble_instance(inst, gains)
+    sys_ = assemble(inst, gains)
     trace = integrate(sys_, SimConfig(t_end=30.0))
     assert metrics(trace).steady_z_norm <= cert.z_inf_bound
     eq = equilibrium(sys_)
@@ -300,6 +299,5 @@ def test_certified_implies_hurwitz(rng):
         cert = certify_heterogeneous_pid(inst, gains)
         if not cert.certified:
             continue
-        mod = modified_laplacian(inst.dec, gamma)
-        tv = transverse_system(inst.dec, mod, inst.ensemble, gains)
+        tv = transverse_system(inst, gains)
         assert tv.is_hurwitz()
