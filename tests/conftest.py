@@ -3,7 +3,10 @@
 Random graphs are built as a random spanning tree plus extra edges, so
 connectivity holds by construction. The affine-linear exact solution (used
 as the integrator oracle) comes from the matrix exponential of the
-augmented system and is the only place scipy is needed.
+augmented system and is the only place scipy is needed. The step-by-step
+RK4 loop and the row-by-row CSV writer are the plain forms of what
+``pidnet.sim`` computes with a precomputed propagator and chunked
+formatting; tests compare the two.
 """
 
 import numpy as np
@@ -57,6 +60,39 @@ def exact_affine_solution(A: np.ndarray, b: np.ndarray, v0: np.ndarray, t: float
     M[:m, :m] = A
     M[:m, m] = b
     return (expm(t * M) @ np.concatenate([v0, [1.0]]))[:m]
+
+
+def rk4_step_loop(A: np.ndarray, b: np.ndarray, v0: np.ndarray, dt: float, steps: int,
+                  stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """Classical four-stage RK4 on vdot = A v + b, one step at a time.
+
+    Records v0 and the state after every ``stride``-th step and after the
+    last one; returns (times, states). Non-finite states are recorded as
+    they are.
+    """
+    state = v0.copy()
+    times, states = [0.0], [state]
+    for step in range(1, steps + 1):
+        k1 = A @ state + b
+        k2 = A @ (state + 0.5 * dt * k1) + b
+        k3 = A @ (state + 0.5 * dt * k2) + b
+        k4 = A @ (state + dt * k3) + b
+        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step % stride == 0 or step == steps:
+            times.append(step * dt)
+            states.append(state)
+    return np.array(times), np.array(states)
+
+
+def csv_row_by_row(trace) -> str:
+    """A trace in CSV form, one value and one row at a time."""
+    n = trace.node_count
+    header = (["t"] + [f"x_{k + 1}" for k in range(n)] + [f"z_{k + 1}" for k in range(n)]
+              + [f"u_{k + 1}" for k in range(n)] + ["d", "z_norm"])
+    data = np.hstack([trace.times[:, None], trace.x, trace.z, trace.u,
+                      trace.disagreement[:, None], trace.z_norm[:, None]])
+    return "".join([",".join(header) + "\n"] + [",".join(f"{v:.11e}" for v in row) + "\n"
+                                                for row in data])
 
 
 @pytest.fixture

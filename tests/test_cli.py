@@ -201,6 +201,37 @@ def test_simulate_sample_budget_exit_code(tmp_path, capsys, sim):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stride", [10**9, 10**400], ids=["one-stride", "stride-beyond-float"])
+def test_simulate_long_stride_costs_no_steps(tmp_path, capsys, stride):
+    # 1e9 RK4 steps recorded once: the propagator takes M^stride by squaring
+    p = tmp_path / "long.yaml"
+    p.write_text(HOMOGENEOUS.replace(
+        "  t_end: 60.0\n  record_stride: 5\n",
+        f"  t_end: 1000000.0\n  dt: 0.001\n  record_stride: {stride}\n",
+    ))
+    out = tmp_path / "out"
+    code, report = run_json(capsys, ["simulate", "--config", str(p), "--out", str(out), "--json"])
+    assert code == 0
+    assert report["simulation"]["samples"] == 2
+    assert len((out / "trace.csv").read_text().splitlines()) == 3
+    assert report["simulation"]["final_offset"] < 1e-6
+
+
+def test_benchmark_step_count_from_trace(hom_config):
+    # the benchmark's sim.integrate.steps counter reads the step count back
+    # from the sample times; auto dt and a stride leaving a remainder
+    from pidnet.config import load_config
+    from pidnet.sim import SimConfig, integrate
+
+    sys_ = load_config(hom_config).system
+    dt = 1.0 / (20.0 * np.max(np.abs(np.linalg.eigvals(sys_.A))))
+    cfg = SimConfig(t_end=7.0, record_stride=10)
+    steps = int(np.ceil(cfg.t_end / dt))
+    assert steps % 10 != 0
+    trace = integrate(sys_, cfg)
+    assert load_pidbench("traced").integrate_steps(cfg, trace) == steps
+
+
 def test_benchmark_trace_hooks_resolve():
     # the benchmark tracer wraps these by name; a rename must show up here
     for module, attr in load_pidbench("traced").TRACED:

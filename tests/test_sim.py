@@ -1,8 +1,11 @@
 """Fixed-step integrator, trace metrics and the inverter-network builder."""
 
+import math
+
 import numpy as np
 import pytest
 
+from pidnet import sim
 from pidnet import (
     Gains,
     Graph,
@@ -20,7 +23,13 @@ from pidnet import (
     integrate,
     metrics,
 )
-from conftest import exact_affine_solution, random_heterogeneous_instance, random_homogeneous_instance
+from conftest import (
+    csv_row_by_row,
+    exact_affine_solution,
+    random_heterogeneous_instance,
+    random_homogeneous_instance,
+    rk4_step_loop,
+)
 
 BENCH_K = np.array([-2.0, 0.0, 0.0, -4.0, 0.0, -6.0])
 BENCH_P = np.array([150.0, 80.0, 120.0, 100.0, 100.0, 50.0])
@@ -104,6 +113,29 @@ def test_rk4_fourth_order_convergence(rng):
     assert min(orders) > 3.7
 
 
+@pytest.mark.parametrize("batch", [None, 3], ids=["default-batch", "batch-3"])
+@pytest.mark.parametrize("stride", [1, 7, 10])
+def test_integrate_matches_step_loop(rng, monkeypatch, stride, batch):
+    # 201 steps: a remainder and a partial last batch of 3 for strides 7 and 10
+    dt, t_end = 0.01, 2.005
+    steps = math.ceil(t_end / dt)
+    for _ in range(3):
+        inst = random_heterogeneous_instance(rng, int(rng.integers(3, 7)))
+        n = inst.node_count
+        sys_ = assemble(inst, Gains(float(rng.uniform(0.5, 3)), float(rng.uniform(0.2, 2)),
+                                    float(rng.uniform(0, 1.5))))
+        if batch is not None:
+            monkeypatch.setattr(sim, "PROPAGATOR_BYTES", batch * 8 * (2 * n + 1) ** 2)
+        x0, z0 = rng.normal(0, 1, n), rng.normal(0, 0.5, n)
+        with pytest.warns(UserWarning, match="integral"):
+            trace = integrate(sys_, SimConfig(t_end=t_end, dt=dt, x0=x0, z0=z0,
+                                              record_stride=stride))
+        times, ref = rk4_step_loop(sys_.A, sys_.affine, np.concatenate([x0, z0]), dt, steps, stride)
+        assert np.array_equal(trace.times, times)
+        got = np.hstack([trace.x, trace.z])
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 def test_step_guard_strict_and_warn(rng):
     inst = random_heterogeneous_instance(rng, 4)
     sys_ = assemble(inst, Gains(5.0, 2.0, 0.0))
@@ -122,6 +154,21 @@ def test_nonfinite_on_divergence():
     sys_ = assemble(inst, Gains(1.0))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite):
         integrate(sys_, SimConfig(t_end=2000.0, dt=0.05, x0=np.array([1.0, 1.0, 1.0])))
+
+
+def test_nonfinite_reports_first_bad_sample(monkeypatch):
+    # x is multiplied by the RK4 factor g of h = 0.4 per step; the first
+    # recorded sample past the float range lies inside a batch of 4
+    inst = Instance.from_graph(Graph(2, ((0, 1, 1.0),)), -np.ones(2), np.zeros(2))
+    growing = replace_dynamics(assemble(inst, Gains(1.0)), np.diag([40.0, 40.0, 0.0, 0.0]),
+                               np.zeros(4))
+    g = 1.0 + 0.4 + 0.4**2 / 2 + 0.4**3 / 6 + 0.4**4 / 24
+    first_step = 7 * math.ceil(np.log(np.finfo(float).max) / np.log(g) / 7)
+    monkeypatch.setattr(sim, "PROPAGATOR_BYTES", 4 * 8 * 5**2)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NonFinite, match=rf"^state overflowed at t = {first_step * 0.01:.6g}$"
+    ):
+        integrate(growing, SimConfig(t_end=30.0, dt=0.01, x0=np.ones(2), record_stride=7))
 
 
 def test_nonzero_z0_warns(rng):
@@ -240,3 +287,18 @@ def test_csv_export_roundtrip(tmp_path, rng):
     path2 = tmp_path / "trace2.csv"
     trace.to_csv(path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_csv_bytes_match_row_by_row_writer(tmp_path, rng):
+    # 300 rows: one full chunk and a partial one
+    rows, n = 300, 2
+    data = rng.normal(0.0, 1.0, (rows, 3 * n + 3)) * 10.0 ** rng.integers(-300, 300, (rows, 3 * n + 3))
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1.0, 0.1]
+    for k, v in enumerate(special):
+        data[17 * k + 3, k % data.shape[1]] = v
+    trace = Trace(times=data[:, 0], x=data[:, 1:3], z=data[:, 3:5], u=data[:, 5:7],
+                  disagreement=data[:, 7], z_norm=data[:, 8])
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    assert path.read_bytes() == csv_row_by_row(trace).encode()
