@@ -18,31 +18,22 @@ and reports the violation rate and worst observed/epsilon ratio, split by
 gamma = 0 versus gamma > 0 (the eigenvalue-ratio prefactor pads the value
 whenever gamma > 0, hiding the mispricing).
 
+The random graphs come from the test suite's generator
+(``tests/conftest.py``), so the script needs the ``[test]`` extras.
+
 Usage:
     python scripts/pd_bound_scan.py [TRIALS] [SEED]
 """
 
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from pidnet import Gains, Graph, Instance, certify_homogeneous_pd
+from pidnet import Gains, Instance, certify_homogeneous_pd
 
-
-def random_graph(rng: np.random.Generator, n: int) -> Graph:
-    """Random connected graph: random spanning tree plus extra edges."""
-    perm = rng.permutation(n)
-    edges, have = [], set()
-    for k in range(1, n):
-        i, j = int(perm[int(rng.integers(0, k))]), int(perm[k])
-        edges.append((i, j, float(rng.uniform(0.2, 3.0))))
-        have.add((min(i, j), max(i, j)))
-    for _ in range(int(rng.integers(0, n))):
-        i, j = (int(v) for v in rng.integers(0, n, 2))
-        if i != j and (min(i, j), max(i, j)) not in have:
-            have.add((min(i, j), max(i, j)))
-            edges.append((i, j, float(rng.uniform(0.2, 3.0))))
-    return Graph(n, tuple(edges))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from conftest import random_graph  # noqa: E402
 
 
 def scan(trials: int, seed: int) -> None:

@@ -25,7 +25,6 @@ from .netmodel import (
     Instance,
     NodeEnsemble,
     assemble,
-    consensus_protocol_input,
     equilibrium,
 )
 from .sim import (
@@ -44,7 +43,6 @@ from .spectral import (
     spectral_decompose,
 )
 from .transverse import (
-    disturbance_maps,
     psi_blocks,
     transverse_system,
 )

@@ -72,9 +72,17 @@ def _certificate_report(cfg: InstanceConfig) -> dict:
     return report
 
 
+def _dumps(report: dict) -> str:
+    try:
+        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFinite(f"report holds a non-finite value ({exc})") from exc
+
+
 def _print_report(report: dict, as_json: bool) -> None:
+    text = _dumps(report)
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(text)
         return
     _print_tree(report)
 
@@ -197,12 +205,10 @@ def _simulate_once(cfg: InstanceConfig, strict: bool) -> tuple[dict, Trace]:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     report, trace = _simulate_once(cfg, args.strict)
+    summary = _dumps(report) + "\n"
     os.makedirs(args.out, exist_ok=True)
     _write_trace(trace, os.path.join(args.out, "trace.csv"))
-    _atomic_write(
-        os.path.join(args.out, "summary.json"),
-        json.dumps(report, indent=2, sort_keys=True) + "\n",
-    )
+    _atomic_write(os.path.join(args.out, "summary.json"), summary)
     _print_report(report, args.json)
     return EXIT_OK
 
@@ -282,10 +288,7 @@ def cmd_reproduce(args) -> int:
             },
         },
     }
-    _atomic_write(
-        os.path.join(args.out, "report.json"),
-        json.dumps(report, indent=2, sort_keys=True) + "\n",
-    )
+    _atomic_write(os.path.join(args.out, "report.json"), _dumps(report) + "\n")
     _print_report(report, args.json)
     return EXIT_OK
 
@@ -333,7 +336,8 @@ def main(argv=None) -> int:
     except UnstableAverage as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_UNCERTIFIED
-    except (NonFinite, StepTooLarge, TraceTooLarge, DegenerateDecomposition, SingularEnsemble) as exc:
+    except (NonFinite, StepTooLarge, TraceTooLarge, DegenerateDecomposition, SingularEnsemble,
+            np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except PidnetError as exc:

@@ -9,6 +9,7 @@ loudly instead of silently using defaults.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,32 +44,40 @@ def _finite(val) -> bool:
     return abs(val) <= sys.float_info.max
 
 
+def _float_hint(val) -> str:
+    """Advice for a number in exponent form that PyYAML read as a string."""
+    form = r"[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+"
+    if not (isinstance(val, str) and re.fullmatch(form, val)) or not _finite(float(val)):
+        return ""
+    fixed = np.format_float_scientific(float(val)).replace(".e", ".0e")
+    return f"; YAML 1.1 needs a dot and a signed exponent (unquoted), write {fixed}"
+
+
+def _as_number(val, where: str) -> float:
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {val!r}{_float_hint(val)}")
+    if not _finite(val):
+        raise ConfigError(f"{where}: expected a finite number, got {val!r}")
+    return float(val)
+
+
 def _number(section: dict, key: str, path: str, required: bool = True, default=None):
     if key not in section:
         if required:
             raise ConfigError(f"{path}.{key}: missing required value")
         return default
-    val = section[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
-    if not _finite(val):
-        raise ConfigError(f"{path}.{key}: expected a finite number, got {val!r}")
-    return float(val)
+    return _as_number(section[key], f"{path}.{key}")
 
 
 def _vector(section: dict, key: str, path: str, n: int) -> np.ndarray:
     if key not in section:
         raise ConfigError(f"{path}.{key}: missing required list")
     val = section[key]
-    if not isinstance(val, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in val
-    ):
+    if not isinstance(val, list):
         raise ConfigError(f"{path}.{key}: expected a list of numbers")
-    if not all(_finite(v) for v in val):
-        raise ConfigError(f"{path}.{key}: every entry must be a finite number")
     if len(val) != n:
         raise ConfigError(f"{path}.{key}: expected {n} entries, got {len(val)}")
-    return np.asarray(val, dtype=float)
+    return np.array([_as_number(v, f"{path}.{key}[{i}]") for i, v in enumerate(val)])
 
 
 def _parse_graph(section: dict) -> Graph:

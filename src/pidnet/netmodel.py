@@ -50,9 +50,9 @@ class NodeEnsemble:
     def P(self) -> np.ndarray:
         return np.diag(self.rho)
 
-    def is_homogeneous(self, rtol: float = HOMOGENEITY_RTOL) -> bool:
+    def is_homogeneous(self) -> bool:
         spread = float(np.max(self.rho) - np.min(self.rho))
-        return spread <= rtol * max(1.0, float(np.max(np.abs(self.rho))))
+        return spread <= HOMOGENEITY_RTOL * max(1.0, float(np.max(np.abs(self.rho))))
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,6 @@ class ClosedLoopSystem:
 
     A: np.ndarray
     affine: np.ndarray
-    dec: SpectralDecomposition
     mod_lap: ModifiedLaplacian
     ensemble: NodeEnsemble
     gains: Gains
@@ -117,11 +116,6 @@ class ClosedLoopSystem:
         n = self.node_count
         return self.A[:n, :n]
 
-    @property
-    def A2(self) -> np.ndarray:
-        n = self.node_count
-        return self.A[n:, :n]
-
 
 def assemble(instance: Instance, gains: Gains) -> ClosedLoopSystem:
     """Build the 2N-dimensional closed-loop system matrix and affine term."""
@@ -134,9 +128,7 @@ def assemble(instance: Instance, gains: Gains) -> ClosedLoopSystem:
     A2 = -gains.beta * (Linv @ L)
     A = np.block([[A1, np.eye(n)], [A2, np.zeros((n, n))]])
     affine = np.concatenate([Linv @ ensemble.delta, np.zeros(n)])
-    return ClosedLoopSystem(
-        A=A, affine=affine, dec=dec, mod_lap=mod_lap, ensemble=ensemble, gains=gains
-    )
+    return ClosedLoopSystem(A=A, affine=affine, mod_lap=mod_lap, ensemble=ensemble, gains=gains)
 
 
 @dataclass(frozen=True)
@@ -162,20 +154,3 @@ def equilibrium(sys: ClosedLoopSystem) -> Equilibrium:
     x_star = x_inf * np.ones(n)
     z_star = -sys.mod_lap.L_tilde_inv @ (rho * x_star + delta)
     return Equilibrium(x_inf=x_inf, x_star=x_star, z_star=z_star)
-
-
-def consensus_protocol_input(
-    sys: ClosedLoopSystem,
-    x: np.ndarray,
-    x_dot: np.ndarray,
-    integral: np.ndarray,
-) -> np.ndarray:
-    """Evaluate u = -L (alpha*x + beta*int(x) + gamma*xdot) componentwise."""
-    n = sys.node_count
-    x = np.asarray(x, dtype=float)
-    x_dot = np.asarray(x_dot, dtype=float)
-    integral = np.asarray(integral, dtype=float)
-    if x.shape != (n,) or x_dot.shape != (n,) or integral.shape != (n,):
-        raise DimensionMismatch(f"state vectors must have shape ({n},)")
-    g = sys.gains
-    return -sys.dec.laplacian @ (g.alpha * x + g.beta * integral + g.gamma * x_dot)

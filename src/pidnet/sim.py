@@ -41,6 +41,9 @@ CSV_CHUNK_ROWS = 256
 # Fraction of the horizon averaged when reporting steady-state quantities.
 STEADY_STATE_FRACTION = 0.1
 
+# Disagreement levels, relative to d(0), between which the decay rate is fitted.
+FIT_WINDOW = (1e-6, 1e-2)
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -140,6 +143,8 @@ def integrate(sys: ClosedLoopSystem, cfg: SimConfig, strict: bool = False) -> Tr
     b = sys.affine
     radius = float(np.max(np.abs(np.linalg.eigvals(A))))
     dt = cfg.dt if cfg.dt is not None else (1.0 / (20.0 * radius) if radius > 0 else cfg.t_end / 100.0)
+    if not 0.0 < dt < math.inf:
+        raise NonFinite(f"time step dt = {dt!r} is not a positive finite number")
     if radius > 0 and dt * radius >= STEP_GUARD:
         msg = f"dt * spectral_radius = {dt * radius:.3g} exceeds the stability guard {STEP_GUARD}"
         if strict:
@@ -224,15 +229,11 @@ class TraceMetrics:
     empirical_rate: float | None
 
 
-def metrics(
-    trace: Trace,
-    x_inf: float | None = None,
-    fit_window: tuple[float, float] = (1e-6, 1e-2),
-) -> TraceMetrics:
+def metrics(trace: Trace, x_inf: float | None = None) -> TraceMetrics:
     """Summary metrics including a log-linear fit of the disagreement decay.
 
     The decay rate is fitted on the running envelope of d(t) inside the
-    window where d has dropped to [1e-6, 1e-2] of its initial value, which
+    window where d has dropped to FIT_WINDOW of its initial value, which
     keeps oscillatory traces from biasing the slope.
     """
     if trace.times.size == 0:
@@ -242,7 +243,7 @@ def metrics(
     rate = None
     d0 = d[0]
     if d0 > 0:
-        lo, hi = fit_window[0] * d0, fit_window[1] * d0
+        lo, hi = FIT_WINDOW[0] * d0, FIT_WINDOW[1] * d0
         below_hi = np.flatnonzero(d <= hi)
         below_lo = np.flatnonzero(d <= lo)
         if below_hi.size and below_lo.size and below_lo[0] > below_hi[0] + 3:

@@ -37,8 +37,8 @@ class Graph:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        if self.node_count < 1:
-            raise InvalidGraph(f"node_count must be positive, got {self.node_count}")
+        if self.node_count < 2:
+            raise InvalidGraph(f"node_count must be at least 2, got {self.node_count}")
         object.__setattr__(
             self,
             "edges",
@@ -152,7 +152,7 @@ class SpectralDecomposition:
         return self.U_inv[1:, 1:]
 
 
-def spectral_decompose(L: np.ndarray, tol: float = IDENTITY_TOL) -> SpectralDecomposition:
+def spectral_decompose(L: np.ndarray) -> SpectralDecomposition:
     """Compute the block-normalized spectral decomposition of a Laplacian.
 
     This is the only eigensolve of a graph. The eigenvector of the zero
@@ -163,7 +163,10 @@ def spectral_decompose(L: np.ndarray, tol: float = IDENTITY_TOL) -> SpectralDeco
     n = L.shape[0]
     eigs, V = np.linalg.eigh(L)
     if n > 1 and eigs[1] <= CONNECTIVITY_RTOL * max(float(eigs[-1]), 1.0):
-        raise DisconnectedGraph(f"lambda_2 = {eigs[1]:.3e} is numerically zero")
+        raise DisconnectedGraph(
+            f"lambda_2 = {eigs[1]:.3e} is not above {CONNECTIVITY_RTOL:g} * max(lambda_N, 1) "
+            f"with lambda_N = {eigs[-1]:.3e}: numerically disconnected"
+        )
     eigs[0] = 0.0  # exact by construction (L @ ones = 0)
     # lambda_1 is simple for connected graphs, so the remaining columns are
     # already orthogonal to ones; replace column 0 exactly.
@@ -177,7 +180,7 @@ def spectral_decompose(L: np.ndarray, tol: float = IDENTITY_TOL) -> SpectralDeco
     U_inv = V.T / np.sqrt(n)
     scale = max(1.0, float(eigs[-1]))
     residual = np.max(np.abs(U @ np.diag(eigs) @ U_inv - L))
-    if residual > tol * scale:
+    if residual > IDENTITY_TOL * scale:
         raise DegenerateDecomposition(f"reconstruction residual {residual:.3e}")
     return SpectralDecomposition(laplacian=L, lam=eigs, U=U, U_inv=U_inv)
 

@@ -1,11 +1,10 @@
 """Transverse coordinates of the consensus manifold.
 
 Applying U^-1 to the closed loop and dropping the uncontrollable first
-integral coordinate yields a (2N-1)-dimensional system whose origin (after
-an affine shift absorbing the disturbances) is stable exactly when the
-network reaches consensus. The closed-form blocks of
-Psi = U^-1 L_tilde^-1 P U computed here are what the gain-tuning layer
-certifies against.
+integral coordinate yields a (2N-1)-dimensional system whose matrix is
+Hurwitz exactly when the network converges to its consensus equilibrium.
+The closed-form blocks of Psi = U^-1 L_tilde^-1 P U computed here are what
+the gain-tuning layer certifies against.
 """
 
 from __future__ import annotations
@@ -62,45 +61,10 @@ def psi_blocks(instance: Instance, gamma: float) -> PsiBlocks:
 
 
 @dataclass(frozen=True)
-class DisturbanceMaps:
-    """Row partition of U^-1 L_tilde^-1 acting on the disturbance vector."""
-
-    q: np.ndarray      # 1 x N, equals ones^T / N exactly
-    R_hat: np.ndarray  # (N-1) x N
-
-
-def disturbance_maps(instance: Instance, gamma: float) -> DisturbanceMaps:
-    dec = instance.dec
-    n = dec.node_count
-    q = np.full((1, n), 1.0 / n)
-    bracket = np.hstack([-np.ones((n - 1, 1)), np.eye(n - 1)])
-    R_hat = dec.R22 @ modified_laplacian(dec, gamma).H_hat @ bracket
-    return DisturbanceMaps(q=q, R_hat=R_hat)
-
-
-@dataclass(frozen=True)
 class TransverseSystem:
-    """Shifted (2N-1)-dimensional dynamics transverse to consensus."""
+    """(2N-1)-dimensional dynamics transverse to consensus."""
 
     A_tv: np.ndarray
-    instance: Instance
-    gamma: float
-
-    def shift(self, delta: np.ndarray) -> np.ndarray:
-        """Origin shift of the coordinates absorbing the disturbance ``delta``.
-
-        Built from the (2N-1) x N disturbance shift map on each call; it is
-        undefined when psi11 = 0.
-        """
-        psi = psi_blocks(self.instance, self.gamma)
-        if psi.psi11 == 0.0:
-            raise ZeroDivisionError("shift undefined: psi11 = 0")
-        maps = disturbance_maps(self.instance, self.gamma)
-        n = self.instance.node_count
-        top = maps.q / psi.psi11
-        mid = np.zeros((n - 1, n))
-        bottom = maps.R_hat - (psi.Psi21 @ maps.q) / psi.psi11
-        return np.vstack([top, mid, bottom]) @ np.asarray(delta, dtype=float)
 
     @cached_property
     def _eigenvalues(self) -> np.ndarray:
@@ -121,7 +85,7 @@ class TransverseSystem:
 
 
 def transverse_system(instance: Instance, gains: Gains) -> TransverseSystem:
-    """Assemble the shifted transverse system matrix."""
+    """Assemble the transverse system matrix from the Psi blocks."""
     psi = psi_blocks(instance, gains.gamma)
     m = psi.Psi22.shape[0]  # N - 1
     Gamma = modified_laplacian(instance.dec, gains.gamma).Gamma_hat
@@ -132,4 +96,4 @@ def transverse_system(instance: Instance, gains: Gains) -> TransverseSystem:
             [np.zeros((m, 1)), -gains.beta * Gamma, np.zeros((m, m))],
         ]
     )
-    return TransverseSystem(A_tv=A_tv, instance=instance, gamma=gains.gamma)
+    return TransverseSystem(A_tv=A_tv)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHomogeneous, SingularEnsemble, UnstableAverage
+from .errors import NotHomogeneous, UnstableAverage
 from .netmodel import Gains, Instance
 from .spectral import h_norm_bound, modified_laplacian
 from .transverse import psi_blocks
@@ -74,10 +74,8 @@ def _require_homogeneous(instance: Instance) -> float:
     return -float(instance.ensemble.rho[0])
 
 
-def _homogeneous_x_inf(instance: Instance, rho_star: float) -> float:
-    if rho_star == 0.0:
-        raise SingularEnsemble("all poles are zero: no finite consensus value")
-    return float(np.mean(instance.ensemble.delta)) / rho_star
+def _homogeneous_x_inf(instance: Instance, rho_star: float) -> float | None:
+    return float(np.mean(instance.ensemble.delta)) / rho_star if rho_star != 0.0 else None
 
 
 def certify_homogeneous_pid(instance: Instance, gains: Gains) -> Certificate:
@@ -97,7 +95,7 @@ def certify_homogeneous_pid(instance: Instance, gains: Gains) -> Certificate:
         Condition("gamma_positive", gains.gamma > 0, gains.gamma),
         Condition("stable_poles", rho_star > 0, rho_star),
     )
-    x_inf = _homogeneous_x_inf(instance, rho_star) if rho_star != 0.0 else None
+    x_inf = _homogeneous_x_inf(instance, rho_star)
     z_bound = np.sqrt(n**3 * (n - 1)) / (gains.gamma * lam2 + 1.0) * delta_norm
     mu = convergence_rate(instance, gains) if rho_star > 0 else None
     return Certificate(
@@ -120,7 +118,7 @@ def certify_homogeneous_pi(instance: Instance, gains: Gains) -> Certificate:
         Condition("gamma_zero", gains.gamma == 0, -abs(gains.gamma)),
         Condition("stable_poles", rho_star > 0, rho_star),
     )
-    x_inf = _homogeneous_x_inf(instance, rho_star) if rho_star != 0.0 else None
+    x_inf = _homogeneous_x_inf(instance, rho_star)
     z_bound = np.sqrt(n * (n - 1)) * delta_norm
     mu = convergence_rate(instance, gains) if rho_star > 0 else None
     return Certificate(

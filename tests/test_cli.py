@@ -1,13 +1,20 @@
 """End-to-end CLI behavior: subcommands, exit codes, file outputs."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pidnet import transverse
 from pidnet.cli import BENCHMARK_ALPHA_REFERENCE, main
@@ -64,11 +71,10 @@ def load_pidbench(name: str):
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """Count calls of the numpy.linalg solvers by name, Psi computations
-    (PsiBlocks constructions, key "psi") and disturbance_maps calls."""
+    """Count calls of the numpy.linalg solvers by name and Psi computations
+    (PsiBlocks constructions, key "psi")."""
     targets = {name: (np.linalg, name) for name in ("eigh", "eigvalsh", "eigvals", "solve")}
     targets["psi"] = (transverse, "PsiBlocks")
-    targets["disturbance_maps"] = (transverse, "disturbance_maps")
     counts = dict.fromkeys(targets, 0)
     for key, (owner, attr) in targets.items():
 
@@ -149,6 +155,106 @@ def test_tune_rejects_bad_gamma(capsys, hom_config, gamma):
     assert "finite number" in capsys.readouterr().err
 
 
+ONE_NODE = "graph: {nodes: 1, edges: []}\nensemble: {rho: [-1.0], delta: [1.0]}\ngains: {alpha: 1.0}\n"
+HUGE_ALPHA = HOMOGENEOUS.replace("alpha: 2.0", "alpha: 1.0e+300")
+# the automatic dt = 1/(20 * spectral radius) underflows to 0
+DT_UNDERFLOW = HUGE_ALPHA.replace("gamma: 0.5", "gamma: 0.0").replace(
+    "{i: 0, j: 1, w: 1.0}", "{i: 0, j: 1, w: 1.0e+7}"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, config, code, message",
+    [
+        (["analyze", "--json"], ONE_NODE, 3, "at least 2"),
+        (["tune", "--json"], ONE_NODE, 3, "at least 2"),
+        (["simulate", "--json"], ONE_NODE, 3, "at least 2"),
+        (["analyze", "--json"], HOMOGENEOUS.replace("gamma: 0.5", "gamma: 1.0e+300"), 4, "numeric"),
+        (["tune", "--json"], HOMOGENEOUS.replace("gamma: 0.5", "gamma: 1.0e+300"), 4, "numeric"),
+        (["analyze", "--json"], HUGE_ALPHA, 4, "non-finite"),
+        (["analyze"], HUGE_ALPHA, 4, "non-finite"),
+        (["simulate", "--json"], DT_UNDERFLOW, 4, "positive finite"),
+    ],
+    ids=[
+        "one-node-analyze", "one-node-tune", "one-node-simulate", "huge-gamma-analyze",
+        "huge-gamma-tune", "huge-alpha-json", "huge-alpha-tree", "dt-underflow",
+    ],
+)
+def test_exit_code_holes(tmp_path, capsys, argv, config, code, message):
+    p = tmp_path / "hole.yaml"
+    p.write_text(config)
+    out = tmp_path / "out"
+    argv = argv + ["--config", str(p)] + (["--out", str(out)] if argv[0] == "simulate" else [])
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+FUZZ_SPECIAL = (0.0, 1e-300, -1e-300, 1e300, -1e300, 1e150, 5e-324, 1e8, -1e8)
+
+
+@st.composite
+def fuzz_configs(draw):
+    """Config documents with extreme and ordinary numbers, N = 1 to 5."""
+    num = st.one_of(st.sampled_from(FUZZ_SPECIAL), st.floats(-5.0, 5.0))
+    n = draw(st.integers(1, 5))
+    # a path keeps the graph connected; chords are drawn on top of it
+    pairs = [(k, k + 1) for k in range(n - 1)]
+    chords = [(i, j) for i in range(n) for j in range(i + 2, n)]
+    if chords:
+        pairs += draw(st.lists(st.sampled_from(chords), unique=True))
+    edges = [{"i": i, "j": j, "w": abs(draw(num))} for i, j in pairs]
+    rho = [draw(num)] * n if draw(st.booleans()) else [draw(num) for _ in range(n)]
+    delta = [draw(num) for _ in range(n)]
+    agents = (
+        {"ensemble": {"rho": rho, "delta": delta}}
+        if draw(st.booleans())
+        else {"microgrid": {"k": rho, "p_star": delta}}
+    )
+    # a huge stride keeps the automatic dt of a stiff loop to a few samples
+    sim = {"t_end": draw(st.floats(0.01, 3.0)), "record_stride": 10**18}
+    if draw(st.booleans()):  # at most 50 steps
+        sim["dt"] = sim["t_end"] / draw(st.integers(1, 50))
+        sim["record_stride"] = draw(st.sampled_from([1, 7, 10**18]))
+    gains = {key: abs(draw(num)) for key in ("alpha", "beta", "gamma")}
+    doc = {"graph": {"nodes": n, "edges": edges}, **agents, "gains": gains, "sim": sim}
+    return yaml.safe_dump(doc)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(fuzz_configs())
+def test_fuzzed_configs_keep_exit_code_contract(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.yaml"
+        path.write_text(text)
+        runs = (
+            ["analyze", "--json"],
+            ["analyze"],
+            ["tune", "--json"],
+            ["simulate", "--json", "--out", str(Path(tmp) / "out")],
+        )
+        for argv in runs:
+            stdout = io.StringIO()
+            with (warnings.catch_warnings(), contextlib.redirect_stdout(stdout),
+                  contextlib.redirect_stderr(io.StringIO())):
+                warnings.simplefilter("ignore")  # overflow on the way to exit 4
+                code = main(argv + ["--config", str(path)])
+            assert code in (0, 2, 3, 4), (argv, text)
+            if code != 0:
+                continue
+            if "--json" in argv:
+                json.loads(stdout.getvalue(), parse_constant=_reject_constant)
+            else:
+                values = {line.rsplit(" ", 1)[-1] for line in stdout.getvalue().splitlines()}
+                assert not values & {"inf", "-inf", "nan"}, (argv, text)
+
+
 @pytest.mark.parametrize("config", ["bench", "homogeneous"])
 @pytest.mark.parametrize("command", ["analyze", "tune"])
 def test_one_eigensolve_per_command(capsys, hom_config, linalg_calls, config, command):
@@ -156,9 +262,7 @@ def test_one_eigensolve_per_command(capsys, hom_config, linalg_calls, config, co
     assert main([command, "--config", path, "--json"]) == 0
     capsys.readouterr()
     eigvals = 2 if command == "analyze" else 0  # full and sub-block transverse spectra
-    assert linalg_calls == {
-        "eigh": 1, "eigvalsh": 0, "eigvals": eigvals, "solve": 1, "psi": 1, "disturbance_maps": 0
-    }
+    assert linalg_calls == {"eigh": 1, "eigvalsh": 0, "eigvals": eigvals, "solve": 1, "psi": 1}
 
 
 def test_simulate_writes_outputs(tmp_path, capsys, hom_config):

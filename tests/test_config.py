@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pidnet.config import load_config, parse_config
-from pidnet.errors import ConfigError
+from pidnet.errors import ConfigError, DisconnectedGraph
 
 VALID = """
 graph:
@@ -103,13 +103,24 @@ def test_graph_errors_surface_as_config_error():
         parse_config(disconnected)
     with pytest.raises(ConfigError):
         parse_config(VALID.replace("w: 1.0", "w: -1.0"))
+    # connected, but lambda_2 is below the relative tolerance times lambda_N
+    stiff = parse_config(VALID.replace("w: 1.0", "w: 1.0e+8").replace("w: 2.0", "w: 1.0"))
+    with pytest.raises(DisconnectedGraph, match=r"lambda_2 = 1\.\d+e\+00 is not above "
+                       r"1e-08 \* max\(lambda_N, 1\) with lambda_N = 2\.\d+e\+08"):
+        stiff.instance
 
 
 def test_bad_yaml_and_bad_types():
     with pytest.raises(ConfigError, match="invalid YAML"):
         parse_config("graph: [unclosed")
-    with pytest.raises(ConfigError, match="expected a number"):
+    with pytest.raises(ConfigError, match="expected a number, got 'fast'$"):
         parse_config(VALID.replace("alpha: 2.0", "alpha: fast"))
+    # YAML 1.1 reads 1.0e12 and -2e-1 as strings; the message says how to write them
+    with pytest.raises(ConfigError, match=r"got '1\.0e12'; YAML 1\.1 needs a dot and a signed "
+                       r"exponent \(unquoted\), write 1\.0e\+12$"):
+        parse_config(VALID.replace("alpha: 2.0", "alpha: 1.0e12"))
+    with pytest.raises(ConfigError, match=r"rho\[1\]: .* write -2\.0e-01$"):
+        parse_config(VALID.replace("[-1.0, -2.0, -3.0]", "[-1.0, -2e-1, -3.0]"))
     with pytest.raises(ConfigError, match="record_stride"):
         parse_config(VALID.replace("record_stride: 2", "record_stride: 0"))
     with pytest.raises(ConfigError, match="dt"):

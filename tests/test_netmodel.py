@@ -1,4 +1,4 @@
-"""Ensemble, closed-loop assembly, equilibrium and protocol evaluation."""
+"""Ensemble, closed-loop assembly, equilibrium and the protocol balance."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from pidnet import (
     SimConfig,
     SingularEnsemble,
     assemble,
-    consensus_protocol_input,
     equilibrium,
     integrate,
 )
@@ -54,14 +53,14 @@ def test_assemble_proportional_only_reduces(rng):
     sys_ = assemble(inst, Gains(alpha=1.7, beta=0.0, gamma=0.0))
     expected_A1 = inst.ensemble.P - 1.7 * inst.dec.laplacian
     assert np.max(np.abs(sys_.A1 - expected_A1)) < TOL
-    assert np.max(np.abs(sys_.A2)) == 0.0
+    assert np.max(np.abs(sys_.A[5:, :5])) == 0.0
 
 
 def test_integral_rows_annihilate_ones(rng):
     inst = random_heterogeneous_instance(rng, 6)
     sys_ = assemble(inst, Gains(alpha=2.0, beta=1.5, gamma=0.8))
     # ones^T A2 = 0: the integral states keep zero sum
-    assert np.max(np.abs(np.ones(6) @ sys_.A2)) < TOL
+    assert np.max(np.abs(np.ones(6) @ sys_.A[6:, :6])) < TOL
 
 
 def test_equilibrium_zero_disturbance(rng):
@@ -120,23 +119,6 @@ def test_singular_ensemble(rng):
         equilibrium(assemble(inst0, Gains(alpha=1.0)))
 
 
-def test_protocol_vanishes_on_consensus(rng):
-    inst = random_heterogeneous_instance(rng, 5)
-    sys_ = assemble(inst, Gains(alpha=1.0, beta=2.0, gamma=0.3))
-    c = 3.7
-    u = consensus_protocol_input(sys_, c * np.ones(5), np.zeros(5), 5 * c * np.ones(5))
-    assert np.max(np.abs(u)) < TOL
-
-
-def test_protocol_proportional_column(rng):
-    inst = random_heterogeneous_instance(rng, 5)
-    sys_ = assemble(inst, Gains(alpha=1.0, beta=0.0, gamma=0.0))
-    e1 = np.zeros(5)
-    e1[0] = 1.0
-    u = consensus_protocol_input(sys_, e1, np.zeros(5), np.zeros(5))
-    assert np.allclose(u, -inst.dec.laplacian[:, 0], atol=TOL)
-
-
 def test_protocol_balances_at_equilibrium():
     inst = Instance.from_graph(Graph.ring(6, 5.0), BENCH_RHO, BENCH_DELTA)
     sys_ = assemble(inst, Gains(alpha=7.0, beta=5.0, gamma=1.0))
@@ -147,12 +129,6 @@ def test_protocol_balances_at_equilibrium():
     u_star = sys_.mod_lap.L_tilde @ eq.z_star
     u_balance = -(BENCH_RHO * eq.x_star + BENCH_DELTA)
     assert np.max(np.abs(u_star - u_balance)) < 1e-8
-    # and the explicit protocol evaluation agrees once the integral state is
-    # mapped back: z* = -beta L_tilde^-1 L int(x), i.e. beta*int(x) solves
-    # -L v = L_tilde z* on the zero-sum component
-    v, *_ = np.linalg.lstsq(-sys_.dec.laplacian, u_star, rcond=None)
-    u = consensus_protocol_input(sys_, eq.x_star, np.zeros(6), v / sys_.gains.beta)
-    assert np.max(np.abs(u - u_balance)) < 1e-8
 
 
 def test_z_sum_invariant_along_trajectory(rng):

@@ -1,4 +1,4 @@
-"""Psi blocks, disturbance maps and the shifted transverse system."""
+"""Psi blocks and the transverse system."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from pidnet import (
     NodeEnsemble,
     assemble,
     build_laplacian,
-    disturbance_maps,
     modified_laplacian,
     psi_blocks,
     spectral_decompose,
@@ -68,34 +67,6 @@ def test_psi_benchmark_values():
     assert float(psi.rho_bar @ psi.rho_bar) == 32.0
 
 
-def test_disturbance_maps_row_partition(rng):
-    # oracle: the raw rows of U^-1 L_tilde^-1
-    for _ in range(8):
-        n = int(rng.integers(3, 9))
-        inst, mod = make(rng, n, float(rng.uniform(0, 3)))
-        maps = disturbance_maps(inst, mod.gamma)
-        direct = inst.dec.U_inv @ mod.L_tilde_inv
-        assert np.array_equal(maps.q, np.full((1, n), 1.0 / n))
-        assert np.max(np.abs(direct[0:1, :] - maps.q)) < 1e-10
-        assert np.max(np.abs(direct[1:, :] - maps.R_hat)) < 1e-10
-        delta = rng.normal(0, 2, n)
-        assert np.max(np.abs(np.vstack([maps.q, maps.R_hat]) @ delta - direct @ delta)) < 1e-10
-
-
-def test_r_hat_gamma_zero_closed_form(rng):
-    inst, mod = make(rng, 6, 0.0)
-    maps = disturbance_maps(inst, mod.gamma)
-    bracket = np.hstack([-np.ones((5, 1)), np.eye(5)])
-    assert np.max(np.abs(maps.R_hat - inst.dec.R22 @ bracket)) < 1e-12
-
-
-def test_r_hat_norm_bounded_by_h_norm(rng):
-    for _ in range(10):
-        inst, mod = make(rng, int(rng.integers(3, 10)), float(rng.uniform(0, 4)))
-        maps = disturbance_maps(inst, mod.gamma)
-        assert np.linalg.norm(maps.R_hat, 2) <= mod.h_norm + TOL
-
-
 def test_transverse_block_layout(rng):
     inst, mod = make(rng, 5, 0.8)
     gains = Gains(alpha=2.0, beta=1.5, gamma=0.8)
@@ -128,22 +99,6 @@ def test_transverse_spectrum_matches_full_loop(rng):
         for ev in tv.eigenvalues():
             assert np.min(np.abs(full - ev)) < 1e-7
         assert np.min(np.abs(full)) < 1e-9  # the dropped trivial mode
-
-
-def test_shift_absorbs_equilibrium(rng):
-    # the shift is the negated fixed point of ydot = A_tv y + transformed
-    # disturbance, so A_tv @ shift must equal the transformed disturbance
-    for _ in range(6):
-        n = int(rng.integers(3, 8))
-        inst = random_heterogeneous_instance(rng, n)
-        gains = Gains(alpha=float(rng.uniform(0.5, 4)), beta=float(rng.uniform(0.2, 3)),
-                      gamma=float(rng.uniform(0, 2)))
-        tv = transverse_system(inst, gains)
-        delta = inst.ensemble.delta
-        maps = disturbance_maps(inst, gains.gamma)
-        transformed = np.concatenate([(maps.q @ delta), maps.R_hat @ delta, np.zeros(n - 1)])
-        shift = tv.shift(delta)
-        assert np.max(np.abs(tv.A_tv @ shift - transformed)) < 1e-8
 
 
 def test_homogeneous_sub_block_decouples(rng):
