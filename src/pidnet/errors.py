@@ -42,7 +42,7 @@ class StepTooLarge(PidnetError):
 
 
 class NonFinite(PidnetError):
-    """State overflowed during integration."""
+    """A result left the range or the precision of float64."""
 
 
 class TraceTooLarge(PidnetError):

@@ -9,6 +9,7 @@ explicit 2N-dimensional augmented system integrated by :mod:`pidnet.sim`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,12 @@ class NodeEnsemble:
             raise DimensionMismatch(
                 f"rho shape {self.rho.shape} vs delta shape {self.delta.shape}"
             )
+        for name in ("rho", "delta"):
+            bad = np.flatnonzero(~np.isfinite(getattr(self, name)))
+            if bad.size:
+                raise ValueError(
+                    f"{name}[{bad[0]}] must be a finite number, got {getattr(self, name)[bad[0]]}"
+                )
 
     @property
     def node_count(self) -> int:
@@ -64,6 +71,9 @@ class Gains:
     gamma: float = 0.0
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)}")
         if self.alpha <= 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.beta < 0:

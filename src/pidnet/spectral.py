@@ -10,6 +10,7 @@ combinations of its inverse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -20,6 +21,7 @@ from .errors import (
     DisconnectedGraph,
     InvalidGraph,
     InvalidWeight,
+    NonFinite,
 )
 
 # Absolute residual accepted on algebraic identities.
@@ -50,6 +52,8 @@ class Graph:
                 raise InvalidGraph(f"edge ({i}, {j}) out of range for N={self.node_count}")
             if i == j:
                 raise InvalidGraph(f"self-loop on node {i}")
+            if not math.isfinite(w):
+                raise InvalidWeight(f"edge ({i}, {j}) has non-finite weight {w}")
             if w <= 0:
                 raise InvalidWeight(f"edge ({i}, {j}) has nonpositive weight {w}")
             key = (min(i, j), max(i, j))
@@ -246,7 +250,12 @@ def modified_laplacian(dec: SpectralDecomposition, gamma: float) -> ModifiedLapl
         return dec.modified[gamma]
     n = dec.node_count
     L_tilde = np.eye(n) + gamma * dec.laplacian
-    L_tilde_inv = np.linalg.solve(L_tilde, np.eye(n))
+    try:
+        L_tilde_inv = np.linalg.solve(L_tilde, np.eye(n))
+    except np.linalg.LinAlgError as exc:
+        raise NonFinite(
+            f"modified Laplacian I + gamma*L is singular to working precision at gamma = {gamma:.6g}"
+        ) from exc
     denom = gamma * dec.lam[1:] + 1.0
     mod_lap = dec.modified[gamma] = ModifiedLaplacian(
         gamma=float(gamma),

@@ -10,6 +10,7 @@ free parameter is exposed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,17 +169,36 @@ def convergence_rate(instance: Instance, gains: Gains) -> float:
     """
     rho_star = _require_homogeneous(instance)
     worst = -np.inf
-    for lam in instance.dec.lam[1:]:
+    for lam in instance.dec.lam[1:].tolist():
         denom = gains.gamma * lam + 1.0
         b = (gains.alpha * lam + rho_star) / denom
         c = gains.beta * lam / denom
         disc = b * b - 4.0 * c
-        if disc >= 0:
+        if math.isinf(b * b):
+            re_dominant = _dominant_real_part_scaled(b, c)
+        elif disc >= 0:
             re_dominant = (-b + np.sqrt(disc)) / 2.0
         else:
             re_dominant = -b / 2.0
-        worst = max(worst, re_dominant)
+        worst = np.maximum(worst, re_dominant)  # keeps a NaN, unlike max()
     return float(abs(worst))
+
+
+def _dominant_real_part_scaled(b: float, c: float) -> float:
+    """Largest real part of a root of eta^2 + b*eta + c where b*b overflows.
+
+    With s = max(|b|, sqrt|c|) the roots are s*zeta for zeta^2 + p*zeta + q,
+    |p|, |q| <= 1. The root nearer zero comes from the product of the roots,
+    (c / s) / zeta_big, so it survives even when it is tiny next to the other.
+    An infinite c leaves the sign of the discriminant unknown: NaN.
+    """
+    s = max(abs(b), math.sqrt(abs(c)))
+    p, q = b / s, c / s / s
+    disc = p * p - 4.0 * q
+    if disc < 0:
+        return -b / 2.0
+    big = -(p + math.copysign(math.sqrt(disc), p)) / 2.0
+    return max(s * big, c / s / big)
 
 
 def _gain_threshold_rhs(instance: Instance, psi, h1_norm: float) -> float:

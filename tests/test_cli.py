@@ -157,6 +157,10 @@ def test_tune_rejects_bad_gamma(capsys, hom_config, gamma):
 
 ONE_NODE = "graph: {nodes: 1, edges: []}\nensemble: {rho: [-1.0], delta: [1.0]}\ngains: {alpha: 1.0}\n"
 HUGE_ALPHA = HOMOGENEOUS.replace("alpha: 2.0", "alpha: 1.0e+300")
+# b*b and beta*lambda both overflow, so the convergence rate is unknown (NaN)
+HUGE_ALPHA_BETA = HUGE_ALPHA.replace("beta: 1.0", "beta: 1.0e+308")
+HUGE_GAMMA = HOMOGENEOUS.replace("gamma: 0.5", "gamma: 1.0e+300")
+SINGULAR = "I + gamma*L is singular to working precision at gamma = 1e+300"
 # the automatic dt = 1/(20 * spectral radius) underflows to 0
 DT_UNDERFLOW = HUGE_ALPHA.replace("gamma: 0.5", "gamma: 0.0").replace(
     "{i: 0, j: 1, w: 1.0}", "{i: 0, j: 1, w: 1.0e+7}"
@@ -169,15 +173,15 @@ DT_UNDERFLOW = HUGE_ALPHA.replace("gamma: 0.5", "gamma: 0.0").replace(
         (["analyze", "--json"], ONE_NODE, 3, "at least 2"),
         (["tune", "--json"], ONE_NODE, 3, "at least 2"),
         (["simulate", "--json"], ONE_NODE, 3, "at least 2"),
-        (["analyze", "--json"], HOMOGENEOUS.replace("gamma: 0.5", "gamma: 1.0e+300"), 4, "numeric"),
-        (["tune", "--json"], HOMOGENEOUS.replace("gamma: 0.5", "gamma: 1.0e+300"), 4, "numeric"),
-        (["analyze", "--json"], HUGE_ALPHA, 4, "non-finite"),
-        (["analyze"], HUGE_ALPHA, 4, "non-finite"),
+        (["analyze", "--json"], HUGE_GAMMA, 4, SINGULAR),
+        (["tune", "--json"], HUGE_GAMMA, 4, SINGULAR),
+        (["analyze", "--json"], HUGE_ALPHA_BETA, 4, "non-finite"),
+        (["analyze"], HUGE_ALPHA_BETA, 4, "non-finite"),
         (["simulate", "--json"], DT_UNDERFLOW, 4, "positive finite"),
     ],
     ids=[
         "one-node-analyze", "one-node-tune", "one-node-simulate", "huge-gamma-analyze",
-        "huge-gamma-tune", "huge-alpha-json", "huge-alpha-tree", "dt-underflow",
+        "huge-gamma-tune", "huge-alpha-beta-json", "huge-alpha-beta-tree", "dt-underflow",
     ],
 )
 def test_exit_code_holes(tmp_path, capsys, argv, config, code, message):
@@ -185,7 +189,11 @@ def test_exit_code_holes(tmp_path, capsys, argv, config, code, message):
     p.write_text(config)
     out = tmp_path / "out"
     argv = argv + ["--config", str(p)] + (["--out", str(out)] if argv[0] == "simulate" else [])
-    assert main(argv) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == code
+    # a CLI run would print these to stderr
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
@@ -253,6 +261,26 @@ def test_fuzzed_configs_keep_exit_code_contract(text):
             else:
                 values = {line.rsplit(" ", 1)[-1] for line in stdout.getvalue().splitlines()}
                 assert not values & {"inf", "-inf", "nan"}, (argv, text)
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--json"], ["analyze"]], ids=["json", "tree"])
+def test_huge_alpha_reports_finite_rate(tmp_path, capsys, argv):
+    # b = (alpha*lam + rho*)/(gamma*lam + 1) squares past float range in every
+    # mode; the dominant root is about -beta/alpha = -1e-300
+    p = tmp_path / "huge.yaml"
+    p.write_text(HUGE_ALPHA)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--config", str(p)]) == 0
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if "--json" in argv:
+        report = json.loads(captured.out, parse_constant=_reject_constant)
+        assert report["certificate"]["mu"] == pytest.approx(1e-300, rel=1e-12)
+    else:
+        values = {line.rsplit(" ", 1)[-1] for line in captured.out.splitlines()}
+        assert not values & {"inf", "-inf", "nan"}
 
 
 @pytest.mark.parametrize("config", ["bench", "homogeneous"])

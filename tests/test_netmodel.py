@@ -36,6 +36,20 @@ def test_gains_validation():
     assert g.beta == 0.0 and g.gamma == 0.0
 
 
+@pytest.mark.parametrize("field", ["alpha", "beta", "gamma"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_gains_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be a finite number, got {value}$"):
+        Gains(**{"alpha": 1.0, field: value})
+
+
+def test_ensemble_rejects_non_finite():
+    with pytest.raises(ValueError, match=r"^rho\[0\] must be a finite number, got nan$"):
+        NodeEnsemble(rho=[np.nan, 1.0], delta=[0.0, np.inf])
+    with pytest.raises(ValueError, match=r"^delta\[1\] must be a finite number, got -inf$"):
+        NodeEnsemble(rho=[-1.0, 1.0], delta=[0.0, -np.inf])
+
+
 def test_ensemble_shape_checks():
     with pytest.raises(DimensionMismatch):
         NodeEnsemble(rho=[1.0, 2.0], delta=[1.0])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pidnet import sim
 from pidnet import (
@@ -55,6 +57,13 @@ def test_sim_config_validation():
         SimConfig(t_end=0.5, dt=1.0)
     with pytest.raises(ValueError):
         SimConfig(t_end=1.0, record_stride=0)
+
+
+def test_sim_config_rejects_non_finite():
+    with pytest.raises(ValueError, match=r"^t_end must be a finite number, got inf$"):
+        SimConfig(t_end=np.inf)
+    with pytest.raises(ValueError, match=r"^dt must be a finite number, got nan$"):
+        SimConfig(t_end=1.0, dt=np.nan)
 
 
 def test_default_x0_spread():
@@ -299,6 +308,75 @@ def test_csv_bytes_match_row_by_row_writer(tmp_path, rng):
         data[17 * k + 3, k % data.shape[1]] = v
     trace = Trace(times=data[:, 0], x=data[:, 1:3], z=data[:, 3:5], u=data[:, 5:7],
                   disagreement=data[:, 7], z_norm=data[:, 8])
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    assert path.read_bytes() == csv_row_by_row(trace).encode()
+
+
+def one_node_trace(values: np.ndarray) -> Trace:
+    """The values row by row in a one-node trace (six columns), zero-padded."""
+    data = np.zeros(-(-values.size // 6) * 6)
+    data[: values.size] = values
+    data = data.reshape(-1, 6)
+    return Trace(times=data[:, 0], x=data[:, 1:2], z=data[:, 2:3], u=data[:, 3:4],
+                 disagreement=data[:, 4], z_norm=data[:, 5])
+
+
+EXPONENT_FIELDS = np.arange(2048, dtype=np.uint64) << np.uint64(52)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sign=st.integers(0, 1), mantissa=st.integers(0, 2**52 - 1),
+       raw=st.lists(st.integers(0, 2**64 - 1), max_size=60))
+@example(sign=0, mantissa=0, raw=[])
+@example(sign=1, mantissa=0, raw=[])
+@example(sign=1, mantissa=1, raw=[])
+def test_csv_bytes_match_on_raw_bit_patterns(tmp_path_factory, sign, mantissa, raw):
+    # One mantissa under all 2048 exponent fields: zero or a subnormal (field
+    # 0), every binade of normal numbers, then inf or a NaN payload (field
+    # 2047); followed by arbitrary bit patterns.
+    head = EXPONENT_FIELDS | np.uint64(mantissa) | (np.uint64(sign) << np.uint64(63))
+    bits = np.concatenate([head, np.array(raw, dtype=np.uint64)])
+    trace = one_node_trace(bits.view(np.float64))
+    path = tmp_path_factory.mktemp("bits") / "trace.csv"
+    trace.to_csv(path)
+    assert path.read_bytes() == csv_row_by_row(trace).encode()
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        # exact decimal ties round half to even
+        (1000000000005.0, "1.00000000000e+12"),
+        (1000000000015.0, "1.00000000002e+12"),
+        (500000000002.5, "5.00000000002e+11"),
+        (500000000007.5, "5.00000000008e+11"),
+        # the double lies just above or below a tie that |v| * 10^(11 - e)
+        # rounds onto, or one ulp past, in float64
+        (1.438819396545, "1.43881939655e+00"),
+        (9.890844236615e-161, "9.89084423661e-161"),
+        (9.343712195085e-34, "9.34371219509e-34"),
+        # the twelve digits carry into a thirteenth
+        (0.99999999999995, "1.00000000000e+00"),
+        (999999.9999999999, "1.00000000000e+06"),
+    ],
+)
+def test_csv_rounding_boundaries(tmp_path, value, text):
+    trace = one_node_trace(np.array([value, -value]))
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    zero = "0.00000000000e+00"
+    assert path.read_text().splitlines()[1] == ",".join([text, "-" + text] + [zero] * 4)
+    assert path.read_bytes() == csv_row_by_row(trace).encode()
+
+
+@pytest.mark.parametrize("chunk_values", [1, 7, 50])
+def test_csv_chunk_boundaries_change_no_byte(tmp_path, monkeypatch, rng, chunk_values):
+    # 20 rows of 6 values; 50 values per chunk gives chunks of 8, 8 and 4 rows
+    values = rng.normal(0.0, 1.0, 120) * 10.0 ** rng.integers(-120, 120, 120)
+    values[[5, 47, 48, 96]] = [np.nan, 1000000000005.0, -np.inf, 500000000002.5]
+    trace = one_node_trace(values)
+    monkeypatch.setattr(sim, "CSV_CHUNK_VALUES", chunk_values)
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     assert path.read_bytes() == csv_row_by_row(trace).encode()

@@ -10,6 +10,7 @@ from pidnet import (
     Graph,
     InvalidGraph,
     InvalidWeight,
+    NonFinite,
     build_laplacian,
     h_norm_bound,
     modified_laplacian,
@@ -32,6 +33,12 @@ def test_graph_rejects_nonpositive_weight():
         Graph(2, ((0, 1, 0.0),))
     with pytest.raises(InvalidWeight):
         Graph(2, ((0, 1, -1.0),))
+
+
+@pytest.mark.parametrize("w", [np.inf, np.nan])
+def test_graph_rejects_non_finite_weight(w):
+    with pytest.raises(InvalidWeight, match=rf"^edge \(0, 1\) has non-finite weight {w}$"):
+        Graph(2, ((0, 1, w),))
 
 
 def test_graph_rejects_self_loop_and_duplicates():
@@ -215,6 +222,12 @@ def test_negative_gamma_rejected(rng):
     dec = decompose(random_graph(rng, 4))
     with pytest.raises(ValueError):
         modified_laplacian(dec, -0.1)
+
+
+def test_singular_modified_laplacian_names_gamma():
+    dec = decompose(Graph.ring(4, 1.0))
+    with pytest.raises(NonFinite, match=r"I \+ gamma\*L is singular .* at gamma = 1e\+300$"):
+        modified_laplacian(dec, 1e300)
 
 
 # --------------------------------------------------------- hypothesis

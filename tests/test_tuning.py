@@ -1,5 +1,8 @@
 """Certificates, gain thresholds, convergence rate and analytic bounds."""
 
+import decimal
+import warnings
+
 import numpy as np
 import pytest
 
@@ -130,6 +133,30 @@ def test_rate_matches_eigensolve(rng):
         tv = transverse_system(inst, gains)
         mu_eig = float(-np.max(tv.sub_block_eigenvalues().real))
         assert convergence_rate(inst, gains) == pytest.approx(mu_eig, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, gamma",
+    [(1e300, 1.0, 0.0), (1e300, 1e300, 0.0), (1e200, 1e250, 0.5), (1.0, 8e307, 0.0),
+     (1.0, 1e308, 0.0)],
+    ids=["tiny-root", "unit-root", "both-large", "4c-overflows", "c-overflows"],
+)
+def test_rate_without_overflow(alpha, beta, gamma):
+    # b*b, 4c or c itself overflows; the oracle solves the same float
+    # coefficients in 1000-digit decimal arithmetic
+    inst = Instance.from_graph(Graph(2, ((0, 1, 1.0),)), -np.ones(2), np.zeros(2))
+    lam = float(inst.dec.lam[1])
+    b = (alpha * lam + 1.0) / (gamma * lam + 1.0)
+    c = beta * lam / (gamma * lam + 1.0)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1000
+        B, C = decimal.Decimal(b), decimal.Decimal(c)
+        disc = B * B - 4 * C
+        root = -B / 2 if disc < 0 else (-B + disc.sqrt()) / 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mu = convergence_rate(inst, Gains(alpha, beta, gamma))
+    assert mu == pytest.approx(float(abs(root)), rel=1e-12)
 
 
 # --------------------------------------------------------------- PD
