@@ -134,10 +134,10 @@ class Trace:
 
 @functools.cache
 def _e11_tables() -> tuple[np.ndarray, ...]:
-    """Byte tables of _format_e11, each entry one 4-byte word of a slot.
+    """Tables of _format_e11: four of 4-byte slot words, then powers of ten.
 
-    Built from text, so a word holds the same bytes on any byte order. The
-    powers of ten are Python's correctly rounded float("1e<k>").
+    The words are built from text, so they hold the same bytes on any byte
+    order. The powers of ten are Python's correctly rounded float("1e<k>").
     """
 
     def words(texts):
