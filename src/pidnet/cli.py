@@ -19,6 +19,7 @@ from .config import InstanceConfig, load_config
 from .errors import (
     ConfigError,
     DegenerateDecomposition,
+    GraphTooLarge,
     NonFinite,
     PidnetError,
     SingularEnsemble,
@@ -141,6 +142,7 @@ def cmd_analyze(args) -> int:
         "hurwitz": tv.is_hurwitz(),
         "hurwitz_sub_block": tv.is_hurwitz(include_average_mode=False),
         "max_real_part": float(np.max(tv.eigenvalues().real)),
+        "energy_margin": tv.energy_margin,
     }
     _print_report(report, args.json)
     return EXIT_OK if report["certificate"]["certified"] else EXIT_UNCERTIFIED
@@ -336,8 +338,8 @@ def main(argv=None) -> int:
     except UnstableAverage as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_UNCERTIFIED
-    except (NonFinite, StepTooLarge, TraceTooLarge, DegenerateDecomposition, SingularEnsemble,
-            np.linalg.LinAlgError) as exc:
+    except (NonFinite, StepTooLarge, TraceTooLarge, GraphTooLarge, DegenerateDecomposition,
+            SingularEnsemble, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except PidnetError as exc:

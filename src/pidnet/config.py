@@ -17,11 +17,19 @@ from functools import cached_property
 import numpy as np
 import yaml
 
-from .errors import ConfigError, PidnetError
+from .errors import ConfigError, GraphTooLarge, PidnetError
 from .netmodel import ClosedLoopSystem, Gains, Instance, assemble
 from .sim import SimConfig, build_microgrid, default_x0
 from .spectral import Graph
 
+
+# Largest graph.nodes a config may declare, checked before any matrix is
+# built. Every command holds dense N^2 and (2N)^2 matrices: measured peak RSS
+# is about 39 MB + 186 bytes * N^2 for analyze (153 MB at N = 800, 296 MB at
+# N = 1200) and about 330 bytes * N^2 for simulate, and the dense eigensolves
+# grow as N^3 (analyze: 2.1 s at N = 800, 5.0 s at N = 1200 on a 2-CPU Xeon).
+# At this cap analyze peaks near 0.8 GB and 25 s, simulate near 1.4 GB.
+MAX_NODES = 2048
 
 # libyaml's parser builds the same document as the pure-Python one, faster.
 _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
@@ -84,6 +92,11 @@ def _parse_graph(section: dict) -> Graph:
     _check_keys(section, {"nodes", "edges"}, "graph")
     if "nodes" not in section or not isinstance(section["nodes"], int) or isinstance(section["nodes"], bool):
         raise ConfigError("graph.nodes: expected a positive integer")
+    if section["nodes"] > MAX_NODES:
+        raise GraphTooLarge(
+            f"graph.nodes = {section['nodes']} exceeds the node budget of {MAX_NODES} "
+            "(dense N^2 matrices)"
+        )
     edges_raw = section.get("edges")
     if not isinstance(edges_raw, list):
         raise ConfigError("graph.edges: expected a list of {i, j, w} mappings")

@@ -49,5 +49,9 @@ class TraceTooLarge(PidnetError):
     """Requested trace would exceed the recorded-sample budget."""
 
 
+class GraphTooLarge(PidnetError):
+    """Config declares more graph nodes than the node budget."""
+
+
 class ConfigError(PidnetError):
     """Invalid or unreadable instance configuration."""

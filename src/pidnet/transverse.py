@@ -5,17 +5,29 @@ integral coordinate yields a (2N-1)-dimensional system whose matrix is
 Hurwitz exactly when the network converges to its consensus equilibrium.
 The closed-form blocks of Psi = U^-1 L_tilde^-1 P U computed here are what
 the gain-tuning layer certifies against.
+
+Without the average mode, the (x_hat, z_hat) sub-block is exactly the
+quadratic eigenproblem s^2 D2 + s C2 + beta Lambda_2 with symmetric
+coefficients: D2 = diag(1 + gamma*lambda_k), the damping
+C2 = alpha Lambda_2 - V2^T P V2 (V2 = U[:, 1:] / sqrt(N)) and Lambda_2. For
+an eigenpair (s, x) the Rayleigh quotients m, c, k of the three at x give
+m s^2 + c s + k = 0 with m > 0, so beta > 0 and C2 positive definite put
+every root in the open left half-plane (Tisseur & Meerbergen, "The
+Quadratic Eigenvalue Problem", SIAM Review 43(2), 2001). This energy
+certificate costs one symmetric (N-1)^2 eigvalsh; the dense eigvals of the
+sub-block runs only where it does not hold.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .netmodel import Gains, Instance
-from .spectral import modified_laplacian
+from .spectral import IDENTITY_TOL, modified_laplacian
 
 
 @dataclass(frozen=True)
@@ -60,11 +72,34 @@ def psi_blocks(instance: Instance, gamma: float) -> PsiBlocks:
     return psi
 
 
+def damping_block(instance: Instance, alpha: float) -> np.ndarray:
+    """C2 = alpha Lambda_2 - V2^T diag(rho) V2, symmetrised, V2 = U[:, 1:] / sqrt(N).
+
+    The damping of the sub-block's quadratic eigenproblem, built in the
+    eigenbasis of the graph's one decomposition.
+    """
+    dec = instance.dec
+    V2 = dec.U[:, 1:] / np.sqrt(dec.node_count)
+    PV = V2.T @ (instance.ensemble.rho[:, None] * V2)
+    C2 = -0.5 * PV - 0.5 * PV.T  # halves first: no overflow near the float limit
+    C2[np.diag_indices_from(C2)] += alpha * dec.lam[1:]
+    return C2
+
+
 @dataclass(frozen=True)
 class TransverseSystem:
-    """(2N-1)-dimensional dynamics transverse to consensus."""
+    """(2N-1)-dimensional dynamics transverse to consensus.
+
+    ``energy_margin`` is lambda_min(C2), the smallest eigenvalue of the
+    sub-block's damping (None when alpha*lambda_N + max|rho| leaves the
+    float range and C2 is not formed). ``energy_certified`` says whether it
+    proves the sub-block Hurwitz: beta > 0 and a margin above the rounding
+    tolerance.
+    """
 
     A_tv: np.ndarray
+    energy_margin: float | None
+    energy_certified: bool
 
     @cached_property
     def _eigenvalues(self) -> np.ndarray:
@@ -80,12 +115,22 @@ class TransverseSystem:
         return np.linalg.eigvals(self.A_tv[1:, 1:])
 
     def is_hurwitz(self, include_average_mode: bool = True) -> bool:
-        eigs = self.eigenvalues() if include_average_mode else self.sub_block_eigenvalues()
+        """Every eigenvalue in the open left half-plane.
+
+        Without the average mode the energy certificate decides when it
+        holds; otherwise the sub-block's dense eigvals does.
+        """
+        if include_average_mode:
+            eigs = self.eigenvalues()
+        elif self.energy_certified:
+            return True
+        else:
+            eigs = self.sub_block_eigenvalues()
         return bool(np.all(eigs.real < 0))
 
 
 def transverse_system(instance: Instance, gains: Gains) -> TransverseSystem:
-    """Assemble the transverse system matrix from the Psi blocks."""
+    """Assemble the transverse system matrix and its sub-block energy certificate."""
     psi = psi_blocks(instance, gains.gamma)
     m = psi.Psi22.shape[0]  # N - 1
     Gamma = modified_laplacian(instance.dec, gains.gamma).Gamma_hat
@@ -96,4 +141,13 @@ def transverse_system(instance: Instance, gains: Gains) -> TransverseSystem:
             [np.zeros((m, 1)), -gains.beta * Gamma, np.zeros((m, m))],
         ]
     )
-    return TransverseSystem(A_tv=A_tv)
+    # alpha*lambda_N + max|rho| bounds the entries and the norm of both terms
+    # of C2. Forming C2 and eigvalsh round by about N*eps times it (below
+    # 1e-12 for N <= config.MAX_NODES), so a margin above IDENTITY_TOL times
+    # it cannot come from rounding, even where the two terms cancel.
+    scale = gains.alpha * instance.dec.lambda_max + float(np.max(np.abs(instance.ensemble.rho)))
+    margin = None
+    if math.isfinite(scale):
+        margin = float(np.linalg.eigvalsh(damping_block(instance, gains.alpha))[0])
+    certified = gains.beta > 0 and margin is not None and margin > IDENTITY_TOL * scale
+    return TransverseSystem(A_tv=A_tv, energy_margin=margin, energy_certified=certified)

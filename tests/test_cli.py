@@ -7,6 +7,7 @@ import io
 import json
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from pidnet import transverse
 from pidnet.cli import BENCHMARK_ALPHA_REFERENCE, main
+from pidnet.config import MAX_NODES, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_CONFIG = ROOT / "src" / "pidnet" / "microgrid6.yaml"
@@ -289,8 +291,51 @@ def test_one_eigensolve_per_command(capsys, hom_config, linalg_calls, config, co
     path = str(BENCH_CONFIG) if config == "bench" else hom_config
     assert main([command, "--config", path, "--json"]) == 0
     capsys.readouterr()
-    eigvals = 2 if command == "analyze" else 0  # full and sub-block transverse spectra
-    assert linalg_calls == {"eigh": 1, "eigvalsh": 0, "eigvals": eigvals, "solve": 1, "psi": 1}
+    # analyze: the full transverse spectrum, and the sub-block's energy
+    # certificate (one symmetric solve) in place of its dense spectrum
+    dense = 1 if command == "analyze" else 0
+    assert linalg_calls == {"eigh": 1, "eigvalsh": dense, "eigvals": dense, "solve": 1, "psi": 1}
+
+
+def test_huge_alpha_sub_block_from_energy_certificate(tmp_path, capsys, linalg_calls):
+    # the transverse eigenvalues near -beta/alpha = -1e-300 lie far below the
+    # rounding of a dense eigensolve of entries near 1e300: the certificate
+    # proves the sub-block Hurwitz, while the full spectrum reads as 0
+    p = tmp_path / "huge.yaml"
+    p.write_text(HUGE_ALPHA)
+    code, report = run_json(capsys, ["analyze", "--config", str(p), "--json"])
+    assert code == 0
+    tv = report["transverse"]
+    assert tv["hurwitz_sub_block"] is True
+    assert tv["energy_margin"] == pytest.approx(2e300, rel=1e-12)  # alpha * lambda_2
+    assert linalg_calls["eigvals"] == 1  # the full matrix only
+    assert tv["hurwitz"] is (tv["max_real_part"] < 0)
+    assert abs(tv["max_real_part"]) <= 1e-12 * 4e300  # zero to working precision
+
+
+def ring_config(n: int) -> str:
+    edges = "\n".join(f"    - {{i: {k}, j: {(k + 1) % n}, w: 1.0}}" for k in range(n))
+    ones = ", ".join(["-1.0"] * n)
+    return (f"graph:\n  nodes: {n}\n  edges:\n{edges}\n"
+            f"ensemble: {{rho: [{ones}], delta: [{ones}]}}\ngains: {{alpha: 1.0}}\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "tune", "simulate"])
+def test_node_budget_exit_code(tmp_path, capsys, linalg_calls, command):
+    p = tmp_path / "ring.yaml"
+    p.write_text(ring_config(MAX_NODES + 1))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(p)] + (["--out", str(out)] if command == "simulate" else [])
+    start = time.perf_counter()
+    assert main(argv) == 4
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert "graph.nodes" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+    assert sum(linalg_calls.values()) == 0
+    # the cap itself is accepted; parsing builds no matrix
+    assert parse_config(ring_config(MAX_NODES)).graph.node_count == MAX_NODES
 
 
 def test_simulate_writes_outputs(tmp_path, capsys, hom_config):

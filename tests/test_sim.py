@@ -299,7 +299,7 @@ def test_csv_export_roundtrip(tmp_path, rng):
 
 
 def test_csv_bytes_match_row_by_row_writer(tmp_path, rng):
-    # 300 rows: one full chunk and a partial one
+    # 300 rows of 9 values: all in one chunk of CSV_CHUNK_VALUES // 9 = 455 rows
     rows, n = 300, 2
     data = rng.normal(0.0, 1.0, (rows, 3 * n + 3)) * 10.0 ** rng.integers(-300, 300, (rows, 3 * n + 3))
     special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,

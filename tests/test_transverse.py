@@ -17,6 +17,7 @@ from pidnet import (
     spectral_decompose,
     transverse_system,
 )
+from pidnet.transverse import damping_block
 from conftest import random_graph, random_heterogeneous_instance
 
 TOL = 1e-9
@@ -145,3 +146,87 @@ def test_property_psi_equivalence(n, seed, gamma):
     psi = psi_blocks(inst, gamma)
     direct = inst.dec.U_inv @ mod.L_tilde_inv @ inst.ensemble.P @ inst.dec.U
     assert np.max(np.abs(psi.assembled() - direct)) < TOL
+
+
+def _match(a, b, tol):
+    """Every eigenvalue of each list lies within tol of one of the other."""
+    return all(np.min(np.abs(b - v)) < tol for v in a) and all(
+        np.min(np.abs(a - v)) < tol for v in b
+    )
+
+
+def test_sub_block_is_the_damped_quadratic_eigenproblem(rng):
+    # s^2 D2 + s C2 + beta Lambda_2, linearised on (x, s x): the (x_hat, x_hat)
+    # block of A_tv is -D2^-1 C2 and the sub-block spectrum is the QEP's
+    for _ in range(10):
+        n = int(rng.integers(3, 9))
+        inst = random_heterogeneous_instance(rng, n)
+        gains = Gains(alpha=float(rng.uniform(0.2, 4)), beta=float(rng.uniform(0.2, 3)),
+                      gamma=float(rng.uniform(0, 2)))
+        C2 = damping_block(inst, gains.alpha)
+        assert np.array_equal(C2, C2.T)
+        lam = inst.dec.lam[1:]
+        D2_inv = np.diag(1.0 / (1.0 + gains.gamma * lam))
+        tv = transverse_system(inst, gains)
+        m = n - 1
+        assert np.max(np.abs(tv.A_tv[1 : 1 + m, 1 : 1 + m] + D2_inv @ C2)) < TOL
+        companion = np.block(
+            [[np.zeros((m, m)), np.eye(m)], [-gains.beta * D2_inv @ np.diag(lam), -D2_inv @ C2]]
+        )
+        scale = max(1.0, float(np.max(np.abs(companion))))
+        assert _match(tv.sub_block_eigenvalues(), np.linalg.eigvals(companion), 1e-9 * scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=0.01, max_value=5.0),
+    # beta > 0 puts an eigenvalue near -beta*lambda/c, so a tiny beta would
+    # fall below the rounding of the eigvals oracle
+    st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=5.0)),
+    st.floats(min_value=0.0, max_value=3.0),
+)
+def test_property_energy_certificate_has_no_false_positive(n, seed, alpha, beta, gamma):
+    g = np.random.default_rng(seed)
+    inst = Instance.from_graph(random_graph(g, n), g.uniform(-3, 2, n), np.zeros(n))
+    tv = transverse_system(inst, Gains(alpha=alpha, beta=beta, gamma=gamma))
+    eigs = np.linalg.eigvals(tv.A_tv[1:, 1:])
+    assert tv.energy_margin == pytest.approx(
+        float(np.min(np.linalg.eigvalsh(damping_block(inst, alpha)))), abs=1e-12
+    )
+    if tv.energy_certified:
+        assert beta > 0 and tv.energy_margin > 0
+        assert np.all(eigs.real < 0)
+
+
+@pytest.mark.parametrize(
+    "rho, gains, hurwitz",
+    [
+        ([2.0, -2.0, -2.0], Gains(alpha=0.25, beta=4.0), True),
+        ([2.0, -1.0, -1.0], Gains(alpha=0.3, beta=3.0), False),
+        ([-1.0, -1.0, -1.0], Gains(alpha=1.0, beta=0.0), False),
+    ],
+    ids=["indefinite-hurwitz", "indefinite-unstable", "no-integral"],
+)
+def test_sub_block_falls_back_to_eigvals(monkeypatch, rho, gains, hurwitz):
+    inst = Instance.from_graph(Graph(3, ((0, 1, 1.0), (1, 2, 1.0))), rho, np.zeros(3))
+    tv = transverse_system(inst, gains)
+    assert not tv.energy_certified
+    assert (tv.energy_margin > 0) is (gains.beta == 0)  # C2 > 0 alone needs beta > 0
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+    assert tv.is_hurwitz(include_average_mode=False) is hurwitz
+    assert calls == [(4, 4)]
+    assert hurwitz is bool(np.all(eigvals(tv.A_tv[1:, 1:]).real < 0))
+
+
+def test_unrepresentable_damping_falls_back_to_eigvals():
+    # alpha * lambda_N overflows, so C2 is not formed and eigvals decides
+    inst = Instance.from_graph(Graph.ring(4, 1e10), -np.ones(4), np.zeros(4))
+    tv = transverse_system(inst, Gains(alpha=1e300, beta=1.0, gamma=1.0))
+    assert tv.energy_margin is None
+    assert not tv.energy_certified
+    expected = bool(np.all(np.linalg.eigvals(tv.A_tv[1:, 1:]).real < 0))
+    assert tv.is_hurwitz(include_average_mode=False) is expected
