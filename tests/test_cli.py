@@ -44,6 +44,28 @@ sim:
   record_stride: 5
 """
 
+# the Configuration example of README.md
+README_CONFIG = """
+graph:
+  nodes: 4
+  edges:
+    - {i: 0, j: 1, w: 1.0}
+    - {i: 1, j: 2, w: 1.0}
+    - {i: 2, j: 3, w: 1.0}
+ensemble:
+  rho:   [-2.0, -2.0, -2.0, -2.0]
+  delta: [1.0, 2.0, 3.0, 4.0]
+gains:
+  alpha: 2.0
+  beta: 1.0
+  gamma: 0.5
+sim:
+  t_end: 30.0
+  dt: 0.001
+  record_stride: 10
+  x0: [1.0, 2.0, 3.0, 4.0]
+"""
+
 UNSTABLE_AVERAGE = HOMOGENEOUS.replace(
     "[-2.0, -2.0, -2.0, -2.0]", "[1.0, 1.0, 1.0, 1.0]"
 )
@@ -302,12 +324,14 @@ def test_huge_alpha_sub_block_from_energy_certificate(tmp_path, capsys, linalg_c
     # rounding of a dense eigensolve of entries near 1e300: the certificate
     # proves the sub-block Hurwitz, while the full spectrum reads as 0
     p = tmp_path / "huge.yaml"
-    p.write_text(HUGE_ALPHA)
+    p.write_text(README_CONFIG.replace("alpha: 2.0", "alpha: 1.0e+300"))
     code, report = run_json(capsys, ["analyze", "--config", str(p), "--json"])
     assert code == 0
+    assert report["certificate"]["certified"] is True
     tv = report["transverse"]
     assert tv["hurwitz_sub_block"] is True
-    assert tv["energy_margin"] == pytest.approx(2e300, rel=1e-12)  # alpha * lambda_2
+    # alpha * lambda_2 of the 4-node path, plus rho* = 2 below rounding
+    assert tv["energy_margin"] == pytest.approx(1e300 * (2.0 - np.sqrt(2.0)), rel=1e-12)
     assert linalg_calls["eigvals"] == 1  # the full matrix only
     assert tv["hurwitz"] is (tv["max_real_part"] < 0)
     assert abs(tv["max_real_part"]) <= 1e-12 * 4e300  # zero to working precision

@@ -191,13 +191,9 @@ def test_property_energy_certificate_has_no_false_positive(n, seed, alpha, beta,
     g = np.random.default_rng(seed)
     inst = Instance.from_graph(random_graph(g, n), g.uniform(-3, 2, n), np.zeros(n))
     tv = transverse_system(inst, Gains(alpha=alpha, beta=beta, gamma=gamma))
-    eigs = np.linalg.eigvals(tv.A_tv[1:, 1:])
-    assert tv.energy_margin == pytest.approx(
-        float(np.min(np.linalg.eigvalsh(damping_block(inst, alpha)))), abs=1e-12
-    )
     if tv.energy_certified:
         assert beta > 0 and tv.energy_margin > 0
-        assert np.all(eigs.real < 0)
+        assert np.all(np.linalg.eigvals(tv.A_tv[1:, 1:]).real < 0)
 
 
 @pytest.mark.parametrize(
@@ -213,7 +209,8 @@ def test_sub_block_falls_back_to_eigvals(monkeypatch, rho, gains, hurwitz):
     inst = Instance.from_graph(Graph(3, ((0, 1, 1.0), (1, 2, 1.0))), rho, np.zeros(3))
     tv = transverse_system(inst, gains)
     assert not tv.energy_certified
-    assert (tv.energy_margin > 0) is (gains.beta == 0)  # C2 > 0 alone needs beta > 0
+    # C2 is indefinite in the first two cases; in the third it is definite, but beta = 0
+    assert (tv.energy_margin > 0) is (gains.beta == 0)
     calls = []
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
