@@ -64,7 +64,7 @@ def _analysis_values(cfg: InstanceConfig) -> dict:
 
 
 def _certificate_report(cfg: InstanceConfig) -> dict:
-    gains = cfg.system.gains
+    gains = cfg.effective_gains
     cert = certify(cfg.instance, gains)
     report = cert.to_dict()
     if cfg.microgrid:
@@ -128,16 +128,16 @@ def _write_trace(trace: Trace, path: str) -> None:
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
     report = {"analysis": _analysis_values(cfg), "certificate": _certificate_report(cfg)}
-    sys_ = cfg.system
+    instance = cfg.instance
     try:
-        eq = equilibrium(sys_)
+        eq = equilibrium(instance.ensemble, modified_laplacian(instance.dec, cfg.gains.gamma))
         report["equilibrium"] = {
             "x_inf": eq.x_inf,
             "z_star_norm": float(np.linalg.norm(eq.z_star)),
         }
     except SingularEnsemble as exc:
         report["equilibrium"] = {"error": str(exc)}
-    tv = transverse_system(cfg.instance, sys_.gains)
+    tv = transverse_system(instance, cfg.effective_gains)
     report["transverse"] = {
         "hurwitz": tv.is_hurwitz(),
         "hurwitz_sub_block": tv.is_hurwitz(include_average_mode=False),
@@ -155,7 +155,7 @@ def _run(
     trace = integrate(sys_, sim_cfg, strict=strict)
     x_inf = None
     try:
-        x_inf = equilibrium(sys_).x_inf
+        x_inf = equilibrium(sys_.ensemble, sys_.mod_lap).x_inf
     except SingularEnsemble:
         pass
     return trace, x_inf, metrics(trace, x_inf=x_inf)

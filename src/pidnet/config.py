@@ -19,7 +19,7 @@ import yaml
 
 from .errors import ConfigError, GraphTooLarge, PidnetError
 from .netmodel import ClosedLoopSystem, Gains, Instance, assemble
-from .sim import SimConfig, build_microgrid, default_x0
+from .sim import SimConfig, default_x0, microgrid_gains
 from .spectral import Graph
 
 
@@ -131,10 +131,14 @@ class InstanceConfig:
         """The graph's one spectral decomposition with the agent data."""
         return Instance.from_graph(self.graph, self.rho, self.delta)
 
+    @property
+    def effective_gains(self) -> Gains:
+        """The gains the closed loop runs (``microgrid_gains`` in microgrid mode)."""
+        return microgrid_gains(self.gains) if self.microgrid else self.gains
+
     @cached_property
     def system(self) -> ClosedLoopSystem:
-        build = build_microgrid if self.microgrid else assemble
-        return build(self.instance, self.gains)
+        return assemble(self.instance, self.effective_gains)
 
 
 def parse_config(text: str) -> InstanceConfig:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularEnsemble
+from .errors import DimensionMismatch, NonFinite, SingularEnsemble
 from .spectral import (
     Graph,
     ModifiedLaplacian,
@@ -134,8 +134,13 @@ def assemble(instance: Instance, gains: Gains) -> ClosedLoopSystem:
     n = dec.node_count
     L = dec.laplacian
     Linv = mod_lap.L_tilde_inv
-    A1 = Linv @ (ensemble.P - gains.alpha * L)
-    A2 = -gains.beta * (Linv @ L)
+    with np.errstate(over="ignore"):
+        alpha_L, A2 = gains.alpha * L, -gains.beta * (Linv @ L)
+    for name, term in (("alpha", alpha_L), ("beta", A2)):
+        if not np.isfinite(term).all():
+            raise NonFinite(f"closed-loop assembly: gains.{name} * L leaves the float range "
+                            f"(gains.{name} = {getattr(gains, name):.6g})")
+    A1 = Linv @ (ensemble.P - alpha_L)
     A = np.block([[A1, np.eye(n)], [A2, np.zeros((n, n))]])
     affine = np.concatenate([Linv @ ensemble.delta, np.zeros(n)])
     return ClosedLoopSystem(A=A, affine=affine, mod_lap=mod_lap, ensemble=ensemble, gains=gains)
@@ -150,10 +155,10 @@ class Equilibrium:
     z_star: np.ndarray
 
 
-def equilibrium(sys: ClosedLoopSystem) -> Equilibrium:
+def equilibrium(ensemble: NodeEnsemble, mod_lap: ModifiedLaplacian) -> Equilibrium:
     """Consensus equilibrium x* = x_inf * ones, z* = -L_tilde^-1 (P x* + delta)."""
-    rho = sys.ensemble.rho
-    delta = sys.ensemble.delta
+    rho = ensemble.rho
+    delta = ensemble.delta
     n = rho.size
     rho_sum = float(np.sum(rho))
     scale = float(np.max(np.abs(rho))) if n else 0.0
@@ -162,5 +167,5 @@ def equilibrium(sys: ClosedLoopSystem) -> Equilibrium:
         raise SingularEnsemble(f"sum of poles {rho_sum:.3e} is numerically zero")
     x_inf = -float(np.sum(delta)) / rho_sum
     x_star = x_inf * np.ones(n)
-    z_star = -sys.mod_lap.L_tilde_inv @ (rho * x_star + delta)
+    z_star = -mod_lap.L_tilde_inv @ (rho * x_star + delta)
     return Equilibrium(x_inf=x_inf, x_star=x_star, z_star=z_star)

@@ -366,13 +366,16 @@ def metrics(trace: Trace, x_inf: float | None = None) -> TraceMetrics:
     )
 
 
+def microgrid_gains(gains: Gains) -> Gains:
+    """Loop gains of a droop-controlled inverter network: the physical power
+    flow adds one unit of diffusive coupling, so the proportional gain is 1 + alpha."""
+    return Gains(alpha=1.0 + gains.alpha, beta=gains.beta, gamma=gains.gamma)
+
+
 def build_microgrid(instance: Instance, gains: Gains) -> ClosedLoopSystem:
     """Assemble a droop-controlled inverter network as a generic closed loop.
 
     The instance carries the local feedback gains k_i as poles and the
-    nominal power injections P*_i as disturbances. The effective
-    proportional gain is 1 + alpha: the physical power flow contributes one
-    unit of diffusive coupling on top of the distributed protocol.
+    nominal power injections P*_i as disturbances.
     """
-    effective = Gains(alpha=1.0 + gains.alpha, beta=gains.beta, gamma=gains.gamma)
-    return assemble(instance, effective)
+    return assemble(instance, microgrid_gains(gains))

@@ -6,6 +6,10 @@ Laplacian of a connected weighted graph, its normalized eigendecomposition
 with the averaging direction pinned to the all-ones vector, and the
 derivative-modified Laplacian ``I + gamma*L`` together with the block
 combinations of its inverse.
+
+The norms ||H_hat|| and ||I + H_hat|| are the square roots of the largest
+eigenvalues of the Gram matrices G = H_hat^T H_hat and I + H_hat + H_hat^T
++ G: one (N-1)^3 product and two symmetric eigvalsh, no SVD.
 """
 
 from __future__ import annotations
@@ -175,15 +179,14 @@ def spectral_decompose(L: np.ndarray) -> SpectralDecomposition:
     # lambda_1 is simple for connected graphs, so the remaining columns are
     # already orthogonal to ones; replace column 0 exactly.
     V[:, 0] = 1.0 / np.sqrt(n)
-    for k in range(1, n):
-        col = V[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size and col[nz[0]] < 0:
-            V[:, k] = -col
+    above = np.abs(V[:, 1:]) > 1e-12
+    lead = V[np.argmax(above, axis=0), np.arange(1, n)]  # first entry above the floor
+    flip = 1 + np.flatnonzero(above.any(axis=0) & (lead < 0))
+    V[:, flip] = -V[:, flip]
     U = np.sqrt(n) * V
     U_inv = V.T / np.sqrt(n)
     scale = max(1.0, float(eigs[-1]))
-    residual = np.max(np.abs(U @ np.diag(eigs) @ U_inv - L))
+    residual = np.max(np.abs((U * eigs) @ U_inv - L))
     if residual > IDENTITY_TOL * scale:
         raise DegenerateDecomposition(f"reconstruction residual {residual:.3e}")
     return SpectralDecomposition(laplacian=L, lam=eigs, U=U, U_inv=U_inv)
@@ -226,14 +229,23 @@ class ModifiedLaplacian:
         return self.L_tilde_inv[1:, 1:]
 
     @cached_property
+    def _gram(self) -> np.ndarray:
+        # L_tilde_inv is nonnegative with unit row sums (an M-matrix inverse),
+        # so H_hat's entries lie in [-1, 1] and G's in [-(N-1), N-1]. And
+        # ||H_hat|| >= 1/(gamma*lambda_N + 1): I + gamma*L is singular to working
+        # precision (gamma*lambda_N near 1e16) long before squares underflow.
+        return self.H_hat.T @ self.H_hat
+
+    @cached_property
     def h_norm(self) -> float:
-        """Exact spectral norm of H_hat."""
-        return float(np.linalg.norm(self.H_hat, 2))
+        """Exact spectral norm of H_hat: sqrt(lambda_max(H_hat^T H_hat))."""
+        return math.sqrt(np.linalg.eigvalsh(self._gram)[-1])
 
     @cached_property
     def h1_norm(self) -> float:
         """Exact spectral norm of I + H_hat (heterogeneous gain condition)."""
-        return float(np.linalg.norm(np.eye(self.node_count - 1) + self.H_hat, 2))
+        gram1 = self._gram + self.H_hat + self.H_hat.T + np.eye(self.node_count - 1)
+        return math.sqrt(np.linalg.eigvalsh(gram1)[-1])
 
 
 def modified_laplacian(dec: SpectralDecomposition, gamma: float) -> ModifiedLaplacian:

@@ -172,6 +172,8 @@ def convergence_rate(instance: Instance, gains: Gains) -> float:
     for lam in instance.dec.lam[1:].tolist():
         denom = gains.gamma * lam + 1.0
         b = (gains.alpha * lam + rho_star) / denom
+        if math.isinf(gains.alpha * lam):  # b itself may still be finite
+            b = gains.alpha * (lam / denom) + rho_star / denom
         c = gains.beta * lam / denom
         disc = b * b - 4.0 * c
         if math.isinf(b * b):

@@ -6,7 +6,9 @@ as the integrator oracle) comes from the matrix exponential of the
 augmented system and is the only place scipy is needed. The step-by-step
 RK4 loop and the row-by-row CSV writer are the plain forms of what
 ``pidnet.sim`` computes with a precomputed propagator and chunked
-formatting; tests compare the two.
+formatting, and the column-by-column sign rule is the plain form of the
+one ``spectral_decompose`` applies to all columns at once; tests compare
+the two.
 """
 
 import numpy as np
@@ -82,6 +84,19 @@ def rk4_step_loop(A: np.ndarray, b: np.ndarray, v0: np.ndarray, dt: float, steps
             times.append(step * dt)
             states.append(state)
     return np.array(times), np.array(states)
+
+
+def sign_fixed_column_by_column(V: np.ndarray) -> np.ndarray:
+    """The sign rule of ``spectral_decompose``, one column at a time: every
+    column after the first is negated when its first entry above 1e-12 in
+    size is negative."""
+    V = V.copy()
+    for k in range(1, V.shape[1]):
+        col = V[:, k]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        if nz.size and col[nz[0]] < 0:
+            V[:, k] = -col
+    return V
 
 
 def csv_row_by_row(trace) -> str:

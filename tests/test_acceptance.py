@@ -222,7 +222,7 @@ def test_criterion_5a_integral_state_bound():
     sims = 0
     for k, (inst, gains, cert) in enumerate(cases):
         sys_ = assemble(inst, gains)
-        observed = float(np.linalg.norm(equilibrium(sys_).z_star))
+        observed = float(np.linalg.norm(equilibrium(sys_.ensemble, sys_.mod_lap).z_star))
         if k < 12:  # simulate a subset to steady state; check the rest algebraically
             tv = transverse_system(inst, gains)
             rate = float(-np.max(tv.eigenvalues().real))

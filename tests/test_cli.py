@@ -17,7 +17,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pidnet import transverse
+from pidnet import netmodel, transverse
 from pidnet.cli import BENCHMARK_ALPHA_REFERENCE, main
 from pidnet.config import MAX_NODES, parse_config
 
@@ -95,18 +95,32 @@ def load_pidbench(name: str):
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """Count calls of the numpy.linalg solvers by name and Psi computations
-    (PsiBlocks constructions, key "psi")."""
-    targets = {name: (np.linalg, name) for name in ("eigh", "eigvalsh", "eigvals", "solve")}
-    targets["psi"] = (transverse, "PsiBlocks")
-    counts = dict.fromkeys(targets, 0)
-    for key, (owner, attr) in targets.items():
+    """Count calls of the numpy.linalg solvers by name, Psi computations
+    (PsiBlocks constructions, key "psi") and closed-loop assemblies.
 
-        def counted(*args, _key=key, _fn=getattr(owner, attr), **kwargs):
+    "svd" also counts the one inside np.linalg.norm(x, 2), which looks svd
+    up in the globals of its implementation module.
+    """
+    names = ("eigh", "eigvalsh", "eigvals", "solve", "svd")
+    targets = [(name, np.linalg, name) for name in names]
+    targets.append(("svd", np.linalg.norm.__wrapped__.__globals__, "svd"))
+    targets.append(("psi", transverse, "PsiBlocks"))
+    # every module that binds netmodel.assemble by name
+    targets += [("assemble", module, "assemble") for name, module in list(sys.modules.items())
+                if name.split(".")[0] == "pidnet"
+                and getattr(module, "assemble", None) is netmodel.assemble]
+    counts = dict.fromkeys([key for key, _, _ in targets], 0)
+    for key, owner, attr in targets:
+        original = owner[attr] if isinstance(owner, dict) else getattr(owner, attr)
+
+        def counted(*args, _key=key, _fn=original, **kwargs):
             counts[_key] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(owner, attr, counted)
+        if isinstance(owner, dict):
+            monkeypatch.setitem(owner, attr, counted)
+        else:
+            monkeypatch.setattr(owner, attr, counted)
     return counts
 
 
@@ -185,6 +199,9 @@ HUGE_ALPHA = HOMOGENEOUS.replace("alpha: 2.0", "alpha: 1.0e+300")
 HUGE_ALPHA_BETA = HUGE_ALPHA.replace("beta: 1.0", "beta: 1.0e+308")
 HUGE_GAMMA = HOMOGENEOUS.replace("gamma: 0.5", "gamma: 1.0e+300")
 SINGULAR = "I + gamma*L is singular to working precision at gamma = 1e+300"
+# alpha * lambda_N = 4e310 overflows: assemble names alpha, and the rate's
+# b = alpha*(lam/denom) + rho*/denom stays finite
+HEAVY_ALPHA = HUGE_ALPHA.replace("w: 1.0}", "w: 1.0e+10}").replace("gamma: 0.5", "gamma: 1.0")
 # the automatic dt = 1/(20 * spectral radius) underflows to 0
 DT_UNDERFLOW = HUGE_ALPHA.replace("gamma: 0.5", "gamma: 0.0").replace(
     "{i: 0, j: 1, w: 1.0}", "{i: 0, j: 1, w: 1.0e+7}"
@@ -202,10 +219,13 @@ DT_UNDERFLOW = HUGE_ALPHA.replace("gamma: 0.5", "gamma: 0.0").replace(
         (["analyze", "--json"], HUGE_ALPHA_BETA, 4, "non-finite"),
         (["analyze"], HUGE_ALPHA_BETA, 4, "non-finite"),
         (["simulate", "--json"], DT_UNDERFLOW, 4, "positive finite"),
+        (["simulate", "--json"], HEAVY_ALPHA, 4, "closed-loop assembly: gains.alpha * L"),
+        (["analyze", "--json"], HEAVY_ALPHA, 0, '"mu": 1e-300'),
     ],
     ids=[
         "one-node-analyze", "one-node-tune", "one-node-simulate", "huge-gamma-analyze",
         "huge-gamma-tune", "huge-alpha-beta-json", "huge-alpha-beta-tree", "dt-underflow",
+        "heavy-alpha-simulate", "heavy-alpha-analyze",
     ],
 )
 def test_exit_code_holes(tmp_path, capsys, argv, config, code, message):
@@ -219,8 +239,10 @@ def test_exit_code_holes(tmp_path, capsys, argv, config, code, message):
     # a CLI run would print these to stderr
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     captured = capsys.readouterr()
-    assert message in captured.err
-    assert captured.out == ""
+    # a failure is one stderr message; a success prints its report alone
+    shown, quiet = (captured.err, captured.out) if code else (captured.out, captured.err)
+    assert message in shown
+    assert quiet == ""
     assert not out.exists()
 
 
@@ -316,7 +338,11 @@ def test_one_eigensolve_per_command(capsys, hom_config, linalg_calls, config, co
     # analyze: the full transverse spectrum, and the sub-block's energy
     # certificate (one symmetric solve) in place of its dense spectrum
     dense = 1 if command == "analyze" else 0
-    assert linalg_calls == {"eigh": 1, "eigvalsh": dense, "eigvals": dense, "solve": 1, "psi": 1}
+    # ||H_hat|| in every report, and ||I + H_hat|| where the heterogeneous
+    # condition or the exact gain threshold needs it: one Gram eigvalsh each
+    norms = 1 if command == "analyze" and config == "homogeneous" else 2
+    assert linalg_calls == {"eigh": 1, "eigvalsh": dense + norms, "eigvals": dense, "solve": 1,
+                            "svd": 0, "psi": 1, "assemble": 0}
 
 
 def test_huge_alpha_sub_block_from_energy_certificate(tmp_path, capsys, linalg_calls):

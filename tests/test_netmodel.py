@@ -16,6 +16,7 @@ from pidnet import (
     assemble,
     equilibrium,
     integrate,
+    modified_laplacian,
 )
 from conftest import random_graph, random_heterogeneous_instance
 
@@ -79,7 +80,7 @@ def test_integral_rows_annihilate_ones(rng):
 
 def test_equilibrium_zero_disturbance(rng):
     inst = Instance.from_graph(random_graph(rng, 4), -np.ones(4), np.zeros(4))
-    eq = equilibrium(assemble(inst, Gains(alpha=1.0, beta=1.0, gamma=0.5)))
+    eq = equilibrium(inst.ensemble, modified_laplacian(inst.dec, 0.5))
     assert eq.x_inf == 0.0
     assert np.max(np.abs(eq.z_star)) < TOL
 
@@ -87,7 +88,7 @@ def test_equilibrium_zero_disturbance(rng):
 def test_equilibrium_benchmark_consensus_value():
     inst = Instance.from_graph(Graph.ring(6, 5.0), BENCH_RHO, BENCH_DELTA)
     sys_ = assemble(inst, Gains(alpha=7.0, beta=5.0, gamma=1.0))
-    eq = equilibrium(sys_)
+    eq = equilibrium(sys_.ensemble, sys_.mod_lap)
     assert eq.x_inf == pytest.approx(50.0, abs=1e-12)
     assert np.allclose(eq.x_star, 50.0)
     assert abs(np.sum(eq.z_star)) < TOL
@@ -95,7 +96,7 @@ def test_equilibrium_benchmark_consensus_value():
 
 def test_equilibrium_homogeneous_formula(rng):
     inst = Instance.from_graph(random_graph(rng, 4), -2.0 * np.ones(4), np.ones(4))
-    eq = equilibrium(assemble(inst, Gains(alpha=1.0, beta=1.0, gamma=0.0)))
+    eq = equilibrium(inst.ensemble, modified_laplacian(inst.dec, 0.0))
     assert eq.x_inf == pytest.approx(0.5, abs=1e-12)
 
 
@@ -106,7 +107,7 @@ def test_equilibrium_is_fixed_point(rng):
         gains = Gains(alpha=float(rng.uniform(0.5, 4)), beta=float(rng.uniform(0.2, 3)),
                       gamma=float(rng.uniform(0, 2)))
         sys_ = assemble(inst, gains)
-        eq = equilibrium(sys_)
+        eq = equilibrium(sys_.ensemble, sys_.mod_lap)
         state = np.concatenate([eq.x_star, eq.z_star])
         assert np.max(np.abs(sys_.A @ state + sys_.affine)) < TOL
         assert abs(np.sum(eq.z_star)) < TOL
@@ -120,23 +121,23 @@ def test_equilibrium_oracle_linear_solve(rng):
     M = np.vstack([sys_.A, np.concatenate([np.zeros(n), np.ones(n)])])
     rhs = np.concatenate([-sys_.affine, [0.0]])
     sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    eq = equilibrium(sys_)
+    eq = equilibrium(sys_.ensemble, sys_.mod_lap)
     assert np.max(np.abs(sol - np.concatenate([eq.x_star, eq.z_star]))) < 1e-8
 
 
 def test_singular_ensemble(rng):
     inst = Instance.from_graph(random_graph(rng, 4), [1.0, -1.0, 2.0, -2.0], np.ones(4))
     with pytest.raises(SingularEnsemble):
-        equilibrium(assemble(inst, Gains(alpha=1.0)))
+        equilibrium(inst.ensemble, modified_laplacian(inst.dec, 0.0))
     inst0 = Instance.from_graph(random_graph(rng, 3), np.zeros(3), np.ones(3))
     with pytest.raises(SingularEnsemble):
-        equilibrium(assemble(inst0, Gains(alpha=1.0)))
+        equilibrium(inst0.ensemble, modified_laplacian(inst0.dec, 0.0))
 
 
 def test_protocol_balances_at_equilibrium():
     inst = Instance.from_graph(Graph.ring(6, 5.0), BENCH_RHO, BENCH_DELTA)
     sys_ = assemble(inst, Gains(alpha=7.0, beta=5.0, gamma=1.0))
-    eq = equilibrium(sys_)
+    eq = equilibrium(sys_.ensemble, sys_.mod_lap)
     # proportional and derivative terms vanish on the consensus manifold with
     # xdot = 0, so the steady protocol input is carried by the integral term:
     # u* = L_tilde z*, and it must balance the local dynamics, u* = -(rho x* + delta)
@@ -166,6 +167,6 @@ def test_property_equilibrium_residual(n, seed):
     gains = Gains(alpha=float(g.uniform(0.5, 4)), beta=float(g.uniform(0, 3)),
                   gamma=float(g.uniform(0, 2)))
     sys_ = assemble(inst, gains)
-    eq = equilibrium(sys_)
+    eq = equilibrium(sys_.ensemble, sys_.mod_lap)
     state = np.concatenate([eq.x_star, eq.z_star])
     assert np.max(np.abs(sys_.A @ state + sys_.affine)) < TOL

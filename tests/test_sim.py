@@ -254,7 +254,7 @@ def test_microgrid_zero_gains_singular():
         Instance.from_graph(Graph.ring(4, 1.0), np.zeros(4), np.zeros(4)), Gains(1.0, 1.0, 0.0)
     )
     with pytest.raises(SingularEnsemble):
-        equilibrium(sys_)
+        equilibrium(sys_.ensemble, sys_.mod_lap)
 
 
 def test_microgrid_converges_to_predicted_value():

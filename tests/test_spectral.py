@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from pidnet import (
@@ -16,7 +16,7 @@ from pidnet import (
     modified_laplacian,
     spectral_decompose,
 )
-from conftest import random_graph
+from conftest import random_graph, random_heterogeneous_instance, sign_fixed_column_by_column
 
 TOL = 1e-9
 
@@ -110,6 +110,20 @@ def test_decomposition_reconstructs_laplacian(rng):
         n = dec.node_count
         assert np.max(np.abs(dec.U @ dec.U_inv - np.eye(n))) < 1e-10
         assert np.max(np.abs(dec.U @ np.diag(dec.lam) @ dec.U_inv - dec.laplacian)) < 1e-10
+
+
+@pytest.mark.parametrize("graph", ["random", "ring"])
+def test_sign_fixing_matches_column_loop(rng, graph):
+    # the ring has repeated eigenvalues and eigenvector entries at the 1e-12 floor
+    graphs = ([random_graph(rng, int(rng.integers(2, 41))) for _ in range(20)]
+              if graph == "random" else [Graph.ring(n, 1.5) for n in range(3, 41)])
+    for g in graphs:
+        L = build_laplacian(g)
+        n = g.node_count
+        _, V = np.linalg.eigh(L)
+        V[:, 0] = 1.0 / np.sqrt(n)
+        U = np.sqrt(n) * sign_fixed_column_by_column(V)
+        assert np.array_equal(spectral_decompose(L).U, U)
 
 
 def test_sign_fixing_is_deterministic():
@@ -222,6 +236,36 @@ def test_negative_gamma_rejected(rng):
     dec = decompose(random_graph(rng, 4))
     with pytest.raises(ValueError):
         modified_laplacian(dec, -0.1)
+
+
+def assert_gram_norms_match_svd(mod):
+    m = mod.node_count - 1
+    assert mod.h_norm == pytest.approx(np.linalg.norm(mod.H_hat, 2), rel=1e-12, abs=0)
+    assert mod.h1_norm == pytest.approx(np.linalg.norm(np.eye(m) + mod.H_hat, 2), rel=1e-12, abs=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=40),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.one_of(st.just(0.0), st.floats(min_value=-3.0, max_value=15.0).map(lambda e: 10.0**e)),
+)
+@example(2, 0, 1e15)
+def test_gram_norms_match_svd(n, seed, gamma):
+    inst = random_heterogeneous_instance(np.random.default_rng(seed), n)
+    try:
+        mod = modified_laplacian(inst.dec, gamma)
+    except NonFinite:
+        reject()  # I + gamma*L singular to working precision
+    assert_gram_norms_match_svd(mod)
+
+
+def test_gram_norms_at_largest_solvable_gamma():
+    # the README config (4-node path): I + gamma*L is solved at 1e15, not at 1e16
+    dec = decompose(Graph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0))))
+    assert_gram_norms_match_svd(modified_laplacian(dec, 1e15))
+    with pytest.raises(NonFinite):
+        modified_laplacian(dec, 1e16)
 
 
 def test_singular_modified_laplacian_names_gamma():

@@ -314,7 +314,7 @@ def test_z_bound_holds_in_simulation_benchmark():
     sys_ = assemble(inst, gains)
     trace = integrate(sys_, SimConfig(t_end=30.0))
     assert metrics(trace).steady_z_norm <= cert.z_inf_bound
-    eq = equilibrium(sys_)
+    eq = equilibrium(sys_.ensemble, sys_.mod_lap)
     assert np.linalg.norm(eq.z_star) <= cert.z_inf_bound
 
 
