@@ -46,10 +46,9 @@ BENCHMARK_ALPHA_REFERENCE = 5.92
 BENCHMARK_CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), "microgrid6.yaml")
 
 
-def _analysis_values(cfg: InstanceConfig) -> dict:
+def _analysis_values(cfg: InstanceConfig, gamma: float) -> dict:
     instance = cfg.instance
     dec = instance.dec
-    gamma = cfg.gains.gamma
     mod_lap = modified_laplacian(dec, gamma)
     psi = psi_blocks(instance, gamma)
     return {
@@ -127,7 +126,7 @@ def _write_trace(trace: Trace, path: str) -> None:
 
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
-    report = {"analysis": _analysis_values(cfg), "certificate": _certificate_report(cfg)}
+    report = {"analysis": _analysis_values(cfg, cfg.gains.gamma), "certificate": _certificate_report(cfg)}
     instance = cfg.instance
     try:
         eq = equilibrium(instance.ensemble, modified_laplacian(instance.dec, cfg.gains.gamma))
@@ -141,8 +140,9 @@ def cmd_analyze(args) -> int:
     report["transverse"] = {
         "hurwitz": tv.is_hurwitz(),
         "hurwitz_sub_block": tv.is_hurwitz(include_average_mode=False),
-        "max_real_part": float(np.max(tv.eigenvalues().real)),
+        "max_real_part": tv.max_real_part,
         "energy_margin": tv.energy_margin,
+        "spectrum": tv.spectrum,
     }
     _print_report(report, args.json)
     return EXIT_OK if report["certificate"]["certified"] else EXIT_UNCERTIFIED
@@ -233,7 +233,7 @@ def cmd_tune(args) -> int:
             "beta": max(cfg.gains.beta, 1.0),
             "gamma": gamma,
         },
-        "analysis": _analysis_values(cfg),
+        "analysis": _analysis_values(cfg, gamma),
     }
     _print_report(report, args.json)
     return EXIT_OK

@@ -11,11 +11,25 @@ one ``spectral_decompose`` applies to all columns at once; tests compare
 the two.
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from pidnet import Graph, Instance
+
+
+def load_pidbench(name: str):
+    """Import a module of the benchmark harness (not a package) by file path."""
+    path = Path(__file__).resolve().parent.parent / "pidbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"pidbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_graph(rng: np.random.Generator, n: int, extra_edges: int | None = None,

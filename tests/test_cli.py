@@ -2,7 +2,6 @@
 
 import contextlib
 import importlib
-import importlib.util
 import io
 import json
 import sys
@@ -20,6 +19,8 @@ from hypothesis import strategies as st
 from pidnet import netmodel, transverse
 from pidnet.cli import BENCHMARK_ALPHA_REFERENCE, main
 from pidnet.config import MAX_NODES, parse_config
+from pidnet.spectral import modified_laplacian
+from conftest import load_pidbench
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_CONFIG = ROOT / "src" / "pidnet" / "microgrid6.yaml"
@@ -84,15 +85,6 @@ def run_json(capsys, argv) -> tuple[int, dict]:
     return code, json.loads(out)
 
 
-def load_pidbench(name: str):
-    """Import a module of the benchmark harness (not a package) by file path."""
-    spec = importlib.util.spec_from_file_location(f"pidbench_{name}", ROOT / "pidbench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.fixture
 def linalg_calls(monkeypatch):
     """Count calls of the numpy.linalg solvers by name, Psi computations
@@ -101,7 +93,7 @@ def linalg_calls(monkeypatch):
     "svd" also counts the one inside np.linalg.norm(x, 2), which looks svd
     up in the globals of its implementation module.
     """
-    names = ("eigh", "eigvalsh", "eigvals", "solve", "svd")
+    names = ("eigh", "eigvalsh", "eigvals", "solve", "svd", "cholesky", "inv")
     targets = [(name, np.linalg, name) for name in names]
     targets.append(("svd", np.linalg.norm.__wrapped__.__globals__, "svd"))
     targets.append(("psi", transverse, "PsiBlocks"))
@@ -221,11 +213,13 @@ DT_UNDERFLOW = HUGE_ALPHA.replace("gamma: 0.5", "gamma: 0.0").replace(
         (["simulate", "--json"], DT_UNDERFLOW, 4, "positive finite"),
         (["simulate", "--json"], HEAVY_ALPHA, 4, "closed-loop assembly: gains.alpha * L"),
         (["analyze", "--json"], HEAVY_ALPHA, 0, '"mu": 1e-300'),
+        (["analyze", "--json"], HEAVY_ALPHA.replace("gamma: 1.0", "gamma: 0.0"), 4,
+         "transverse system: gains.alpha * Gamma_hat"),
     ],
     ids=[
         "one-node-analyze", "one-node-tune", "one-node-simulate", "huge-gamma-analyze",
         "huge-gamma-tune", "huge-alpha-beta-json", "huge-alpha-beta-tree", "dt-underflow",
-        "heavy-alpha-simulate", "heavy-alpha-analyze",
+        "heavy-alpha-simulate", "heavy-alpha-analyze", "heavy-alpha-no-derivative-analyze",
     ],
 )
 def test_exit_code_holes(tmp_path, capsys, argv, config, code, message):
@@ -335,20 +329,24 @@ def test_one_eigensolve_per_command(capsys, hom_config, linalg_calls, config, co
     path = str(BENCH_CONFIG) if config == "bench" else hom_config
     assert main([command, "--config", path, "--json"]) == 0
     capsys.readouterr()
-    # analyze: the full transverse spectrum, and the sub-block's energy
-    # certificate (one symmetric solve) in place of its dense spectrum
-    dense = 1 if command == "analyze" else 0
+    # analyze: the sub-block's energy certificate (one symmetric solve) in
+    # place of its dense spectrum, and the full spectrum of a hyperbolic Q
+    # (both configs are) from the certifying Cholesky, the factor of -Q(mu),
+    # its inverse and one symmetric eigvalsh of the pencil, with no eigvals
+    analyze = command == "analyze"
     # ||H_hat|| in every report, and ||I + H_hat|| where the heterogeneous
     # condition or the exact gain threshold needs it: one Gram eigvalsh each
-    norms = 1 if command == "analyze" and config == "homogeneous" else 2
-    assert linalg_calls == {"eigh": 1, "eigvalsh": dense + norms, "eigvals": dense, "solve": 1,
+    norms = 1 if analyze and config == "homogeneous" else 2
+    assert linalg_calls == {"eigh": 1, "eigvalsh": 2 * analyze + norms, "eigvals": 0,
+                            "cholesky": 2 * analyze, "inv": 1 * analyze, "solve": 1,
                             "svd": 0, "psi": 1, "assemble": 0}
 
 
 def test_huge_alpha_sub_block_from_energy_certificate(tmp_path, capsys, linalg_calls):
     # the transverse eigenvalues near -beta/alpha = -1e-300 lie far below the
-    # rounding of a dense eigensolve of entries near 1e300: the certificate
-    # proves the sub-block Hurwitz, while the full spectrum reads as 0
+    # rounding of a dense eigensolve of entries near 1e300: the energy
+    # certificate proves the sub-block Hurwitz, and the hyperbolic one the
+    # full system, whose slow roots the pencil resolves
     p = tmp_path / "huge.yaml"
     p.write_text(README_CONFIG.replace("alpha: 2.0", "alpha: 1.0e+300"))
     code, report = run_json(capsys, ["analyze", "--config", str(p), "--json"])
@@ -358,9 +356,45 @@ def test_huge_alpha_sub_block_from_energy_certificate(tmp_path, capsys, linalg_c
     assert tv["hurwitz_sub_block"] is True
     # alpha * lambda_2 of the 4-node path, plus rho* = 2 below rounding
     assert tv["energy_margin"] == pytest.approx(1e300 * (2.0 - np.sqrt(2.0)), rel=1e-12)
-    assert linalg_calls["eigvals"] == 1  # the full matrix only
+    assert linalg_calls["eigvals"] == 0  # neither certificate needs a dense spectrum
+    assert tv["spectrum"] == "hyperbolic"
     assert tv["hurwitz"] is (tv["max_real_part"] < 0)
     assert abs(tv["max_real_part"]) <= 1e-12 * 4e300  # zero to working precision
+    assert tv["hurwitz"] is True
+    # every slow root is -beta*lambda/(alpha*lambda + rho*) = -1e-300 to working precision
+    assert tv["max_real_part"] == pytest.approx(-1e-300, rel=1e-12)
+
+
+def test_heavy_alpha_sub_block_from_energy_certificate_over_alpha(tmp_path, capsys):
+    # alpha * lambda_N = 4e310 overflows: C2/alpha decides, and its margin
+    # alpha * lambda_min(C2/alpha) = 2e310 is not reported
+    p = tmp_path / "heavy.yaml"
+    p.write_text(HEAVY_ALPHA)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["analyze", "--config", str(p), "--json"])
+    assert code == 0
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    tv = json.loads(captured.out)["transverse"]
+    assert tv["hurwitz_sub_block"] is True
+    assert tv["energy_margin"] is None
+    assert tv["hurwitz"] is True and tv["max_real_part"] < 0
+
+
+def test_tune_gamma_reports_analysis_at_that_gamma(capsys, linalg_calls):
+    # bundled microgrid (gamma 1, lambda_2 = 5, N = 6): the bound is 6/(0.3*5 + 1)
+    code, report = run_json(capsys, ["tune", "--config", str(BENCH_CONFIG), "--gamma", "0.3",
+                                     "--json"])
+    assert code == 0
+    assert linalg_calls["solve"] == 1  # I + 0.3 L only: the config's gamma is never solved
+    ana = report["analysis"]
+    assert ana["h_norm_bound"] == pytest.approx(2.4, rel=1e-12)
+    dec = parse_config(BENCH_CONFIG.read_text()).instance.dec
+    assert ana["h_norm_exact"] == pytest.approx(modified_laplacian(dec, 0.3).h_norm, rel=1e-12)
+    code, plain = run_json(capsys, ["tune", "--config", str(BENCH_CONFIG), "--json"])
+    assert plain["analysis"]["h_norm_bound"] == pytest.approx(1.0, rel=1e-12)
 
 
 def ring_config(n: int) -> str:
