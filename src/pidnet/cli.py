@@ -126,7 +126,10 @@ def _write_trace(trace: Trace, path: str) -> None:
 
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
-    report = {"analysis": _analysis_values(cfg, cfg.gains.gamma), "certificate": _certificate_report(cfg)}
+    report = {
+        "analysis": _analysis_values(cfg, cfg.gains.gamma),
+        "certificate": _certificate_report(cfg),
+    }
     instance = cfg.instance
     try:
         eq = equilibrium(instance.ensemble, modified_laplacian(instance.dec, cfg.gains.gamma))

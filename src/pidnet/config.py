@@ -25,10 +25,12 @@ from .spectral import Graph
 
 # Largest graph.nodes a config may declare, checked before any matrix is
 # built. Every command holds dense N^2 and (2N)^2 matrices: measured peak RSS
-# is about 39 MB + 186 bytes * N^2 for analyze (153 MB at N = 800, 296 MB at
-# N = 1200) and about 330 bytes * N^2 for simulate, and the dense eigensolves
-# grow as N^3 (analyze: 2.1 s at N = 800, 5.0 s at N = 1200 on a 2-CPU Xeon).
-# At this cap analyze peaks near 0.8 GB and 25 s, simulate near 1.4 GB.
+# is about 39 MB + 156 bytes * N^2 for analyze (134 MB at N = 800, 253 MB at
+# N = 1200) and about 330 bytes * N^2 for simulate, and the eigensolves grow
+# as N^3 (analyze on a 2-CPU Xeon: 1.1 s at N = 800 and 2.4 s at N = 1200
+# where the hyperbolic certificate holds, 1.9 s and 4.7 s where the dense
+# eigvals decides). At this cap analyze peaks near 0.7 GB and 25 s, simulate
+# near 1.4 GB.
 MAX_NODES = 2048
 
 # libyaml's parser builds the same document as the pure-Python one, faster.

@@ -97,8 +97,6 @@ def psi_blocks(instance: Instance, gamma: float) -> PsiBlocks:
     return psi
 
 
-
-
 def pole_matrix(instance: Instance) -> np.ndarray:
     """V^T diag(rho) V, symmetrised, with V = U / sqrt(N): the agents' poles in
     the graph's eigenbasis, shared by the damping block and the pencil."""
@@ -137,10 +135,10 @@ def _hyperbolic_max_real_part(T: np.ndarray, lam: np.ndarray, gains: Gains,
 
     ``T``, 2N x 2N and zero but for the pole matrix in its top-left block,
     becomes the pencil; its top-right block, which eigvalsh does not read, is
-    the scratch space, so no other N^2 array outlives a step.
+    the work space, so no other N^2 array outlives a step.
     """
     n = lam.size
-    C, scratch, Bt = T[:n, :n], T[:n, n:], T[n:, :n]
+    C, work, Bt = T[:n, :n], T[:n, n:], T[n:, :n]
     d = 1.0 + gains.gamma * lam
     r = 1.0 / np.sqrt(d)
     diag = np.diag_indices(n)
@@ -167,7 +165,7 @@ def _hyperbolic_max_real_part(T: np.ndarray, lam: np.ndarray, gains: Gains,
         if not lo < mu:
             continue
         with np.errstate(all="ignore"):
-            negQ = np.multiply(C, -mu, out=scratch)
+            negQ = np.multiply(C, -mu, out=work)
             negQ[diag] -= mu * mu + k
             # IDENTITY_TOL times the size of the terms of each diagonal entry
             # covers its rounding, and that of the off-diagonal entries, which
@@ -187,9 +185,9 @@ def _hyperbolic_max_real_part(T: np.ndarray, lam: np.ndarray, gains: Gains,
     Bt[...] = np.linalg.inv(np.linalg.cholesky(negQ)).T  # R^-T
     with np.errstate(all="ignore"):
         C[diag] += 2.0 * mu  # Q'(mu)
-        np.matmul(Bt.T, C, out=scratch)
-        np.matmul(scratch, Bt, out=C)  # R^-1 Q'(mu) R^-T
-    scratch[...] = 0.0
+        np.matmul(Bt.T, C, out=work)
+        np.matmul(work, Bt, out=C)  # R^-1 Q'(mu) R^-T
+    work[...] = 0.0
     if not (np.isfinite(C).all() and np.isfinite(Bt).all()):
         return None
     theta = np.linalg.eigvalsh(T)  # theta = 1/(s - mu), ascending; reads the lower triangle
@@ -233,8 +231,8 @@ class TransverseSystem:
             alpha_G, beta_G = gains.alpha * Gamma, gains.beta * Gamma
         for name, term in (("alpha", alpha_G), ("beta", beta_G)):
             if not np.isfinite(term).all():
-                raise NonFinite(f"transverse system: gains.{name} * Gamma_hat leaves the float range "
-                                f"(gains.{name} = {getattr(gains, name):.6g})")
+                raise NonFinite(f"transverse system: gains.{name} * Gamma_hat leaves the float "
+                                f"range (gains.{name} = {getattr(gains, name):.6g})")
         return np.block(
             [
                 [np.array([[psi.psi11]]), psi.Psi12, np.zeros((1, m))],
