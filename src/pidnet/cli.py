@@ -27,10 +27,10 @@ from .errors import (
     TraceTooLarge,
     UnstableAverage,
 )
-from .netmodel import ClosedLoopSystem, Gains, equilibrium
+from .netmodel import ClosedLoopSystem, Gains, equilibrium, norm2
 from .sim import SimConfig, Trace, TraceMetrics, build_microgrid, integrate, metrics
 from .spectral import h_norm_bound, modified_laplacian
-from .transverse import psi_blocks, transverse_system
+from .transverse import transverse_system
 from .tuning import certify, min_alpha
 
 EXIT_OK = 0
@@ -50,13 +50,13 @@ def _analysis_values(cfg: InstanceConfig, gamma: float) -> dict:
     instance = cfg.instance
     dec = instance.dec
     mod_lap = modified_laplacian(dec, gamma)
-    psi = psi_blocks(instance, gamma)
+    rho_bar = instance.ensemble.rho_bar
     return {
         "nodes": dec.node_count,
         "lambda_2": dec.lambda_2,
         "lambda_max": dec.lambda_max,
-        "psi11": psi.psi11,
-        "rho_bar_sq": float(psi.rho_bar @ psi.rho_bar),
+        "psi11": instance.ensemble.psi11,
+        "rho_bar_sq": float(rho_bar @ rho_bar),
         "h_norm_exact": mod_lap.h_norm,
         "h_norm_bound": h_norm_bound(dec, gamma),
     }
@@ -135,7 +135,7 @@ def cmd_analyze(args) -> int:
         eq = equilibrium(instance.ensemble, modified_laplacian(instance.dec, cfg.gains.gamma))
         report["equilibrium"] = {
             "x_inf": eq.x_inf,
-            "z_star_norm": float(np.linalg.norm(eq.z_star)),
+            "z_star_norm": norm2(eq.z_star),
         }
     except SingularEnsemble as exc:
         report["equilibrium"] = {"error": str(exc)}

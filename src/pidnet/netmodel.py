@@ -10,7 +10,7 @@ explicit 2N-dimensional augmented system integrated by :mod:`pidnet.sim`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,14 @@ from .spectral import (
 
 # Two poles are "identical" when their spread is below this relative level.
 HOMOGENEITY_RTOL = 1e-12
+
+
+def norm2(v: np.ndarray) -> float:
+    """Euclidean norm whose squares cannot overflow: v is scaled by a power of
+    two first, so wherever np.linalg.norm(v) is finite the two agree bit for bit."""
+    exp = math.frexp(float(np.max(np.abs(v), initial=0.0)))[1]
+    with np.errstate(over="ignore"):  # a norm beyond the float range is inf
+        return float(np.ldexp(np.linalg.norm(np.ldexp(v, -exp)), exp))
 
 
 @dataclass(frozen=True)
@@ -56,6 +64,20 @@ class NodeEnsemble:
     @property
     def P(self) -> np.ndarray:
         return np.diag(self.rho)
+
+    @property
+    def psi11(self) -> float:
+        """The average pole mean(rho), Psi's (1, 1) entry for every gamma."""
+        return float(np.mean(self.rho))
+
+    @property
+    def rho_bar(self) -> np.ndarray:
+        """[rho_2 - rho_1, ..., rho_N - rho_1]."""
+        return self.rho[1:] - self.rho[0]
+
+    @property
+    def delta_norm(self) -> float:
+        return norm2(self.delta)
 
     def is_homogeneous(self) -> bool:
         spread = float(np.max(self.rho) - np.min(self.rho))
@@ -88,8 +110,6 @@ class Instance:
 
     dec: SpectralDecomposition
     ensemble: NodeEnsemble
-    # PsiBlocks per gamma, filled by transverse.psi_blocks().
-    psi: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dec.node_count != self.ensemble.node_count:

@@ -199,14 +199,11 @@ class ModifiedLaplacian:
     gamma: float
     L_tilde: np.ndarray
     L_tilde_inv: np.ndarray
-    Gamma_hat: np.ndarray      # diag(lambda_k / (gamma*lambda_k + 1)), k >= 2
     Sigma_hat_inv: np.ndarray  # diag(1 / (gamma*lambda_k + 1)), k >= 2
-    H_hat: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "H_hat", self.L22_hat - np.outer(np.ones(self.node_count - 1), self.L12_hat)
-        )
+    @cached_property
+    def H_hat(self) -> np.ndarray:
+        return self.L22_hat - self.L12_hat  # L12_hat taken from every row
 
     @property
     def node_count(self) -> int:
@@ -268,13 +265,11 @@ def modified_laplacian(dec: SpectralDecomposition, gamma: float) -> ModifiedLapl
         raise NonFinite(
             f"modified Laplacian I + gamma*L is singular to working precision at gamma = {gamma:.6g}"
         ) from exc
-    denom = gamma * dec.lam[1:] + 1.0
     mod_lap = dec.modified[gamma] = ModifiedLaplacian(
         gamma=float(gamma),
         L_tilde=L_tilde,
         L_tilde_inv=L_tilde_inv,
-        Gamma_hat=np.diag(dec.lam[1:] / denom),
-        Sigma_hat_inv=np.diag(1.0 / denom),
+        Sigma_hat_inv=np.diag(1.0 / (gamma * dec.lam[1:] + 1.0)),
     )
     return mod_lap
 

@@ -3,8 +3,8 @@
 Applying U^-1 to the closed loop and dropping the uncontrollable first
 integral coordinate yields a (2N-1)-dimensional system whose matrix is
 Hurwitz exactly when the network converges to its consensus equilibrium.
-The closed-form blocks of Psi = U^-1 L_tilde^-1 P U computed here are what
-the gain-tuning layer certifies against.
+In the graph's eigenbasis the paper's Psi = U^-1 L_tilde^-1 P U is D^-1 Pi
+(Pi the pole matrix below), so A_tv needs only Pi and lambda, not psi_blocks.
 
 Eliminating z gives the symmetric quadratic eigenproblem (QEP) Q(s) =
 s^2 L_tilde + s (alpha L - P) + beta L, whose 2N roots are the closed loop's
@@ -66,35 +66,24 @@ class PsiBlocks:
     rho_bar: np.ndarray  # [rho_2 - rho_1, ..., rho_N - rho_1]
 
     def assembled(self) -> np.ndarray:
-        top = np.concatenate([[self.psi11], self.Psi12.ravel()])[None, :]
-        bottom = np.hstack([self.Psi21, self.Psi22])
-        return np.vstack([top, bottom])
+        return np.block([[np.array([[self.psi11]]), self.Psi12], [self.Psi21, self.Psi22]])
 
 
 def psi_blocks(instance: Instance, gamma: float) -> PsiBlocks:
-    """Closed-form Psi blocks (equal to the direct product U^-1 L_tilde^-1 P U).
-
-    The result is kept on ``instance``, so each (instance, gamma) pair is
-    computed once.
-    """
-    if gamma in instance.psi:
-        return instance.psi[gamma]
+    """Closed-form Psi blocks (equal to the direct product U^-1 L_tilde^-1 P U)."""
     dec = instance.dec
     n = dec.node_count
-    rho = instance.ensemble.rho
-    rho_bar = rho[1:] - rho[0]
+    ens = instance.ensemble
+    rho, rho_bar = ens.rho, ens.rho_bar
     R22 = dec.R22
     H = modified_laplacian(dec, gamma).H_hat
-    ones = np.ones((n - 1, 1))
-    P_hat = np.diag(rho[1:])
-    psi = instance.psi[gamma] = PsiBlocks(
-        psi11=float(np.mean(rho)),
+    return PsiBlocks(
+        psi11=ens.psi11,
         Psi12=rho_bar[None, :] @ R22.T,
         Psi21=R22 @ H @ rho_bar[:, None],
-        Psi22=n * R22 @ H @ (P_hat + rho[0] * (ones @ ones.T)) @ R22.T,
+        Psi22=n * R22 @ H @ (np.diag(rho[1:]) + rho[0]) @ R22.T,  # P_hat + rho_1 1 1^T
         rho_bar=rho_bar,
     )
-    return psi
 
 
 def pole_matrix(instance: Instance) -> np.ndarray:
@@ -110,7 +99,7 @@ def pole_matrix(instance: Instance) -> np.ndarray:
     poles[1:, 1:] = PV
     poles[1:, 1:] += PV.T
     poles[0, 1:] = poles[1:, 0] = V2.T @ (rho * (dec.U[:, 0] / np.sqrt(n)))
-    poles[0, 0] = np.mean(rho)
+    poles[0, 0] = instance.ensemble.psi11
     return poles
 
 
@@ -223,23 +212,23 @@ class TransverseSystem:
 
     @cached_property
     def A_tv(self) -> np.ndarray:
-        gains = self.gains
-        psi = psi_blocks(self.instance, gains.gamma)
-        m = psi.Psi22.shape[0]  # N - 1
-        Gamma = modified_laplacian(self.instance.dec, gains.gamma).Gamma_hat
-        with np.errstate(over="ignore"):
-            alpha_G, beta_G = gains.alpha * Gamma, gains.beta * Gamma
+        """[[D^-1 (Pi - alpha Lambda), [0; I]], [-beta D2^-1 Lambda_2, 0]], with Pi the
+        pole matrix and D = diag(1 + gamma*lambda)."""
+        gains, lam = self.gains, self.instance.dec.lam
+        n = lam.size
+        d = 1.0 + gains.gamma * lam
+        with np.errstate(over="ignore"):  # the diagonal of Gamma_hat, times each gain
+            alpha_G, beta_G = gains.alpha * (lam / d), gains.beta * (lam[1:] / d[1:])
         for name, term in (("alpha", alpha_G), ("beta", beta_G)):
             if not np.isfinite(term).all():
                 raise NonFinite(f"transverse system: gains.{name} * Gamma_hat leaves the float "
                                 f"range (gains.{name} = {getattr(gains, name):.6g})")
-        return np.block(
-            [
-                [np.array([[psi.psi11]]), psi.Psi12, np.zeros((1, m))],
-                [psi.Psi21, psi.Psi22 - alpha_G, np.eye(m)],
-                [np.zeros((m, 1)), -beta_G, np.zeros((m, m))],
-            ]
-        )
+        A = np.zeros((2 * n - 1, 2 * n - 1))
+        A[:n, :n] = pole_matrix(self.instance) / d[:, None]
+        A[np.diag_indices(n)] -= alpha_G
+        A[1:n, n:] = np.eye(n - 1)
+        A[n:, 1:n] = np.diag(-beta_G)
+        return A
 
     @cached_property
     def _eigenvalues(self) -> np.ndarray:

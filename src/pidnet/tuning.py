@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotHomogeneous, UnstableAverage
-from .netmodel import Gains, Instance
+from .netmodel import Gains, Instance, norm2
 from .spectral import h_norm_bound, modified_laplacian
-from .transverse import psi_blocks
 
 REGIME_HOMOGENEOUS_PID = "HomogeneousPID"
 REGIME_HOMOGENEOUS_PI = "HomogeneousPI"
@@ -89,7 +88,6 @@ def certify_homogeneous_pid(instance: Instance, gains: Gains) -> Certificate:
     rho_star = _require_homogeneous(instance)
     n = instance.node_count
     lam2 = instance.dec.lambda_2
-    delta_norm = float(np.linalg.norm(instance.ensemble.delta))
     conditions = (
         Condition("alpha_positive", gains.alpha > 0, gains.alpha),
         Condition("beta_positive", gains.beta > 0, gains.beta),
@@ -97,7 +95,7 @@ def certify_homogeneous_pid(instance: Instance, gains: Gains) -> Certificate:
         Condition("stable_poles", rho_star > 0, rho_star),
     )
     x_inf = _homogeneous_x_inf(instance, rho_star)
-    z_bound = np.sqrt(n**3 * (n - 1)) / (gains.gamma * lam2 + 1.0) * delta_norm
+    z_bound = np.sqrt(n**3 * (n - 1)) / (gains.gamma * lam2 + 1.0) * instance.ensemble.delta_norm
     mu = convergence_rate(instance, gains) if rho_star > 0 else None
     return Certificate(
         regime=REGIME_HOMOGENEOUS_PID,
@@ -112,7 +110,6 @@ def certify_homogeneous_pi(instance: Instance, gains: Gains) -> Certificate:
     """PI protocol (gamma = 0) on identical agents."""
     rho_star = _require_homogeneous(instance)
     n = instance.node_count
-    delta_norm = float(np.linalg.norm(instance.ensemble.delta))
     conditions = (
         Condition("alpha_positive", gains.alpha > 0, gains.alpha),
         Condition("beta_positive", gains.beta > 0, gains.beta),
@@ -120,7 +117,7 @@ def certify_homogeneous_pi(instance: Instance, gains: Gains) -> Certificate:
         Condition("stable_poles", rho_star > 0, rho_star),
     )
     x_inf = _homogeneous_x_inf(instance, rho_star)
-    z_bound = np.sqrt(n * (n - 1)) * delta_norm
+    z_bound = np.sqrt(n * (n - 1)) * instance.ensemble.delta_norm
     mu = convergence_rate(instance, gains) if rho_star > 0 else None
     return Certificate(
         regime=REGIME_HOMOGENEOUS_PI,
@@ -137,7 +134,6 @@ def certify_homogeneous_pd(instance: Instance, gains: Gains) -> Certificate:
     n = instance.node_count
     lam2 = instance.dec.lambda_2
     lamN = instance.dec.lambda_max
-    delta_norm = float(np.linalg.norm(instance.ensemble.delta))
     denom = gains.alpha * lamN + rho_star
     conditions = (
         Condition("alpha_positive", gains.alpha > 0, gains.alpha),
@@ -151,7 +147,7 @@ def certify_homogeneous_pd(instance: Instance, gains: Gains) -> Certificate:
             / (gains.gamma * lam2 + 1.0)
             * n
             / denom
-            * delta_norm
+            * instance.ensemble.delta_norm
         )
     return Certificate(
         regime=REGIME_HOMOGENEOUS_PD,
@@ -203,17 +199,17 @@ def _dominant_real_part_scaled(b: float, c: float) -> float:
     return max(s * big, c / s / big)
 
 
-def _gain_threshold_rhs(instance: Instance, psi, h1_norm: float) -> float:
+def _gain_threshold_rhs(instance: Instance, h1_norm: float) -> float:
     """Right-hand side of the heterogeneous proportional-gain condition,
     (max|rho| + rho_bar.rho_bar ||I + H_hat||^2 / (4 |psi11|)) / N.
 
     Raises UnstableAverage unless the average pole psi11 is negative.
     """
-    if psi.psi11 >= 0:
-        raise UnstableAverage(f"average pole psi11 = {psi.psi11:.6g} is nonnegative")
-    rr = float(psi.rho_bar @ psi.rho_bar)
-    rho = instance.ensemble.rho
-    return (np.max(np.abs(rho)) + rr / (4.0 * abs(psi.psi11)) * h1_norm**2) / instance.node_count
+    ens = instance.ensemble
+    if ens.psi11 >= 0:
+        raise UnstableAverage(f"average pole psi11 = {ens.psi11:.6g} is nonnegative")
+    rr = float(ens.rho_bar @ ens.rho_bar)
+    return (np.max(np.abs(ens.rho)) + rr / (4.0 * abs(ens.psi11)) * h1_norm**2) / ens.node_count
 
 
 def min_alpha(instance: Instance, gamma: float, conservative: bool = False) -> float:
@@ -223,10 +219,9 @@ def min_alpha(instance: Instance, gamma: float, conservative: bool = False) -> f
     replaces the exact spectral norm of I + H_hat.
     """
     mod_lap = modified_laplacian(instance.dec, gamma)
-    psi = psi_blocks(instance, gamma)
     h1_norm = 1.0 + h_norm_bound(instance.dec, gamma) if conservative else mod_lap.h1_norm
     lam2 = instance.dec.lambda_2
-    rhs = _gain_threshold_rhs(instance, psi, h1_norm)
+    rhs = _gain_threshold_rhs(instance, h1_norm)
     return float(rhs * (gamma * lam2 + 1.0) / lam2)
 
 
@@ -240,15 +235,14 @@ def z_infinity_bound(
     to the homogeneous closed form.
     """
     mod_lap = modified_laplacian(instance.dec, gains.gamma)
-    psi = psi_blocks(instance, gains.gamma)
+    ens = instance.ensemble
     n = instance.node_count
-    rho_bar_norm = float(np.linalg.norm(psi.rho_bar))
-    if rho_bar_norm > 0 and psi.psi11 == 0.0:
+    rho_bar_norm = norm2(ens.rho_bar)
+    if rho_bar_norm > 0 and ens.psi11 == 0.0:
         raise UnstableAverage("psi11 = 0: heterogeneous bound undefined")
     h_norm = h_norm_bound(instance.dec, gains.gamma) if use_norm_bound else mod_lap.h_norm
-    het = 1.0 + (rho_bar_norm / (n * abs(psi.psi11)) if rho_bar_norm > 0 else 0.0)
-    delta_norm = float(np.linalg.norm(instance.ensemble.delta))
-    return float(np.sqrt(n * (n - 1)) * h_norm * het * delta_norm)
+    het = 1.0 + (rho_bar_norm / (n * abs(ens.psi11)) if rho_bar_norm > 0 else 0.0)
+    return float(np.sqrt(n * (n - 1)) * h_norm * het * ens.delta_norm)
 
 
 def certify_heterogeneous_pid(instance: Instance, gains: Gains) -> Certificate:
@@ -256,17 +250,16 @@ def certify_heterogeneous_pid(instance: Instance, gains: Gains) -> Certificate:
     proportional-gain threshold. With beta = 0 the integral action is
     missing and the certificate fails its beta condition."""
     mod_lap = modified_laplacian(instance.dec, gains.gamma)
-    psi = psi_blocks(instance, gains.gamma)
+    ens = instance.ensemble
     lam2 = instance.dec.lambda_2
     lhs = gains.alpha * lam2 / (gains.gamma * lam2 + 1.0)
-    rhs = _gain_threshold_rhs(instance, psi, mod_lap.h1_norm)
+    rhs = _gain_threshold_rhs(instance, mod_lap.h1_norm)
     conditions = (
-        Condition("average_pole_negative", psi.psi11 < 0, -psi.psi11),
+        Condition("average_pole_negative", ens.psi11 < 0, -ens.psi11),
         Condition("beta_positive", gains.beta > 0, gains.beta),
         Condition("proportional_gain_threshold", lhs > rhs, float(lhs - rhs)),
     )
-    rho_sum = float(np.sum(instance.ensemble.rho))
-    x_inf = -float(np.sum(instance.ensemble.delta)) / rho_sum
+    x_inf = -float(np.sum(ens.delta)) / float(np.sum(ens.rho))
     return Certificate(
         regime=REGIME_HETEROGENEOUS_PID,
         conditions=conditions,

@@ -198,6 +198,18 @@ HEAVY_ALPHA = HUGE_ALPHA.replace("w: 1.0}", "w: 1.0e+10}").replace("gamma: 0.5",
 DT_UNDERFLOW = HUGE_ALPHA.replace("gamma: 0.5", "gamma: 0.0").replace(
     "{i: 0, j: 1, w: 1.0}", "{i: 0, j: 1, w: 1.0e+7}"
 )
+# ||delta||^2 = 3e600 overflows, though ||delta|| and the z bound built on it do not
+HUGE_DELTA = """
+graph:
+  nodes: 3
+  edges:
+    - {i: 0, j: 1, w: 1.0}
+    - {i: 1, j: 2, w: 1.0}
+ensemble:
+  rho: [-1.0, -1.0, -1.0]
+  delta: [1.0e+300, 1.0e+300, -1.0e+300]
+gains: {alpha: 1.0, beta: 1.0, gamma: 0.0}
+"""
 
 
 @pytest.mark.parametrize(
@@ -215,11 +227,13 @@ DT_UNDERFLOW = HUGE_ALPHA.replace("gamma: 0.5", "gamma: 0.0").replace(
         (["analyze", "--json"], HEAVY_ALPHA, 0, '"mu": 1e-300'),
         (["analyze", "--json"], HEAVY_ALPHA.replace("gamma: 1.0", "gamma: 0.0"), 4,
          "transverse system: gains.alpha * Gamma_hat"),
+        (["analyze", "--json"], HUGE_DELTA, 0, '"z_inf_bound": 4.242640687119285e+300'),
     ],
     ids=[
         "one-node-analyze", "one-node-tune", "one-node-simulate", "huge-gamma-analyze",
         "huge-gamma-tune", "huge-alpha-beta-json", "huge-alpha-beta-tree", "dt-underflow",
         "heavy-alpha-simulate", "heavy-alpha-analyze", "heavy-alpha-no-derivative-analyze",
+        "huge-delta-analyze",
     ],
 )
 def test_exit_code_holes(tmp_path, capsys, argv, config, code, message):
@@ -339,7 +353,7 @@ def test_one_eigensolve_per_command(capsys, hom_config, linalg_calls, config, co
     norms = 1 if analyze and config == "homogeneous" else 2
     assert linalg_calls == {"eigh": 1, "eigvalsh": 2 * analyze + norms, "eigvals": 0,
                             "cholesky": 2 * analyze, "inv": 1 * analyze, "solve": 1,
-                            "svd": 0, "psi": 1, "assemble": 0}
+                            "svd": 0, "psi": 0, "assemble": 0}
 
 
 def test_huge_alpha_sub_block_from_energy_certificate(tmp_path, capsys, linalg_calls):
@@ -525,9 +539,9 @@ def test_reproduce_outputs(tmp_path, capsys, linalg_calls):
     code, report = run_json(capsys, ["reproduce", "--out", str(out), "--json"])
     assert code == 0
     # one decomposition of the bundled graph serves all four scenarios, and
-    # one Psi each gamma in use (0 and 1)
+    # no command builds the Psi blocks
     assert linalg_calls["eigh"] == 1
-    assert linalg_calls["psi"] == 2
+    assert linalg_calls["psi"] == 0
     for name in ("proportional_a10", "proportional_a30", "pid", "pi"):
         assert (out / f"{name}.csv").exists()
     report_file = json.loads((out / "report.json").read_text())

@@ -72,21 +72,25 @@ def test_psi_benchmark_values():
 
 
 def test_transverse_block_layout(rng):
-    inst, mod = make(rng, 5, 0.8)
-    gains = Gains(alpha=2.0, beta=1.5, gamma=0.8)
-    psi = psi_blocks(inst, mod.gamma)
-    tv = transverse_system(inst, gains)
-    m = 4
-    A = tv.A_tv
-    assert A.shape == (2 * 5 - 1, 2 * 5 - 1)
-    assert A[0, 0] == psi.psi11
-    assert np.array_equal(A[0, 1 : 1 + m], psi.Psi12.ravel())
-    assert np.max(np.abs(A[0, 1 + m :])) == 0.0
-    assert np.array_equal(A[1 : 1 + m, 1 + m :], np.eye(m))
-    assert np.max(np.abs(A[1 + m :, 1 + m :])) == 0.0
-    assert np.max(np.abs(A[1 + m :, 0])) == 0.0
-    assert np.allclose(A[1 + m :, 1 : 1 + m], -gains.beta * mod.Gamma_hat)
-    assert np.allclose(A[1 : 1 + m, 1 : 1 + m], psi.Psi22 - gains.alpha * mod.Gamma_hat)
+    # oracle: the closed loop in the graph's eigenbasis, blockdiag(U^-1, U^-1) A
+    # blockdiag(U, U), less row and column N (the z average)
+    for k in range(20):
+        n = int(rng.integers(3, 9))
+        inst = random_heterogeneous_instance(rng, n)
+        beta = 0.0 if k % 2 else float(rng.uniform(0.2, 3))
+        gains = Gains(alpha=float(rng.uniform(0.5, 4)), beta=beta, gamma=float(rng.uniform(0, 2)))
+        A = transverse_system(inst, gains).A_tv
+        assert A.shape == (2 * n - 1, 2 * n - 1)
+        assert np.max(np.abs(A[0, n:])) == 0.0
+        assert np.array_equal(A[1:n, n:], np.eye(n - 1))
+        assert np.max(np.abs(A[n:, n:])) == 0.0
+        assert np.max(np.abs(A[n:, 0])) == 0.0
+        assert np.array_equal(A[n:, 1:n], np.diag(np.diag(A[n:, 1:n])))
+        U, U_inv, Z = inst.dec.U, inst.dec.U_inv, np.zeros((n, n))
+        rotated = np.block([[U_inv, Z], [Z, U_inv]]) @ assemble(inst, gains).A @ np.block(
+            [[U, Z], [Z, U]])
+        oracle = np.delete(np.delete(rotated, n, axis=0), n, axis=1)
+        assert np.max(np.abs(A - oracle)) < TOL
 
 
 def test_transverse_spectrum_matches_full_loop(rng):
