@@ -200,8 +200,8 @@ class TransverseSystem:
     ``energy_certified`` says whether it proves the sub-block Hurwitz: beta >
     0 and a margin above the rounding tolerance. ``hyperbolic_max_real_part``
     is the largest real part of the spectrum where the hyperbolic certificate
-    holds (None elsewhere); then the system is Hurwitz and the dense ``A_tv``
-    is built only on request.
+    holds (None elsewhere); then the system is Hurwitz and the dense ``A_tv``,
+    which needs only the pole matrix and lambda, is built only on request.
     """
 
     instance: Instance
