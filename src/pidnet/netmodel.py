@@ -28,12 +28,14 @@ from .spectral import (
 HOMOGENEITY_RTOL = 1e-12
 
 
-def norm2(v: np.ndarray) -> float:
-    """Euclidean norm whose squares cannot overflow: v is scaled by a power of
-    two first, so wherever np.linalg.norm(v) is finite the two agree bit for bit."""
-    exp = math.frexp(float(np.max(np.abs(v), initial=0.0)))[1]
+def norm2(v: np.ndarray, axis: int | None = None):
+    """Euclidean norm of v, or of each of its slices along axis, whose squares
+    cannot overflow: each is scaled by a power of two first, so wherever
+    np.linalg.norm(v, axis=axis) is finite the two agree bit for bit."""
+    exp = np.frexp(np.max(np.abs(v), axis=axis, keepdims=True, initial=0.0))[1]
     with np.errstate(over="ignore"):  # a norm beyond the float range is inf
-        return float(np.ldexp(np.linalg.norm(np.ldexp(v, -exp)), exp))
+        norm = np.ldexp(np.linalg.norm(np.ldexp(v, -exp), axis=axis, keepdims=True), exp)
+    return norm.item() if axis is None else norm.squeeze(axis)
 
 
 @dataclass(frozen=True)

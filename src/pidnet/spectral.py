@@ -7,9 +7,15 @@ with the averaging direction pinned to the all-ones vector, and the
 derivative-modified Laplacian ``I + gamma*L`` together with the block
 combinations of its inverse.
 
-The norms ||H_hat|| and ||I + H_hat|| are the square roots of the largest
-eigenvalues of the Gram matrices G = H_hat^T H_hat and I + H_hat + H_hat^T
-+ G: one (N-1)^3 product and two symmetric eigvalsh, no SVD.
+The norms ||H_hat|| and ||I + H_hat|| come from the eigendecomposition in
+O(N). With V = U/sqrt(N), z = V[0, 1:], Z = V[1:, 1:] and g_k =
+1/(1 + gamma*lambda_k) for k >= 2, H_hat = M diag(g) M^-1 where M = Z - 1 z^T
+and M^-1 = Z^T, so H_hat is similar to diag(g). Since M^T M = P := I + N z z^T,
+||H_hat||^2 is the largest eigenvalue of the pencil (D P D, P) with D =
+diag(g), and ||I + H_hat||^2 that of D = I + diag(g). D^2 is diagonal and P - I
+has rank one, so that eigenvalue is the root of a secular equation (Golub,
+"Some modified matrix eigenvalue problems", SIAM Review 15(2), 1973): no
+(N-1)^2 matrix is formed and no eigensolve beyond the graph's one.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ IDENTITY_TOL = 1e-9
 
 # Connectivity is declared when lambda_2 > CONNECTIVITY_RTOL * lambda_N.
 CONNECTIVITY_RTOL = 1e-8
+
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -200,6 +208,7 @@ class ModifiedLaplacian:
     L_tilde: np.ndarray
     L_tilde_inv: np.ndarray
     Sigma_hat_inv: np.ndarray  # diag(1 / (gamma*lambda_k + 1)), k >= 2
+    z: np.ndarray  # U[0, 1:] / sqrt(N): the first row of the orthonormal eigenbasis, k >= 2
 
     @cached_property
     def H_hat(self) -> np.ndarray:
@@ -226,23 +235,66 @@ class ModifiedLaplacian:
         return self.L_tilde_inv[1:, 1:]
 
     @cached_property
-    def _gram(self) -> np.ndarray:
-        # L_tilde_inv is nonnegative with unit row sums (an M-matrix inverse),
-        # so H_hat's entries lie in [-1, 1] and G's in [-(N-1), N-1]. And
-        # ||H_hat|| >= 1/(gamma*lambda_N + 1): I + gamma*L is singular to working
-        # precision (gamma*lambda_N near 1e16) long before squares underflow.
-        return self.H_hat.T @ self.H_hat
-
-    @cached_property
     def h_norm(self) -> float:
-        """Exact spectral norm of H_hat: sqrt(lambda_max(H_hat^T H_hat))."""
-        return math.sqrt(np.linalg.eigvalsh(self._gram)[-1])
+        """Exact spectral norm of H_hat ~ diag(g): the square root of the top
+        eigenvalue of the pencil (D P D, P), D = diag(g), scaled to max g = 1."""
+        g = np.diagonal(self.Sigma_hat_inv)
+        top = float(np.max(g))
+        return top * math.sqrt(_pencil_top(g / top, self.z, 0.0))
 
     @cached_property
     def h1_norm(self) -> float:
-        """Exact spectral norm of I + H_hat (heterogeneous gain condition)."""
-        gram1 = self._gram + self.H_hat + self.H_hat.T + np.eye(self.node_count - 1)
-        return math.sqrt(np.linalg.eigvalsh(gram1)[-1])
+        """Exact spectral norm of I + H_hat ~ I + diag(g) (heterogeneous gain
+        condition): the pencil (D P D, P) with D = I + diag(g)."""
+        return math.sqrt(_pencil_top(np.diagonal(self.Sigma_hat_inv), self.z, 1.0))
+
+
+def _pencil_top(g: np.ndarray, z: np.ndarray, shift: float) -> float:
+    """Largest eigenvalue nu of the pencil (D P D, P), D = shift + diag(g) >= 0,
+    P = I + N z z^T, for max D of order one.
+
+    For nu above every D_k^2, Haynsworth's inertia formula applied to D P D -
+    nu P = diag(D^2 - nu) + N [Dz z] diag(1, -nu) [Dz z]^T and ||z||^2 = 1 - 1/N
+    put nu above the whole pencil exactly where phi(nu) < 1, with
+    phi(nu) = N nu sum_{j<k} p_j p_k (g_j - g_k)^2 and p_k = z_k^2/(nu - D_k^2).
+    phi falls from its value at max D^2 to 0, so nu = max D^2 + tau with tau
+    the root of phi = 1, or tau = 0 where phi <= 1 throughout. The pair sum is
+    sum(p) times the p-weighted variance of g, which has no cancellation.
+    Newton steps on log(phi) against log(tau) are exact where one power of tau
+    dominates; a bracket turns any other step into bisection.
+    """
+    n = g.size + 1
+    top = float(np.max(g))
+    h = g - top  # exact zeros on the top group: equal g give phi = 0
+    gap = -h * (2.0 * shift + top + g)  # max D^2 - D_k^2 without cancellation
+    z2 = z * z
+    d2 = (shift + top) ** 2
+    lo, hi = 0.0, (n - 1) * d2  # nu <= ||M||^2 ||M^-1||^2 max D^2 = N max D^2
+    tau = hi
+    for _ in range(200):
+        e = tau + gap
+        p = z2 / e
+        c = p.sum()
+        dev = h - (p @ h) / c
+        dev2 = dev * dev
+        v = p @ dev2
+        phi = n * (d2 + tau) * c * v
+        if phi == 0.0 or phi == 1.0:
+            return d2 if phi == 0.0 else d2 + tau
+        if phi > 1.0:
+            lo = tau
+        else:
+            hi = tau
+        q = p / e
+        slope = tau / (d2 + tau) - tau * ((q @ dev2) / v + q.sum() / c)  # d log(phi)/d log(tau) < 0
+        step = tau * math.exp(min(math.log(phi) / -slope, 700.0)) if slope < 0.0 else hi
+        if not lo < step < hi:
+            step = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
+        step = max(step, 0.25 * EPS * d2)  # below this d2 + tau rounds to d2
+        if abs(step - tau) <= EPS * (d2 + step):
+            return d2 + step
+        tau = step
+    return d2 + hi
 
 
 def modified_laplacian(dec: SpectralDecomposition, gamma: float) -> ModifiedLaplacian:
@@ -270,6 +322,7 @@ def modified_laplacian(dec: SpectralDecomposition, gamma: float) -> ModifiedLapl
         L_tilde=L_tilde,
         L_tilde_inv=L_tilde_inv,
         Sigma_hat_inv=np.diag(1.0 / (gamma * dec.lam[1:] + 1.0)),
+        z=dec.U[0, 1:] / math.sqrt(n),
     )
     return mod_lap
 

@@ -4,6 +4,8 @@ import contextlib
 import importlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -228,12 +230,13 @@ gains: {alpha: 1.0, beta: 1.0, gamma: 0.0}
         (["analyze", "--json"], HEAVY_ALPHA.replace("gamma: 1.0", "gamma: 0.0"), 4,
          "transverse system: gains.alpha * Gamma_hat"),
         (["analyze", "--json"], HUGE_DELTA, 0, '"z_inf_bound": 4.242640687119285e+300'),
+        (["simulate", "--json"], HUGE_DELTA + "sim: {t_end: 1.0}\n", 0, '"final_offset": 5.75'),
     ],
     ids=[
         "one-node-analyze", "one-node-tune", "one-node-simulate", "huge-gamma-analyze",
         "huge-gamma-tune", "huge-alpha-beta-json", "huge-alpha-beta-tree", "dt-underflow",
         "heavy-alpha-simulate", "heavy-alpha-analyze", "heavy-alpha-no-derivative-analyze",
-        "huge-delta-analyze",
+        "huge-delta-analyze", "huge-delta-simulate",
     ],
 )
 def test_exit_code_holes(tmp_path, capsys, argv, config, code, message):
@@ -251,7 +254,7 @@ def test_exit_code_holes(tmp_path, capsys, argv, config, code, message):
     shown, quiet = (captured.err, captured.out) if code else (captured.out, captured.err)
     assert message in shown
     assert quiet == ""
-    assert not out.exists()
+    assert out.exists() is (code == 0 and argv[0] == "simulate")
 
 
 FUZZ_SPECIAL = (0.0, 1e-300, -1e-300, 1e300, -1e300, 1e150, 5e-324, 1e8, -1e8)
@@ -347,13 +350,24 @@ def test_one_eigensolve_per_command(capsys, hom_config, linalg_calls, config, co
     # place of its dense spectrum, and the full spectrum of a hyperbolic Q
     # (both configs are) from the certifying Cholesky, the factor of -Q(mu),
     # its inverse and one symmetric eigvalsh of the pencil, with no eigvals
+    # (||H_hat|| and ||I + H_hat|| come from the one eigh, with no eigensolve)
     analyze = command == "analyze"
-    # ||H_hat|| in every report, and ||I + H_hat|| where the heterogeneous
-    # condition or the exact gain threshold needs it: one Gram eigvalsh each
-    norms = 1 if analyze and config == "homogeneous" else 2
-    assert linalg_calls == {"eigh": 1, "eigvalsh": 2 * analyze + norms, "eigvals": 0,
+    assert linalg_calls == {"eigh": 1, "eigvalsh": 2 * analyze, "eigvals": 0,
                             "cholesky": 2 * analyze, "inv": 1 * analyze, "solve": 1,
                             "svd": 0, "psi": 0, "assemble": 0}
+
+
+@pytest.mark.parametrize("command", ["analyze", "tune"])
+def test_runs_without_scipy(command):
+    # the runtime dependencies are numpy and pyyaml; scipy is a test extra
+    script = ("import sys; sys.modules['scipy'] = None; "
+              "from pidnet.cli import main; sys.exit(main(sys.argv[1:]))")
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    run = subprocess.run([sys.executable, "-c", script, command, "--config", str(BENCH_CONFIG),
+                          "--json"], capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert (run.returncode, run.stderr) == (0, "")
+    assert json.loads(run.stdout)["analysis"]["h_norm_exact"] > 0
 
 
 def test_huge_alpha_sub_block_from_energy_certificate(tmp_path, capsys, linalg_calls):

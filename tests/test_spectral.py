@@ -238,10 +238,19 @@ def test_negative_gamma_rejected(rng):
         modified_laplacian(dec, -0.1)
 
 
-def assert_gram_norms_match_svd(mod):
-    m = mod.node_count - 1
-    assert mod.h_norm == pytest.approx(np.linalg.norm(mod.H_hat, 2), rel=1e-12, abs=0)
-    assert mod.h1_norm == pytest.approx(np.linalg.norm(np.eye(m) + mod.H_hat, 2), rel=1e-12, abs=0)
+def eigenbasis_H_hat(dec, gamma):
+    """(Z - 1 z^T) diag(g) Z^T with V = U/sqrt(N), z = V[0, 1:], Z = V[1:, 1:]
+    and g_k = 1/(1 + gamma*lambda_k): H_hat without the solve of I + gamma*L,
+    whose rounding grows with gamma*lambda_N."""
+    V = dec.U / np.sqrt(dec.node_count)
+    z, Z = V[0, 1:], V[1:, 1:]
+    return (Z - z) * (1.0 / (1.0 + gamma * dec.lam[1:])) @ Z.T
+
+
+def assert_gram_norms_match_svd(dec, mod):
+    H = eigenbasis_H_hat(dec, mod.gamma)
+    assert mod.h_norm == pytest.approx(np.linalg.norm(H, 2), rel=1e-12, abs=0)
+    assert mod.h1_norm == pytest.approx(np.linalg.norm(np.eye(len(H)) + H, 2), rel=1e-12, abs=0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -257,13 +266,77 @@ def test_gram_norms_match_svd(n, seed, gamma):
         mod = modified_laplacian(inst.dec, gamma)
     except NonFinite:
         reject()  # I + gamma*L singular to working precision
-    assert_gram_norms_match_svd(mod)
+    assert_gram_norms_match_svd(inst.dec, mod)
+
+
+@pytest.mark.parametrize(
+    "graph, gamma",
+    [(Graph(2, ((0, 1, 2.5),)), 0.3), (Graph.complete(6), 1.0), (Graph.ring(7, 1.3), 0.0)],
+    ids=["N2", "complete", "gamma0"],
+)
+def test_norms_of_one_distinct_g(graph, gamma):
+    # every g_k equal (to rounding of lambda): H_hat = g I, and the top of the
+    # pencil is max D^2 itself
+    dec = decompose(graph)
+    mod = modified_laplacian(dec, gamma)
+    top = float(np.max(1.0 / (1.0 + gamma * dec.lam[1:])))
+    assert mod.h_norm == top
+    assert mod.h1_norm == 1.0 + top
+    assert_gram_norms_match_svd(dec, mod)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=40),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.one_of(st.just(None), st.floats(min_value=-3.0, max_value=3.0)),
+)
+def test_eigenbasis_H_hat_is_the_solved_one(n, seed, log_gamma_lam):
+    # where gamma*lambda_N <= 1e3 the solve of I + gamma*L is accurate
+    dec = random_heterogeneous_instance(np.random.default_rng(seed), n).dec
+    gamma = 0.0 if log_gamma_lam is None else 10.0**log_gamma_lam / dec.lambda_max
+    H = modified_laplacian(dec, gamma).H_hat
+    assert np.max(np.abs(eigenbasis_H_hat(dec, gamma) - H)) <= 1e-12
+
+
+PATH4 = Graph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)))  # the README graph
+MIXED7 = Graph(7, ((0, 1, 2.0), (1, 2, 1.0), (2, 3, 3.0), (3, 4, 1.0), (4, 5, 2.0), (5, 6, 1.0),
+                   (0, 3, 1.0), (2, 6, 4.0)))
+
+
+@pytest.mark.parametrize(
+    "graph, gamma, h_norm, h1_norm",
+    [
+        # 40-digit values of the solve of I + gamma*L and the SVD, rounded to 25 digits
+        (PATH4, 0.0, 1.0, 2.0),
+        (PATH4, 1e-3, 0.9996288522239641346748769, 1.999628735477254364112356),
+        (PATH4, 1.0, 0.6856690631092488554923368, 1.675121994830217116158173),
+        (PATH4, 1e6, 1.958559988066986458277152e-6, 1.000001861221151297294598),
+        (PATH4, 1e12, 1.958563504120741586578929e-12, 1.0000000000018612242883),
+        (PATH4, 1e15, 1.958563504124254133907068e-15, 1.000000000000001861224288),
+        (MIXED7, 0.0, 1.0, 2.0),
+        (MIXED7, 1e-3, 0.9999309277049190587392017, 1.999929750551293476830266),
+        (MIXED7, 1.0, 0.6303288216018254558232927, 1.599753443191935126474438),
+        (MIXED7, 1e6, 1.3811660515917302810863e-6, 1.000001248724532903403504),
+        (MIXED7, 1e12, 1.381167630488296549353682e-12, 1.000000000001248725812571),
+        (MIXED7, 1e15, 1.381167630489873870320917e-15, 1.000000000000001248725813),
+    ],
+    ids=[f"{name}-{g:g}" for name in ("path4", "mixed7") for g in (0, 1e-3, 1, 1e6, 1e12, 1e15)],
+)
+def test_norms_match_high_precision_reference(graph, gamma, h_norm, h1_norm):
+    mod = modified_laplacian(decompose(graph), gamma)
+    assert mod.h_norm == pytest.approx(h_norm, rel=1e-14, abs=0)
+    assert mod.h1_norm == pytest.approx(h1_norm, rel=1e-14, abs=0)
 
 
 def test_gram_norms_at_largest_solvable_gamma():
-    # the README config (4-node path): I + gamma*L is solved at 1e15, not at 1e16
-    dec = decompose(Graph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0))))
-    assert_gram_norms_match_svd(modified_laplacian(dec, 1e15))
+    # the README config: I + gamma*L is solved at 1e15, not at 1e16; the
+    # solve-built H_hat has a norm 3.4% below the exact one there
+    dec = decompose(PATH4)
+    mod = modified_laplacian(dec, 1e15)
+    assert_gram_norms_match_svd(dec, mod)
+    assert mod.h_norm == pytest.approx(1.9585635041242541e-15, rel=1e-14, abs=0)
+    assert np.linalg.norm(mod.H_hat, 2) < 0.97 * mod.h_norm
     with pytest.raises(NonFinite):
         modified_laplacian(dec, 1e16)
 
