@@ -32,10 +32,17 @@ def norm2(v: np.ndarray, axis: int | None = None):
     """Euclidean norm of v, or of each of its slices along axis, whose squares
     cannot overflow: each is scaled by a power of two first, so wherever
     np.linalg.norm(v, axis=axis) is finite the two agree bit for bit."""
-    exp = np.frexp(np.max(np.abs(v), axis=axis, keepdims=True, initial=0.0))[1]
+    exp = np.frexp(np.maximum(np.max(v, axis=axis, keepdims=True, initial=0.0),
+                              -np.min(v, axis=axis, keepdims=True, initial=0.0)))[1]
+    scaled = np.ldexp(v, -exp)
     with np.errstate(over="ignore"):  # a norm beyond the float range is inf
-        norm = np.ldexp(np.linalg.norm(np.ldexp(v, -exp), axis=axis, keepdims=True), exp)
-    return norm.item() if axis is None else norm.squeeze(axis)
+        if axis is None:
+            return float(np.ldexp(np.linalg.norm(scaled), exp.item()))
+        # np.linalg.norm's sum of squares, formed in place: one copy of v at a time
+        np.multiply(scaled, scaled, out=scaled)
+        norm = np.add.reduce(scaled, axis=axis)
+        del scaled
+        return np.ldexp(np.sqrt(norm, out=norm), exp.squeeze(axis), out=norm)
 
 
 @dataclass(frozen=True)

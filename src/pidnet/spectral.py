@@ -279,8 +279,10 @@ def _pencil_top(g: np.ndarray, z: np.ndarray, shift: float) -> float:
         dev2 = dev * dev
         v = p @ dev2
         phi = n * (d2 + tau) * c * v
-        if phi == 0.0 or phi == 1.0:
-            return d2 if phi == 0.0 else d2 + tau
+        if phi == 0.0:  # one value of g_k wherever z_k != 0
+            return d2
+        if phi == 1.0:
+            return d2 + tau
         if phi > 1.0:
             lo = tau
         else:
