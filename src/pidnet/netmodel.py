@@ -28,21 +28,21 @@ from .spectral import (
 HOMOGENEITY_RTOL = 1e-12
 
 
-def norm2(v: np.ndarray, axis: int | None = None):
-    """Euclidean norm of v, or of each of its slices along axis, whose squares
-    cannot overflow: each is scaled by a power of two first, so wherever
-    np.linalg.norm(v, axis=axis) is finite the two agree bit for bit."""
-    exp = np.frexp(np.maximum(np.max(v, axis=axis, keepdims=True, initial=0.0),
-                              -np.min(v, axis=axis, keepdims=True, initial=0.0)))[1]
-    scaled = np.ldexp(v, -exp)
+def norm2(v: np.ndarray) -> float:
+    """Euclidean norm whose squares cannot overflow: v is scaled by a power of
+    two first, so wherever np.linalg.norm(v) is finite the two agree bit for bit."""
+    exp = math.frexp(float(np.max(np.abs(v), initial=0.0)))[1]
     with np.errstate(over="ignore"):  # a norm beyond the float range is inf
-        if axis is None:
-            return float(np.ldexp(np.linalg.norm(scaled), exp.item()))
-        # np.linalg.norm's sum of squares, formed in place: one copy of v at a time
-        np.multiply(scaled, scaled, out=scaled)
-        norm = np.add.reduce(scaled, axis=axis)
-        del scaled
-        return np.ldexp(np.sqrt(norm, out=norm), exp.squeeze(axis), out=norm)
+        return float(np.ldexp(np.linalg.norm(np.ldexp(v, -exp)), exp))
+
+
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(a, axis=1), with norm2 on the rows whose squares overflow."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(a, axis=1)
+    for i in np.flatnonzero(np.isinf(norms)):
+        norms[i] = norm2(a[i])
+    return norms
 
 
 @dataclass(frozen=True)

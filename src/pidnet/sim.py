@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, StepTooLarge, TraceTooLarge
-from .netmodel import ClosedLoopSystem, Gains, Instance, assemble, norm2
+from .netmodel import ClosedLoopSystem, Gains, Instance, assemble, norm2, row_norms
 
 # dt * spectral_radius(A) must stay below this for RK4 stability.
 STEP_GUARD = 2.5
@@ -313,7 +313,7 @@ def integrate(sys: ClosedLoopSystem, cfg: SimConfig, strict: bool = False) -> Tr
     xdot = xs @ sys.A1.T + zs + sys.mod_lap.L_tilde_inv @ sys.ensemble.delta
     us = xdot - xs * sys.ensemble.rho - sys.ensemble.delta
     disagreement = xs.max(axis=1) - xs.min(axis=1)
-    z_norm = norm2(zs, axis=1)
+    z_norm = row_norms(zs)
     return Trace(times=times, x=xs, z=zs, u=us, disagreement=disagreement, z_norm=z_norm)
 
 
