@@ -299,6 +299,14 @@ def _pencil_top(g: np.ndarray, z: np.ndarray, shift: float) -> float:
     return d2 + hi
 
 
+def check_gamma(dec: SpectralDecomposition, gamma: float) -> None:
+    """Raise NonFinite where gamma*L or gamma*lambda leaves the float range;
+    no entry of L exceeds its largest diagonal entry."""
+    if not math.isfinite(gamma * max(dec.lambda_max, float(np.max(np.diagonal(dec.laplacian))))):
+        raise NonFinite(f"modified Laplacian: gains.gamma * L leaves the float range "
+                        f"(gains.gamma = {gamma:.6g})")
+
+
 def modified_laplacian(dec: SpectralDecomposition, gamma: float) -> ModifiedLaplacian:
     """Build I + gamma*L and the block data of its inverse.
 
@@ -311,6 +319,7 @@ def modified_laplacian(dec: SpectralDecomposition, gamma: float) -> ModifiedLapl
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
     if gamma in dec.modified:
         return dec.modified[gamma]
+    check_gamma(dec, gamma)
     n = dec.node_count
     L_tilde = np.eye(n) + gamma * dec.laplacian
     try:

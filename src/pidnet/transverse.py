@@ -31,15 +31,25 @@ k(x) < 0 for every unit x, so c(x) > |mu| + k(x)/|mu| >= |mu|: C~ > |mu| I.
 Every root then has real part <= 0, and real part 0 needs k(x) = 0, which
 holds only at the average direction, where the root is s = 0 and simple
 (c > 0 there). So the transverse system, spectrum(Q) less that zero, is
-Hurwitz. Q~(mu) < 0 also makes the QEP hyperbolic (Guo, Higham & Tisseur,
-SIAM J. Matrix Anal. Appl. 30(4), 2009): all 2N roots are real, and with
--Q~(mu) = R R^T the theta = 1/(s - mu) are the eigenvalues of the symmetric
-[[R^-1 Q~'(mu) R^-T, R^-1], [R^-T, 0]], one 2N^2 eigvalsh. Its N positive
-theta are the roots above mu; the smallest is the zero and the next one
-gives the largest real part. The slow roots, nearest mu, get the largest
-theta and so keep their relative accuracy. A Cholesky factor certifies mu;
-where none of a few shifts is certified (beta = 0, complex modes, no mu
-found) or a value is not finite, the dense eigvals of A_tv decides.
+Hurwitz. A Cholesky factor certifies mu. Q~(mu) < 0 also makes the QEP
+hyperbolic (Guo, Higham & Tisseur, SIAM J. Matrix Anal. Appl. 30(4), 2009):
+all 2N roots are real, N of them above mu, and for s > mu the number of
+negative eigenvalues of Q~(s) is the number of roots above s. The largest
+real part is the root r next below the zero, found with N^2 work:
+- estimate: with s^2 dropped and the average mode eliminated (k_0 = 0), the
+  slow roots are -1/eig(K2^-1/2 S K2^-1/2), S the Schur complement of
+  c~_00 in C~; one (N-1)^2 eigvalsh. The top eigenvalue bounds r from above;
+- refine: Rayleigh functional iteration x <- Q~(s)^-1 Q~'(s) x, s <- p+(x),
+  the larger root of s^2 + c(x) s + k(x); one N^2 solve a step;
+- bracket: Q~(r(1 - 1e-10)) has one negative eigenvalue (e_0^T Q~ e_0 < 0
+  and a Cholesky factor of the Schur complement of that entry, by
+  Haynsworth's inertia additivity), and Q~(r(1 + 1e-10)) at least two (its
+  compression on span(e_0, x) is negative definite). So the largest real
+  part lies within 1e-10 of r, relatively. An iteration that ends on a
+  lower root of a close pair fails the first check and restarts with that
+  root's vector projected out.
+Where no shift is certified (beta = 0, complex modes, no mu found), no
+bracket is, or a value is not finite, the dense eigvals of A_tv decides.
 """
 
 from __future__ import annotations
@@ -51,8 +61,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonFinite
-from .netmodel import Gains, Instance
-from .spectral import IDENTITY_TOL, modified_laplacian
+from .netmodel import Gains, Instance, norm2
+from .spectral import EPS, IDENTITY_TOL, check_gamma, modified_laplacian
 
 
 @dataclass(frozen=True)
@@ -114,20 +124,19 @@ def damping_block(poles: np.ndarray, lam: np.ndarray, alpha: float) -> np.ndarra
 
 
 # Shifts mu tried, as multiples of the most negative diagonal estimate of the
-# slow roots: the nearer mu, the better the pencil resolves the slow roots.
+# slow roots.
 SHIFT_FACTORS = (2.0, 3.0, 1.5, 4.0, 1.25, 6.0)
 
 
-def _hyperbolic_max_real_part(T: np.ndarray, lam: np.ndarray, gains: Gains,
+def _hyperbolic_max_real_part(C: np.ndarray, lam: np.ndarray, gains: Gains,
                               rho_max: float) -> float | None:
-    """Largest nonzero root of a hyperbolic Q, or None where no shift is certified.
+    """Largest nonzero root of a hyperbolic Q, or None where no shift mu is
+    certified or no bracket around the root is.
 
-    ``T``, 2N x 2N and zero but for the pole matrix in its top-left block,
-    becomes the pencil; its top-right block, which eigvalsh does not read, is
-    the work space, so no other N^2 array outlives a step.
+    ``C``, the pole matrix, becomes C~ in place.
     """
     n = lam.size
-    C, work, Bt = T[:n, :n], T[:n, n:], T[n:, :n]
+    work = np.empty_like(C)
     d = 1.0 + gains.gamma * lam
     r = 1.0 / np.sqrt(d)
     diag = np.diag_indices(n)
@@ -159,7 +168,6 @@ def _hyperbolic_max_real_part(T: np.ndarray, lam: np.ndarray, gains: Gains,
             # IDENTITY_TOL times the size of the terms of each diagonal entry
             # covers its rounding, and that of the off-diagonal entries, which
             # stays below the geometric mean of the two diagonal sizes
-            exact = negQ.diagonal().copy()
             negQ[diag] -= IDENTITY_TOL * (mu * mu - mu * c_size + k)
         if not np.isfinite(negQ).all():
             continue
@@ -167,28 +175,144 @@ def _hyperbolic_max_real_part(T: np.ndarray, lam: np.ndarray, gains: Gains,
             np.linalg.cholesky(negQ)
         except np.linalg.LinAlgError:
             continue
-        negQ[diag] = exact
         break
     else:
         return None
-    Bt[...] = np.linalg.inv(np.linalg.cholesky(negQ)).T  # R^-T
     with np.errstate(all="ignore"):
-        C[diag] += 2.0 * mu  # Q'(mu)
-        np.matmul(Bt.T, C, out=work)
-        np.matmul(work, Bt, out=C)  # R^-1 Q'(mu) R^-T
-    work[...] = 0.0
-    if not (np.isfinite(C).all() and np.isfinite(Bt).all()):
+        return _slowest_root(C, k, mu, c_size, work)
+
+
+# Relative half-width of the bracket certified around the slowest root; the
+# Rayleigh functional steps allowed (they converge cubically), and the starts
+# (a start that ends on a lower root of a close pair is restarted without it).
+BRACKET = 1e-10
+MAX_STEPS = 8
+STARTS = 3
+
+
+def _slowest_root(C: np.ndarray, k: np.ndarray, mu: float, c_size: np.ndarray,
+                  work: np.ndarray) -> float | None:
+    """Largest nonzero root r of Q(s) = s^2 I + s C + diag(k) above the certified
+    mu, or None where no start ends on a certified bracket r (1 -+ BRACKET).
+
+    On (-c_00, 0) the Schur complement of q_00 in Q(s) is at least s S + K_2,
+    so the estimate -1/theta lies at or above r wherever it exceeds -c_00,
+    and the first step, taken there, favours r over the roots below it.
+    """
+    n = k.size
+    c00, col = C[0, 0], C[1:, 0]
+    # estimate: without s^2, and with x_0 = -C_02 x_2 / c_00, s S x_2 + K_2 x_2 = 0
+    # for the Schur complement S; the slowest root is -1/theta, theta the top
+    # eigenvalue of K_2^-1/2 S K_2^-1/2, and one inverse iteration gives its vector
+    w = 1.0 / np.sqrt(k[1:])
+    M = np.subtract(C[1:, 1:], np.outer(col / c00, col), out=work[1:, 1:])
+    M *= w[:, None]
+    M *= w
+    if not np.isfinite(M).all():
         return None
-    theta = np.linalg.eigvalsh(T)  # theta = 1/(s - mu), ascending; reads the lower triangle
-    # Exactly, the N roots above mu are the N positive theta, all at least
-    # -1/mu, the theta of s = 0. Computed, each theta is off by far less than
-    # tol: the zero must come out within tol of -1/mu, and the next root apart.
-    zero = -1.0 / mu
-    tol = IDENTITY_TOL * max(-theta[0], theta[-1])
-    if not (np.isfinite(theta).all() and theta[n - 1] <= tol < zero - tol
-            and abs(theta[n] - zero) <= tol < theta[n + 1] - zero):
+    theta = float(np.linalg.eigvalsh(M)[-1])
+    if not theta > 0.0:
         return None
-    return mu + 1.0 / float(theta[n + 1])
+    M[np.diag_indices(n - 1)] -= theta * (1.0 + 1e-8)
+    try:
+        y = np.linalg.solve(M, np.ones(n - 1))
+    except np.linalg.LinAlgError:
+        y = np.ones(n - 1)
+    start = np.empty(n)
+    start[1:] = w * y
+    start[0] = -(col @ start[1:]) / (c00 - 1.0 / theta)
+    found = []
+    for _ in range(STARTS):
+        s, x = _refine(C, k, -1.0 / theta, start, work, found)
+        if not s < 0.0:
+            return None
+        if (mu < s * (1.0 + BRACKET)
+                and _one_root_above(C, k, s * (1.0 - BRACKET), c_size, work)
+                and _two_roots_above(C, k, s * (1.0 + BRACKET), x, c_size)):
+            return s
+        found.append((s, x))
+    return None
+
+
+def _refine(C: np.ndarray, k: np.ndarray, s: float, x: np.ndarray, work: np.ndarray,
+            found: list) -> tuple[float, np.ndarray]:
+    """Rayleigh functional iteration x <- Q(s)^-1 Q'(s) x, s <- p+(x) from (s, x),
+    with the vectors of the roots ``found`` projected out; returns s and unit x."""
+    diag = np.diag_indices(k.size)
+    x = _deflated(C, x, s, found)
+    for _ in range(MAX_STEPS):
+        Q = np.multiply(C, s, out=work)
+        Q[diag] += s * s + k
+        rhs = C @ x + 2.0 * s * x
+        try:
+            y = np.linalg.solve(Q, rhs / norm2(rhs))
+        except np.linalg.LinAlgError:
+            break  # Q(s) is singular to working precision: s is the root
+        x = _deflated(C, y, s, found)
+        prev, s = s, _larger_root(x @ (C @ x), k @ (x * x))
+        if not abs(s - prev) > 4.0 * EPS * abs(s):  # converged, or NaN
+            break
+    return s, x
+
+
+def _deflated(C: np.ndarray, v: np.ndarray, s: float, found: list) -> np.ndarray:
+    """v with each root's vector x_f projected out, normalised. Vectors of
+    distinct roots s, s_f are orthogonal in the metric (s + s_f) I + C."""
+    v = v.copy()
+    for s_f, x_f in found:
+        b = C @ x_f + (s + s_f) * x_f
+        v -= (b @ v) / (b @ x_f) * x_f
+    return v / norm2(v)
+
+
+def _larger_root(c: float, k: float) -> float:
+    """The larger root of s^2 + c s + k for c > 0 and real roots, else NaN; from
+    the product of the roots, so c*c may overflow and the root stays exact."""
+    q = k / c
+    disc = 1.0 - 4.0 * (q / c)
+    if not (c > 0.0 and disc >= 0.0):
+        return math.nan
+    return -2.0 * q / (1.0 + math.sqrt(disc))
+
+
+def _one_root_above(C: np.ndarray, k: np.ndarray, s: float, c_size: np.ndarray,
+                    work: np.ndarray) -> bool:
+    """Q(s) has one negative eigenvalue, so 0 is its only root above s: e_0^T Q(s)
+    e_0 < 0 and the Schur complement of that entry is positive definite
+    (Haynsworth's inertia additivity)."""
+    n = k.size
+    Q = np.multiply(C, s, out=work)
+    Q[np.diag_indices(n)] += s * s + k
+    q00, q = Q[0, 0], Q[1:, 0]
+    if not q00 < 0.0:
+        return False
+    schur = Q[1:, 1:]
+    schur -= np.outer(q / q00, q)
+    # (N + 1) eps times the size of each diagonal entry's terms allows for
+    # the rounding of the entries and of the factor
+    size = s * s - s * c_size[1:] + k[1:] - q * (q / q00)
+    schur[np.diag_indices(n - 1)] -= (n + 1) * EPS * size
+    if not np.isfinite(schur).all():
+        return False
+    try:
+        np.linalg.cholesky(schur)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _two_roots_above(C: np.ndarray, k: np.ndarray, s: float, x: np.ndarray,
+                     c_size: np.ndarray) -> bool:
+    """Q(s) has two negative eigenvalues or more, so a nonzero root lies above s:
+    its compression on span(e_0, x), unit x, is negative definite."""
+    n = k.size
+    a = s * (s + C[0, 0])  # e_0^T Q(s) e_0, as k_0 = 0
+    b = s * (s * x[0] + C[0] @ x)
+    kx = k @ (x * x)
+    dd = s * s + s * (x @ (C @ x)) + kx
+    # |C_ij| <= sqrt(c_size_i c_size_j) bounds |x|^T |C| |x|
+    size = s * s - s * (np.sqrt(c_size) @ np.abs(x)) ** 2 + kx
+    return bool(a < 0.0 and dd - b * (b / a) + (n + 1) * EPS * size < 0.0)
 
 
 @dataclass(frozen=True)
@@ -276,6 +400,7 @@ class TransverseSystem:
 def transverse_system(instance: Instance, gains: Gains) -> TransverseSystem:
     """The transverse system with its energy and hyperbolic certificates."""
     dec = instance.dec
+    check_gamma(dec, gains.gamma)
     rho_max = float(np.max(np.abs(instance.ensemble.rho)))
     poles = pole_matrix(instance)
     # alpha*lambda_N + max|rho| bounds the entries and the norm of both terms
@@ -292,11 +417,7 @@ def transverse_system(instance: Instance, gains: Gains) -> TransverseSystem:
     margin = unit * low
     hyperbolic = None
     if gains.beta > 0:
-        n = dec.node_count
-        T = np.zeros((2 * n, 2 * n))
-        T[:n, :n] = poles
-        del poles
-        hyperbolic = _hyperbolic_max_real_part(T, dec.lam, gains, rho_max)
+        hyperbolic = _hyperbolic_max_real_part(poles, dec.lam, gains, rho_max)
     return TransverseSystem(
         instance=instance,
         gains=gains,

@@ -87,6 +87,13 @@ def run_json(capsys, argv) -> tuple[int, dict]:
     return code, json.loads(out)
 
 
+class LinalgCalls(dict):
+    """Call counts by name; ``largest`` is the largest dimension of a matrix
+    passed to any counted call."""
+
+    largest = 0
+
+
 @pytest.fixture
 def linalg_calls(monkeypatch):
     """Count calls of the numpy.linalg solvers by name, Psi computations
@@ -103,12 +110,15 @@ def linalg_calls(monkeypatch):
     targets += [("assemble", module, "assemble") for name, module in list(sys.modules.items())
                 if name.split(".")[0] == "pidnet"
                 and getattr(module, "assemble", None) is netmodel.assemble]
-    counts = dict.fromkeys([key for key, _, _ in targets], 0)
+    counts = LinalgCalls.fromkeys([key for key, _, _ in targets], 0)
     for key, owner, attr in targets:
         original = owner[attr] if isinstance(owner, dict) else getattr(owner, attr)
 
         def counted(*args, _key=key, _fn=original, **kwargs):
             counts[_key] += 1
+            for arg in (*args, *kwargs.values()):
+                if isinstance(arg, np.ndarray) and arg.ndim >= 2:
+                    counts.largest = max(counts.largest, *arg.shape)
             return _fn(*args, **kwargs)
 
         if isinstance(owner, dict):
@@ -193,6 +203,9 @@ HUGE_ALPHA = HOMOGENEOUS.replace("alpha: 2.0", "alpha: 1.0e+300")
 HUGE_ALPHA_BETA = HUGE_ALPHA.replace("beta: 1.0", "beta: 1.0e+308")
 HUGE_GAMMA = HOMOGENEOUS.replace("gamma: 0.5", "gamma: 1.0e+300")
 SINGULAR = "I + gamma*L is singular to working precision at gamma = 1e+300"
+# gamma * L overflows: lambda_N of the 4-node path is 2 + sqrt(2)
+OVERFLOWING_GAMMA = README_CONFIG.replace("gamma: 0.5", "gamma: 1.0e+308")
+GAMMA_RANGE = "gains.gamma * L leaves the float range (gains.gamma = 1e+308)"
 # alpha * lambda_N = 4e310 overflows: assemble names alpha, and the rate's
 # b = alpha*(lam/denom) + rho*/denom stays finite
 HEAVY_ALPHA = HUGE_ALPHA.replace("w: 1.0}", "w: 1.0e+10}").replace("gamma: 0.5", "gamma: 1.0")
@@ -231,12 +244,15 @@ gains: {alpha: 1.0, beta: 1.0, gamma: 0.0}
          "transverse system: gains.alpha * Gamma_hat"),
         (["analyze", "--json"], HUGE_DELTA, 0, '"z_inf_bound": 4.242640687119285e+300'),
         (["simulate", "--json"], HUGE_DELTA + "sim: {t_end: 1.0}\n", 0, '"final_offset": 5.75'),
+        (["analyze", "--json"], OVERFLOWING_GAMMA, 4, GAMMA_RANGE),
+        (["tune", "--json", "--gamma", "1e308"], README_CONFIG, 4, GAMMA_RANGE),
     ],
     ids=[
         "one-node-analyze", "one-node-tune", "one-node-simulate", "huge-gamma-analyze",
         "huge-gamma-tune", "huge-alpha-beta-json", "huge-alpha-beta-tree", "dt-underflow",
         "heavy-alpha-simulate", "heavy-alpha-analyze", "heavy-alpha-no-derivative-analyze",
-        "huge-delta-analyze", "huge-delta-simulate",
+        "huge-delta-analyze", "huge-delta-simulate", "overflowing-gamma-analyze",
+        "overflowing-gamma-tune",
     ],
 )
 def test_exit_code_holes(tmp_path, capsys, argv, config, code, message):
@@ -347,14 +363,19 @@ def test_one_eigensolve_per_command(capsys, hom_config, linalg_calls, config, co
     assert main([command, "--config", path, "--json"]) == 0
     capsys.readouterr()
     # analyze: the sub-block's energy certificate (one symmetric solve) in
-    # place of its dense spectrum, and the full spectrum of a hyperbolic Q
-    # (both configs are) from the certifying Cholesky, the factor of -Q(mu),
-    # its inverse and one symmetric eigvalsh of the pencil, with no eigvals
+    # place of its dense spectrum; the slowest root of a hyperbolic Q (both
+    # configs are) from the Cholesky that certifies mu, one eigvalsh of the
+    # (N-1)^2 estimate, one solve for its vector, a solve per Rayleigh
+    # functional step and the Cholesky of the upper bracket, with no eigvals
     # (||H_hat|| and ||I + H_hat|| come from the one eigh, with no eigensolve)
     analyze = command == "analyze"
+    steps = {"bench": 4, "homogeneous": 2}[config]
     assert linalg_calls == {"eigh": 1, "eigvalsh": 2 * analyze, "eigvals": 0,
-                            "cholesky": 2 * analyze, "inv": 1 * analyze, "solve": 1,
-                            "svd": 0, "psi": 0, "assemble": 0}
+                            "cholesky": 2 * analyze, "inv": 0,
+                            "solve": 1 + (1 + steps) * analyze, "svd": 0, "psi": 0,
+                            "assemble": 0}
+    # no linalg call of analyze or tune takes a matrix larger than N x N
+    assert linalg_calls.largest == {"bench": 6, "homogeneous": 4}[config]
 
 
 @pytest.mark.parametrize("command", ["analyze", "tune"])

@@ -19,6 +19,7 @@ from pidnet import (
     spectral_decompose,
     transverse_system,
 )
+from pidnet import transverse
 from pidnet.errors import NonFinite
 from pidnet.transverse import damping_block, pole_matrix
 from conftest import load_pidbench, random_graph, random_heterogeneous_instance
@@ -310,18 +311,20 @@ def test_property_hyperbolic_certificate_has_no_false_positive(n, seed, alpha, b
         assert abs(tv.max_real_part - np.max(eigs.real)) <= 1e-10 * np.max(np.abs(eigs))
 
 
-def pidbench_case(k):
-    """The k-th analyze-tune op of seed 1 (N = 50, 200, 800 for k = 0, 1, 2)."""
-    case = load_pidbench("inputs").random_instance(np.random.default_rng([1, k]), (50, 200, 800)[k])
+def pidbench_case(k, seed=1):
+    """The k-th analyze-tune op of a seed (N = 50, 200, 800 for k = 0, 1, 2)."""
+    case = load_pidbench("inputs").random_instance(np.random.default_rng([seed, k]),
+                                                   (50, 200, 800)[k])
     inst = Instance.from_graph(Graph(case.n, tuple(case.edges)), case.rho, case.delta)
     return inst, Gains(case.alpha, case.beta, case.gamma)
 
 
-@pytest.mark.parametrize("k", [0, 1, 2], ids=["N50", "N200", "N800"])
-def test_max_real_part_inertia_bracket(k):
+@pytest.mark.parametrize("k, seed", [(0, 1), (1, 1), (2, 1), (2, 2), (2, 3)],
+                         ids=["N50", "N200", "N800", "N800-seed2", "N800-seed3"])
+def test_max_real_part_inertia_bracket(k, seed):
     # Q(s) > 0 above the zero root; between the zero and the next root r one
     # eigenvalue of Q(s) is negative, and past r at least two are
-    inst, gains = pidbench_case(k)
+    inst, gains = pidbench_case(k, seed)
     tv = transverse_system(inst, gains)
     assert tv.spectrum == "hyperbolic"
     r = tv.max_real_part
@@ -330,6 +333,50 @@ def test_max_real_part_inertia_bracket(k):
     if inst.node_count <= 50:
         eigs = np.linalg.eigvals(tv.A_tv)
         assert abs(r - np.max(eigs.real)) <= 1e-10 * np.max(np.abs(eigs))
+
+
+def test_every_certified_shift_gives_the_slowest_root(monkeypatch, rng):
+    # wherever mu is certified, the estimate, the iteration and the bracket
+    # decide without the dense eigvals, and agree with it
+    results = []
+    slowest_root = transverse._slowest_root
+    monkeypatch.setattr(transverse, "_slowest_root",
+                        lambda *args: results.append(slowest_root(*args)) or results[-1])
+    certified = 0
+    for _ in range(600):
+        n = int(rng.integers(2, 40))
+        inst = Instance.from_graph(random_graph(rng, n), rng.uniform(-3, 2, n), np.zeros(n))
+        gains = Gains(alpha=float(10 ** rng.uniform(-2, 2.5)), beta=float(10 ** rng.uniform(-2, 1)),
+                      gamma=float(rng.uniform(0, 3)))
+        before = len(results)
+        tv = transverse_system(inst, gains)
+        if len(results) == before:
+            continue
+        certified += 1
+        assert results[-1] is not None and tv.spectrum == "hyperbolic"
+        eigs = tv.eigenvalues()
+        assert abs(tv.max_real_part - np.max(eigs.real)) <= 1e-10 * np.max(np.abs(eigs))
+    assert certified >= 150
+
+
+def test_close_pair_restarts_without_the_lower_root(monkeypatch):
+    # the slow roots -0.54278 and -0.54396 lie 0.2% apart: the first start ends
+    # on the lower one, whose bracket fails, and the start without it finds r
+    graph = Graph(3, ((2, 1, 2.398161142710754), (2, 0, 2.1264047444205714)))
+    rho = [-0.5004310048439384, -0.5039754504718847, -2.5409049543605295]
+    gains = Gains(alpha=4.24345408200326, beta=1.7113430954642705, gamma=1.97881009392322)
+    starts = []
+    refine = transverse._refine
+    monkeypatch.setattr(transverse, "_refine",
+                        lambda *args: starts.append(refine(*args)) or starts[-1])
+    inst = Instance.from_graph(graph, rho, np.zeros(3))
+    tv = transverse_system(inst, gains)
+    assert tv.spectrum == "hyperbolic"
+    assert [s for s, _ in starts] == pytest.approx([-0.5439598402833697, tv.max_real_part],
+                                                   rel=1e-12)
+    eigs = np.linalg.eigvals(tv.A_tv)
+    assert abs(tv.max_real_part - np.max(eigs.real)) <= 1e-10 * np.max(np.abs(eigs))
+    assert negative_count(inst, gains, tv.max_real_part * (1 - 1e-10)) == 1
 
 
 PATH3 = Graph(3, ((0, 1, 1.0), (1, 2, 1.0)))
