@@ -24,13 +24,13 @@ from .spectral import Graph
 
 
 # Largest graph.nodes a config may declare, checked before any matrix is
-# built. Every command holds dense N^2 and (2N)^2 matrices: measured peak RSS
-# is about 39 MB + 156 bytes * N^2 for analyze (134 MB at N = 800, 253 MB at
-# N = 1200) and about 330 bytes * N^2 for simulate, and the eigensolves grow
-# as N^3 (analyze on a 2-CPU Xeon: 1.1 s at N = 800 and 2.4 s at N = 1200
-# where the hyperbolic certificate holds, 1.9 s and 4.7 s where the dense
-# eigvals decides). At this cap analyze peaks near 0.7 GB and 25 s, simulate
-# near 1.4 GB.
+# built. Every command holds dense N^2 matrices, and simulate and the dense
+# transverse fallback of analyze (2N)^2 ones. Where the hyperbolic
+# certificate holds, analyze peaks near 40 MB + 91 bytes * N^2 (96 MB at
+# N = 800, 165 MB at N = 1200, 369 MB at this cap) and takes 0.8 s, 1.8 s and
+# 7 s on a 2-CPU Xeon; where the dense eigvals decides it takes 1.9 s at
+# N = 800 and 4.7 s at N = 1200, and peaks near 0.7 GB and 25 s at this cap.
+# simulate peaks near 330 bytes * N^2, 1.4 GB at this cap.
 MAX_NODES = 2048
 
 # libyaml's parser builds the same document as the pure-Python one, faster.

@@ -267,12 +267,12 @@ def _deflated(C: np.ndarray, v: np.ndarray, s: float, found: list) -> np.ndarray
 
 def _larger_root(c: float, k: float) -> float:
     """The larger root of s^2 + c s + k for c > 0 and real roots, else NaN; from
-    the product of the roots, so c*c may overflow and the root stays exact."""
+    the product of the roots, so c*c may overflow and the root stays accurate."""
+    if not c > 0.0:
+        return math.nan
     q = k / c
     disc = 1.0 - 4.0 * (q / c)
-    if not (c > 0.0 and disc >= 0.0):
-        return math.nan
-    return -2.0 * q / (1.0 + math.sqrt(disc))
+    return -2.0 * q / (1.0 + math.sqrt(disc)) if disc >= 0.0 else math.nan
 
 
 def _one_root_above(C: np.ndarray, k: np.ndarray, s: float, c_size: np.ndarray,

@@ -379,6 +379,25 @@ def test_close_pair_restarts_without_the_lower_root(monkeypatch):
     assert negative_count(inst, gains, tv.max_real_part * (1 - 1e-10)) == 1
 
 
+def test_bracket_checks_tell_the_sides_of_the_root(monkeypatch):
+    # each inertia check holds on its own side of r and fails on the other
+    args, refined = [], []
+    slowest_root, refine = transverse._slowest_root, transverse._refine
+    monkeypatch.setattr(transverse, "_slowest_root",
+                        lambda *a: args.extend(a) or slowest_root(*a))
+    monkeypatch.setattr(transverse, "_refine", lambda *a: refined.append(refine(*a)) or refined[-1])
+    inst, gains = pidbench_case(0)
+    r = transverse_system(inst, gains).max_real_part
+    C, k, _, c_size, work = args
+    [(s, x)] = refined
+    assert s == r
+    above, below = r * (1 - 1e-10), r * (1 + 1e-10)
+    assert transverse._one_root_above(C, k, above, c_size, work)
+    assert not transverse._one_root_above(C, k, below, c_size, work)
+    assert transverse._two_roots_above(C, k, below, x, c_size)
+    assert not transverse._two_roots_above(C, k, above, x, c_size)
+
+
 PATH3 = Graph(3, ((0, 1, 1.0), (1, 2, 1.0)))
 
 
@@ -415,3 +434,12 @@ def test_non_finite_pencil_falls_back_to_eigvals():
         assert tv.spectrum == "dense"
         with pytest.raises(NonFinite, match="gains.alpha"):
             tv.is_hurwitz()
+
+
+def test_overflowing_gamma_names_the_gain():
+    # gamma * lambda_N = 4e308 leaves the float range before any matrix is formed
+    inst = Instance.from_graph(Graph.ring(4, 1.0), -np.ones(4), np.zeros(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match=r"gains.gamma \* L leaves the float range"):
+            transverse_system(inst, Gains(alpha=1.0, beta=1.0, gamma=1e308))
