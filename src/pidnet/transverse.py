@@ -38,7 +38,7 @@ negative eigenvalues of Q~(s) is the number of roots above s. The largest
 real part is the root r next below the zero, found with N^2 work:
 - estimate: with s^2 dropped and the average mode eliminated (k_0 = 0), the
   slow roots are -1/eig(K2^-1/2 S K2^-1/2), S the Schur complement of
-  c~_00 in C~; one (N-1)^2 eigvalsh. The top eigenvalue bounds r from above;
+  c~_00 in C~; one (N-1)^2 eigvalsh. The largest of them bounds r from above;
 - refine: Rayleigh functional iteration x <- Q~(s)^-1 Q~'(s) x, s <- p+(x),
   the larger root of s^2 + c(x) s + k(x); one N^2 solve a step;
 - bracket: Q~(r(1 - 1e-10)) has one negative eigenvalue (e_0^T Q~ e_0 < 0
@@ -213,7 +213,7 @@ def _slowest_root(C: np.ndarray, k: np.ndarray, mu: float, c_size: np.ndarray,
     theta = float(np.linalg.eigvalsh(M)[-1])
     if not theta > 0.0:
         return None
-    M[np.diag_indices(n - 1)] -= theta * (1.0 + 1e-8)
+    M[np.diag_indices(n - 1)] -= theta * (1.0 + 1e-8)  # just past theta: nonsingular
     try:
         y = np.linalg.solve(M, np.ones(n - 1))
     except np.linalg.LinAlgError:
