@@ -185,7 +185,10 @@ class Equilibrium:
 
 
 def equilibrium(ensemble: NodeEnsemble, mod_lap: ModifiedLaplacian) -> Equilibrium:
-    """Consensus equilibrium x* = x_inf * ones, z* = -L_tilde^-1 (P x* + delta)."""
+    """Consensus equilibrium x* = x_inf * ones, z* = -L_tilde^-1 (P x* + delta).
+
+    L_tilde^-1 = V diag(1, g) V^T, so z* costs two matrix-vector products.
+    """
     rho = ensemble.rho
     delta = ensemble.delta
     n = rho.size
@@ -196,5 +199,12 @@ def equilibrium(ensemble: NodeEnsemble, mod_lap: ModifiedLaplacian) -> Equilibri
         raise SingularEnsemble(f"sum of poles {rho_sum:.3e} is numerically zero")
     x_inf = -float(np.sum(delta)) / rho_sum
     x_star = x_inf * np.ones(n)
-    z_star = -mod_lap.L_tilde_inv @ (rho * x_star + delta)
+    b = rho * x_star + delta
+    # |V^T b| reaches sqrt(N) max|b|, where L_tilde^-1 b (a weighted mean of b)
+    # stays within max|b|: scaling b by a power of two first keeps V^T b finite
+    exp = math.frexp(float(np.max(np.abs(b))))[1]
+    V = mod_lap.dec.V
+    w = V.T @ np.ldexp(b, -exp)
+    w[1:] *= mod_lap.g
+    z_star = -np.ldexp(V @ w, exp)
     return Equilibrium(x_inf=x_inf, x_star=x_star, z_star=z_star)

@@ -310,7 +310,7 @@ def integrate(sys: ClosedLoopSystem, cfg: SimConfig, strict: bool = False) -> Tr
     zs = samples[:, n:]
     # u from the agent equation xdot = rho*x + delta + u, with xdot taken
     # from the ODE right-hand side, so the protocol is exact at samples.
-    xdot = xs @ sys.A1.T + zs + sys.mod_lap.L_tilde_inv @ sys.ensemble.delta
+    xdot = xs @ sys.A1.T + zs + sys.affine[:n]  # L_tilde^-1 delta
     us = xdot - xs * sys.ensemble.rho - sys.ensemble.delta
     disagreement = xs.max(axis=1) - xs.min(axis=1)
     z_norm = row_norms(zs)

@@ -2,20 +2,26 @@
 
 Everything downstream (network assembly, transverse analysis, gain
 certification) is built on the objects defined here: the combinatorial
-Laplacian of a connected weighted graph, its normalized eigendecomposition
-with the averaging direction pinned to the all-ones vector, and the
-derivative-modified Laplacian ``I + gamma*L`` together with the block
-combinations of its inverse.
+Laplacian of a connected weighted graph, its orthonormal eigenbasis V with
+the averaging direction pinned to ones/sqrt(N), and the derivative-modified
+Laplacian ``I + gamma*L``, held as its eigenvalues in that basis.
+
+The derivative gain enters only through ``I + gamma*L = V diag(1 + gamma*
+lambda) V^T``, so ``analyze`` and ``tune`` read g_k = 1/(1 + gamma*lambda_k)
+and V alone. The dense ``I + gamma*L``, its inverse (a dense linear solve)
+and the block combinations of that inverse are built on first use, by the
+closed-loop assembly of ``simulate`` and ``reproduce`` and by the tests, which
+check the diagonalization identities against that independent path.
 
 The norms ||H_hat|| and ||I + H_hat|| come from the eigendecomposition in
-O(N). With V = U/sqrt(N), z = V[0, 1:], Z = V[1:, 1:] and g_k =
-1/(1 + gamma*lambda_k) for k >= 2, H_hat = M diag(g) M^-1 where M = Z - 1 z^T
-and M^-1 = Z^T, so H_hat is similar to diag(g). Since M^T M = P := I + N z z^T,
-||H_hat||^2 is the largest eigenvalue of the pencil (D P D, P) with D =
-diag(g), and ||I + H_hat||^2 that of D = I + diag(g). D^2 is diagonal and P - I
-has rank one, so that eigenvalue is the root of a secular equation (Golub,
-"Some modified matrix eigenvalue problems", SIAM Review 15(2), 1973): no
-(N-1)^2 matrix is formed and no eigensolve beyond the graph's one.
+O(N). With z = V[0, 1:], Z = V[1:, 1:] and g_k = 1/(1 + gamma*lambda_k) for
+k >= 2, H_hat = M diag(g) M^-1 where M = Z - 1 z^T and M^-1 = Z^T, so H_hat
+is similar to diag(g). Since M^T M = P := I + N z z^T, ||H_hat||^2 is the
+largest eigenvalue of the pencil (D P D, P) with D = diag(g), and ||I +
+H_hat||^2 that of D = I + diag(g). D^2 is diagonal and P - I has rank one, so
+that eigenvalue is the root of a secular equation (Golub, "Some modified
+matrix eigenvalue problems", SIAM Review 15(2), 1973): no (N-1)^2 matrix is
+formed and no eigensolve beyond the graph's one.
 """
 
 from __future__ import annotations
@@ -124,24 +130,24 @@ def build_laplacian(graph: Graph) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigendecomposition L = U diag(lambda) U^-1 with U[:, 0] = ones.
+    """Eigendecomposition L = V diag(lambda) V^T, V orthogonal with V[:, 0] =
+    ones/sqrt(N).
 
-    ``U`` is sqrt(N) times an orthogonal matrix whose first column is the
-    normalized averaging direction, so ``U_inv = U.T / N``. The blocks of
-    ``U_inv`` (r11, R12, R21, R22) drive every transverse-coordinate
-    computation downstream.
+    ``U = sqrt(N) V`` (first column exactly ones) and ``U_inv = V^T / sqrt(N)``
+    are the paper's normalization; they and the blocks of ``U_inv`` (r11, R12,
+    R21, R22) are built on first use, by the block-identity checks and the
+    Psi blocks. Every other computation reads V.
     """
 
     laplacian: np.ndarray
     lam: np.ndarray
-    U: np.ndarray
-    U_inv: np.ndarray
+    V: np.ndarray
     # ModifiedLaplacian per gamma, filled by modified_laplacian().
     modified: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def node_count(self) -> int:
-        return self.U.shape[0]
+        return self.V.shape[0]
 
     @property
     def lambda_2(self) -> float:
@@ -150,6 +156,14 @@ class SpectralDecomposition:
     @property
     def lambda_max(self) -> float:
         return float(self.lam[-1])
+
+    @cached_property
+    def U(self) -> np.ndarray:
+        return np.sqrt(self.node_count) * self.V
+
+    @cached_property
+    def U_inv(self) -> np.ndarray:
+        return self.V.T / np.sqrt(self.node_count)
 
     @property
     def r11(self) -> float:
@@ -191,32 +205,51 @@ def spectral_decompose(L: np.ndarray) -> SpectralDecomposition:
     lead = V[np.argmax(above, axis=0), np.arange(1, n)]  # first entry above the floor
     flip = 1 + np.flatnonzero(above.any(axis=0) & (lead < 0))
     V[:, flip] = -V[:, flip]
-    U = np.sqrt(n) * V
-    U_inv = V.T / np.sqrt(n)
     scale = max(1.0, float(eigs[-1]))
-    residual = np.max(np.abs((U * eigs) @ U_inv - L))
+    rebuilt = (V * eigs) @ V.T
+    rebuilt -= L
+    residual = np.max(np.abs(rebuilt, out=rebuilt))
     if residual > IDENTITY_TOL * scale:
         raise DegenerateDecomposition(f"reconstruction residual {residual:.3e}")
-    return SpectralDecomposition(laplacian=L, lam=eigs, U=U, U_inv=U_inv)
+    return SpectralDecomposition(laplacian=L, lam=eigs, V=V)
 
 
 @dataclass(frozen=True)
 class ModifiedLaplacian:
-    """The matrix I + gamma*L, its inverse, and derived block quantities."""
+    """I + gamma*L = V diag(1, 1/g) V^T, held as g and z.
+
+    The dense ``L_tilde``, its inverse, the blocks of that inverse and
+    ``H_hat`` are built on first use, from a dense linear solve.
+    """
 
     gamma: float
-    L_tilde: np.ndarray
-    L_tilde_inv: np.ndarray
-    Sigma_hat_inv: np.ndarray  # diag(1 / (gamma*lambda_k + 1)), k >= 2
-    z: np.ndarray  # U[0, 1:] / sqrt(N): the first row of the orthonormal eigenbasis, k >= 2
+    g: np.ndarray  # 1 / (gamma*lambda_k + 1), k >= 2
+    z: np.ndarray  # V[0, 1:]: the first row of the orthonormal eigenbasis, k >= 2
+    dec: SpectralDecomposition = field(repr=False, compare=False)
+
+    @property
+    def node_count(self) -> int:
+        return self.dec.node_count
+
+    @cached_property
+    def L_tilde(self) -> np.ndarray:
+        return np.eye(self.node_count) + self.gamma * self.dec.laplacian
+
+    @cached_property
+    def L_tilde_inv(self) -> np.ndarray:
+        try:
+            return np.linalg.solve(self.L_tilde, np.eye(self.node_count))
+        except np.linalg.LinAlgError as exc:
+            raise NonFinite(f"modified Laplacian I + gamma*L is singular to working precision "
+                            f"at gamma = {self.gamma:.6g}") from exc
+
+    @property
+    def Sigma_hat_inv(self) -> np.ndarray:
+        return np.diag(self.g)
 
     @cached_property
     def H_hat(self) -> np.ndarray:
         return self.L22_hat - self.L12_hat  # L12_hat taken from every row
-
-    @property
-    def node_count(self) -> int:
-        return self.L_tilde.shape[0]
 
     @property
     def l11_hat(self) -> float:
@@ -238,15 +271,14 @@ class ModifiedLaplacian:
     def h_norm(self) -> float:
         """Exact spectral norm of H_hat ~ diag(g): the square root of the top
         eigenvalue of the pencil (D P D, P), D = diag(g), scaled to max g = 1."""
-        g = np.diagonal(self.Sigma_hat_inv)
-        top = float(np.max(g))
-        return top * math.sqrt(_pencil_top(g / top, self.z, 0.0))
+        top = float(np.max(self.g))
+        return top * math.sqrt(_pencil_top(self.g / top, self.z, 0.0))
 
     @cached_property
     def h1_norm(self) -> float:
         """Exact spectral norm of I + H_hat ~ I + diag(g) (heterogeneous gain
         condition): the pencil (D P D, P) with D = I + diag(g)."""
-        return math.sqrt(_pencil_top(np.diagonal(self.Sigma_hat_inv), self.z, 1.0))
+        return math.sqrt(_pencil_top(self.g, self.z, 1.0))
 
 
 def _pencil_top(g: np.ndarray, z: np.ndarray, shift: float) -> float:
@@ -308,32 +340,29 @@ def check_gamma(dec: SpectralDecomposition, gamma: float) -> None:
 
 
 def modified_laplacian(dec: SpectralDecomposition, gamma: float) -> ModifiedLaplacian:
-    """Build I + gamma*L and the block data of its inverse.
+    """I + gamma*L in the graph's eigenbasis: g_k = 1/(gamma*lambda_k + 1), k >= 2.
 
-    The inverse is computed by a dense linear solve, not through the
-    eigendecomposition, so the diagonalization identities cross-check two
-    independent computation paths. The result is kept on ``dec``, so each
-    (graph, gamma) pair is solved once.
+    No matrix is formed. The result is kept on ``dec``, so each (graph, gamma)
+    pair is built once. Where gamma*L_ii absorbs the identity on every
+    diagonal entry, the formed I + gamma*L would be fl(gamma*L), singular to
+    rounding as L 1 = 0, so that gamma raises NonFinite here, as a failed
+    solve of the lazy ``L_tilde_inv`` does.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
     if gamma in dec.modified:
         return dec.modified[gamma]
     check_gamma(dec, gamma)
-    n = dec.node_count
-    L_tilde = np.eye(n) + gamma * dec.laplacian
-    try:
-        L_tilde_inv = np.linalg.solve(L_tilde, np.eye(n))
-    except np.linalg.LinAlgError as exc:
+    scaled = gamma * np.diagonal(dec.laplacian)
+    if np.all(scaled + 1.0 == scaled):
         raise NonFinite(
             f"modified Laplacian I + gamma*L is singular to working precision at gamma = {gamma:.6g}"
-        ) from exc
+        )
     mod_lap = dec.modified[gamma] = ModifiedLaplacian(
         gamma=float(gamma),
-        L_tilde=L_tilde,
-        L_tilde_inv=L_tilde_inv,
-        Sigma_hat_inv=np.diag(1.0 / (gamma * dec.lam[1:] + 1.0)),
-        z=dec.U[0, 1:] / math.sqrt(n),
+        g=1.0 / (gamma * dec.lam[1:] + 1.0),
+        z=dec.V[0, 1:],
+        dec=dec,
     )
     return mod_lap
 

@@ -20,7 +20,7 @@ quotients m, c, k of the three at x give m s^2 + c s + k = 0 with m > 0
 Energy certificate (the sub-block). Without the average mode, the (x_hat,
 z_hat) sub-block is exactly the QEP s^2 D2 + s C2 + beta Lambda_2 with
 D2 = diag(1 + gamma*lambda_k), C2 = alpha Lambda_2 - V2^T P V2 (V2 =
-U[:, 1:] / sqrt(N)) and Lambda_2. There m > 0, c > 0 when C2 is positive
+V[:, 1:]) and Lambda_2. There m > 0, c > 0 when C2 is positive
 definite and k > 0 when beta > 0, so every root lies in the open left
 half-plane. This costs one symmetric (N-1)^2 eigvalsh; the dense eigvals of
 the sub-block runs only where it does not hold.
@@ -97,24 +97,24 @@ def psi_blocks(instance: Instance, gamma: float) -> PsiBlocks:
 
 
 def pole_matrix(instance: Instance) -> np.ndarray:
-    """V^T diag(rho) V, symmetrised, with V = U / sqrt(N): the agents' poles in
-    the graph's eigenbasis, shared by the damping block and the pencil."""
-    dec = instance.dec
-    n = dec.node_count
+    """V^T diag(rho) V, symmetrised: the agents' poles in the graph's
+    orthonormal eigenbasis V, shared by the damping block and the pencil."""
+    V = instance.dec.V
+    n = V.shape[0]
     rho = instance.ensemble.rho
-    V2 = dec.U[:, 1:] / np.sqrt(n)
+    V2 = V[:, 1:]
     PV = V2.T @ (rho[:, None] * V2)
     PV *= 0.5  # halves first: no overflow near the float limit
     poles = np.empty((n, n))
     poles[1:, 1:] = PV
     poles[1:, 1:] += PV.T
-    poles[0, 1:] = poles[1:, 0] = V2.T @ (rho * (dec.U[:, 0] / np.sqrt(n)))
+    poles[0, 1:] = poles[1:, 0] = V2.T @ (rho * V[:, 0])
     poles[0, 0] = instance.ensemble.psi11
     return poles
 
 
 def damping_block(poles: np.ndarray, lam: np.ndarray, alpha: float) -> np.ndarray:
-    """C2 = alpha Lambda_2 - V2^T diag(rho) V2 from the pole matrix, V2 = U[:, 1:] / sqrt(N).
+    """C2 = alpha Lambda_2 - V2^T diag(rho) V2 from the pole matrix, V2 = V[:, 1:].
 
     The damping of the sub-block's quadratic eigenproblem.
     """

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pidnet import netmodel, transverse
+from pidnet import netmodel, spectral, transverse
 from pidnet.cli import BENCHMARK_ALPHA_REFERENCE, main
 from pidnet.config import MAX_NODES, parse_config
 from pidnet.spectral import modified_laplacian
@@ -126,6 +127,23 @@ def linalg_calls(monkeypatch):
         else:
             monkeypatch.setattr(owner, attr, counted)
     return counts
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every SpectralDecomposition and ModifiedLaplacian a command builds."""
+    made = []
+    for cls in (spectral.SpectralDecomposition, spectral.ModifiedLaplacian):
+        def record(*args, _cls=cls, **kwargs):
+            made.append(_cls(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(spectral, cls.__name__, record)
+    return made
+
+
+# dense N x N accessors built on first use; analyze and tune read none of them
+DENSE = {"U", "U_inv", "L_tilde", "L_tilde_inv", "H_hat"}
 
 
 def test_analyze_benchmark(capsys):
@@ -358,7 +376,7 @@ def test_huge_alpha_reports_finite_rate(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("config", ["bench", "homogeneous"])
 @pytest.mark.parametrize("command", ["analyze", "tune"])
-def test_one_eigensolve_per_command(capsys, hom_config, linalg_calls, config, command):
+def test_one_eigensolve_per_command(capsys, hom_config, linalg_calls, built, config, command):
     path = str(BENCH_CONFIG) if config == "bench" else hom_config
     assert main([command, "--config", path, "--json"]) == 0
     capsys.readouterr()
@@ -367,15 +385,20 @@ def test_one_eigensolve_per_command(capsys, hom_config, linalg_calls, config, co
     # configs are) from the Cholesky that certifies mu, one eigvalsh of the
     # (N-1)^2 estimate, one solve for its vector, a solve per Rayleigh
     # functional step and the Cholesky of the upper bracket, with no eigvals
-    # (||H_hat|| and ||I + H_hat|| come from the one eigh, with no eigensolve)
+    # (||H_hat|| and ||I + H_hat|| come from the one eigh, with no eigensolve,
+    # and z* from the eigenbasis, with no solve of I + gamma*L)
     analyze = command == "analyze"
     steps = {"bench": 4, "homogeneous": 2}[config]
     assert linalg_calls == {"eigh": 1, "eigvalsh": 2 * analyze, "eigvals": 0,
                             "cholesky": 2 * analyze, "inv": 0,
-                            "solve": 1 + (1 + steps) * analyze, "svd": 0, "psi": 0,
+                            "solve": (1 + steps) * analyze, "svd": 0, "psi": 0,
                             "assemble": 0}
     # no linalg call of analyze or tune takes a matrix larger than N x N
     assert linalg_calls.largest == {"bench": 6, "homogeneous": 4}[config]
+    # one decomposition and one modified Laplacian, neither holding a dense accessor
+    assert [type(obj).__name__ for obj in built] == ["SpectralDecomposition",
+                                                     "ModifiedLaplacian"]
+    assert [DENSE & vars(obj).keys() for obj in built] == [set(), set()]
 
 
 @pytest.mark.parametrize("command", ["analyze", "tune"])
@@ -432,18 +455,69 @@ def test_heavy_alpha_sub_block_from_energy_certificate_over_alpha(tmp_path, caps
     assert tv["hurwitz"] is True and tv["max_real_part"] < 0
 
 
-def test_tune_gamma_reports_analysis_at_that_gamma(capsys, linalg_calls):
+def test_tune_gamma_reports_analysis_at_that_gamma(capsys, linalg_calls, built):
     # bundled microgrid (gamma 1, lambda_2 = 5, N = 6): the bound is 6/(0.3*5 + 1)
     code, report = run_json(capsys, ["tune", "--config", str(BENCH_CONFIG), "--gamma", "0.3",
                                      "--json"])
     assert code == 0
-    assert linalg_calls["solve"] == 1  # I + 0.3 L only: the config's gamma is never solved
+    assert linalg_calls["solve"] == 0  # tune builds no I + gamma*L
+    # I + 0.3 L only: the config's gamma is never built
+    assert [obj.gamma for obj in built if hasattr(obj, "gamma")] == [0.3]
     ana = report["analysis"]
     assert ana["h_norm_bound"] == pytest.approx(2.4, rel=1e-12)
     dec = parse_config(BENCH_CONFIG.read_text()).instance.dec
     assert ana["h_norm_exact"] == pytest.approx(modified_laplacian(dec, 0.3).h_norm, rel=1e-12)
     code, plain = run_json(capsys, ["tune", "--config", str(BENCH_CONFIG), "--json"])
     assert plain["analysis"]["h_norm_bound"] == pytest.approx(1.0, rel=1e-12)
+
+
+# STAR4 of test_spectral: the LU of I + 1e16 L hits an exact zero pivot, but
+# nodes 1 and 2 keep the identity, so analyze needs no inverse
+ZERO_PIVOT_GAMMA = HOMOGENEOUS.replace("""    - {i: 0, j: 1, w: 1.0}
+    - {i: 1, j: 2, w: 1.0}
+    - {i: 2, j: 3, w: 1.0}
+    - {i: 3, j: 0, w: 1.0}
+""", """    - {i: 2, j: 3, w: 1.2974605934997234}
+    - {i: 3, j: 0, w: 2.036281092959901}
+    - {i: 3, j: 1, w: 0.2380404126984551}
+""").replace("gamma: 0.5", "gamma: 1.0e+16")
+
+
+@pytest.mark.parametrize("command, code", [("analyze", 0), ("tune", 0), ("simulate", 4)])
+def test_zero_pivot_gamma_fails_only_simulate(tmp_path, capsys, command, code):
+    p = tmp_path / "star.yaml"
+    p.write_text(ZERO_PIVOT_GAMMA)
+    out = tmp_path / "out"
+    argv = [command, "--json", "--config", str(p)]
+    argv += ["--out", str(out)] if command == "simulate" else []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == code
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    captured = capsys.readouterr()
+    if code:
+        # the closed-loop assembly solves I + gamma*L, and its LU fails
+        assert captured.err == ("numeric failure: modified Laplacian I + gamma*L is singular "
+                                "to working precision at gamma = 1e+16\n")
+        assert not out.exists()
+    else:
+        json.loads(captured.out, parse_constant=_reject_constant)
+
+
+def test_analyze_traced_peak_in_dense_matrices(tmp_path, capsys):
+    # analyze on the N = 200 benchmark instance: its traced peak is 5.8 matrices
+    # of N^2 floats (9.9 while I + gamma*L, its inverse and U and U^-1 were held)
+    n = 200
+    p = tmp_path / "n200.yaml"
+    p.write_text(load_pidbench("inputs").random_instance(np.random.default_rng(1), n).to_yaml())
+    tracemalloc.start()
+    try:
+        assert main(["analyze", "--config", str(p), "--json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 6.5 * 8 * n * n
 
 
 def ring_config(n: int) -> str:

@@ -1,5 +1,7 @@
 """Graph/Laplacian construction and the block spectral identities."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
@@ -345,6 +347,45 @@ def test_singular_modified_laplacian_names_gamma():
     dec = decompose(Graph.ring(4, 1.0))
     with pytest.raises(NonFinite, match=r"I \+ gamma\*L is singular .* at gamma = 1e\+300$"):
         modified_laplacian(dec, 1e300)
+
+
+# huge gammas around the loss of the identity (gamma*L_ii >= 2^53), and beyond
+HUGE_GAMMAS = [10.0 ** (12 + q / 4) for q in range(25)] + [1e200, 1e300]
+
+
+def test_singular_exactly_where_identity_is_lost_on_every_diagonal():
+    # formed I + gamma*L equals fl(gamma*L), whose rows sum to about 0, exactly
+    # where 1 + gamma*L_ii rounds to gamma*L_ii for every i
+    outcomes = set()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        dec = decompose(random_graph(rng, int(rng.integers(2, 60))))
+        n, L = dec.node_count, dec.laplacian
+        for gamma in HUGE_GAMMAS:
+            lost = np.array_equal(np.eye(n) + gamma * L, gamma * L)
+            outcomes.add(lost)
+            if lost:
+                with pytest.raises(NonFinite, match=rf"singular .* at gamma = {re.escape(f'{gamma:.6g}')}$"):
+                    modified_laplacian(dec, gamma)
+            else:
+                assert 0.0 < modified_laplacian(dec, gamma).h_norm < np.inf
+    assert outcomes == {False, True}
+
+
+# a star on node 3, where the LU of I + 1e16 L hits an exact zero pivot
+# though nodes 1 and 2 keep the identity (L_11 = 0.238, L_22 = 1.297)
+STAR4 = Graph(4, ((2, 3, 1.2974605934997234), (3, 0, 2.036281092959901),
+                  (3, 1, 0.2380404126984551)))
+
+
+def test_zero_pivot_gamma_fails_only_the_lazy_inverse():
+    dec = decompose(STAR4)
+    mod = modified_laplacian(dec, 1e16)
+    assert mod.h_norm == pytest.approx(3.5346494740270537e-16, rel=1e-12)
+    with pytest.raises(NonFinite, match=r"I \+ gamma\*L is singular .* at gamma = 1e\+16$"):
+        mod.L_tilde_inv
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(mod.L_tilde, np.eye(4))
 
 
 # --------------------------------------------------------- hypothesis
