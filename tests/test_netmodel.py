@@ -125,6 +125,16 @@ def test_equilibrium_oracle_linear_solve(rng):
     assert np.max(np.abs(sol - np.concatenate([eq.x_star, eq.z_star]))) < 1e-8
 
 
+def test_equilibrium_near_the_float_limit():
+    # P x* + delta = [1.5e308, -1.5e308] has a norm beyond the float range,
+    # but z* = -(I + gamma*L)^-1 (P x* + delta), a weighted mean of it, does not
+    inst = Instance.from_graph(Graph(2, ((0, 1, 1.0),)), [1.0, -2.0], [1e308, -0.5e308])
+    eq = equilibrium(inst.ensemble, modified_laplacian(inst.dec, 1e3))
+    assert eq.x_inf == 5e307
+    # P x* + delta is an eigenvector of L for lambda = 2
+    assert eq.z_star == pytest.approx(np.array([-1.5e308, 1.5e308]) / 2001.0, rel=1e-14)
+
+
 def test_singular_ensemble(rng):
     inst = Instance.from_graph(random_graph(rng, 4), [1.0, -1.0, 2.0, -2.0], np.ones(4))
     with pytest.raises(SingularEnsemble):
