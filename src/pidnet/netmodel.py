@@ -19,7 +19,6 @@ from .spectral import (
     Graph,
     ModifiedLaplacian,
     SpectralDecomposition,
-    build_laplacian,
     modified_laplacian,
     spectral_decompose,
 )
@@ -128,7 +127,7 @@ class Instance:
 
     @staticmethod
     def from_graph(graph: Graph, rho, delta) -> "Instance":
-        dec = spectral_decompose(build_laplacian(graph))
+        dec = spectral_decompose(graph)
         return Instance(dec=dec, ensemble=NodeEnsemble(rho=rho, delta=delta))
 
     @property

@@ -6,6 +6,10 @@ Laplacian of a connected weighted graph, its orthonormal eigenbasis V with
 the averaging direction pinned to ones/sqrt(N), and the derivative-modified
 Laplacian ``I + gamma*L``, held as its eigenvalues in that basis.
 
+After the eigensolve the decomposition holds L as its diagonal, the weighted
+degrees, which is all of L that ``analyze`` and ``tune`` read. The dense L is
+rebuilt from the graph, bit for bit, on first use.
+
 The derivative gain enters only through ``I + gamma*L = V diag(1 + gamma*
 lambda) V^T``, so ``analyze`` and ``tune`` read g_k = 1/(1 + gamma*lambda_k)
 and V alone. The dense ``I + gamma*L``, its inverse (a dense linear solve)
@@ -100,21 +104,6 @@ class Graph:
         root = find(0)
         return all(find(k) == root for k in range(self.node_count))
 
-    @staticmethod
-    def ring(node_count: int, weight: float = 1.0) -> "Graph":
-        """Cycle graph with uniform edge weight."""
-        edges = tuple((k, (k + 1) % node_count, weight) for k in range(node_count))
-        return Graph(node_count, edges)
-
-    @staticmethod
-    def complete(node_count: int, weight: float = 1.0) -> "Graph":
-        edges = tuple(
-            (i, j, weight)
-            for i in range(node_count)
-            for j in range(i + 1, node_count)
-        )
-        return Graph(node_count, edges)
-
 
 def build_laplacian(graph: Graph) -> np.ndarray:
     """Assemble the weighted combinatorial Laplacian matrix."""
@@ -133,13 +122,16 @@ class SpectralDecomposition:
     """Eigendecomposition L = V diag(lambda) V^T, V orthogonal with V[:, 0] =
     ones/sqrt(N).
 
+    L is held as its diagonal ``degree``; the dense ``laplacian`` is rebuilt
+    from ``graph`` on first use, by the closed-loop assembly and the tests.
     ``U = sqrt(N) V`` (first column exactly ones) and ``U_inv = V^T / sqrt(N)``
     are the paper's normalization; they and the blocks of ``U_inv`` (r11, R12,
     R21, R22) are built on first use, by the block-identity checks and the
     Psi blocks. Every other computation reads V.
     """
 
-    laplacian: np.ndarray
+    graph: Graph
+    degree: np.ndarray  # the diagonal of L
     lam: np.ndarray
     V: np.ndarray
     # ModifiedLaplacian per gamma, filled by modified_laplacian().
@@ -156,6 +148,10 @@ class SpectralDecomposition:
     @property
     def lambda_max(self) -> float:
         return float(self.lam[-1])
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        return build_laplacian(self.graph)
 
     @cached_property
     def U(self) -> np.ndarray:
@@ -182,14 +178,20 @@ class SpectralDecomposition:
         return self.U_inv[1:, 1:]
 
 
-def spectral_decompose(L: np.ndarray) -> SpectralDecomposition:
-    """Compute the block-normalized spectral decomposition of a Laplacian.
+# Rows of an N x N product formed at a time: the reconstruction V diag(lambda) V^T
+# here, and the rank-one update of the transverse layer's Schur complement.
+BLOCK_ROWS = 128
+
+
+def spectral_decompose(graph: Graph) -> SpectralDecomposition:
+    """Compute the block-normalized spectral decomposition of a graph's Laplacian.
 
     This is the only eigensolve of a graph. The eigenvector of the zero
     eigenvalue is fixed to +ones/sqrt(N) exactly; the sign of every other
     eigenvector is fixed so its first entry above the noise floor is
     positive. Within a repeated eigenvalue any orthonormal basis is accepted.
     """
+    L = build_laplacian(graph)
     n = L.shape[0]
     eigs, V = np.linalg.eigh(L)
     if n > 1 and eigs[1] <= CONNECTIVITY_RTOL * max(float(eigs[-1]), 1.0):
@@ -206,12 +208,15 @@ def spectral_decompose(L: np.ndarray) -> SpectralDecomposition:
     flip = 1 + np.flatnonzero(above.any(axis=0) & (lead < 0))
     V[:, flip] = -V[:, flip]
     scale = max(1.0, float(eigs[-1]))
-    rebuilt = (V * eigs) @ V.T
-    rebuilt -= L
-    residual = np.max(np.abs(rebuilt, out=rebuilt))
+    residual = 0.0
+    for start in range(0, n, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        rebuilt = (V[rows] * eigs) @ V.T
+        rebuilt -= L[rows]
+        residual = max(residual, float(np.max(np.abs(rebuilt, out=rebuilt))))
     if residual > IDENTITY_TOL * scale:
         raise DegenerateDecomposition(f"reconstruction residual {residual:.3e}")
-    return SpectralDecomposition(laplacian=L, lam=eigs, V=V)
+    return SpectralDecomposition(graph=graph, degree=np.diagonal(L).copy(), lam=eigs, V=V)
 
 
 @dataclass(frozen=True)
@@ -334,7 +339,7 @@ def _pencil_top(g: np.ndarray, z: np.ndarray, shift: float) -> float:
 def check_gamma(dec: SpectralDecomposition, gamma: float) -> None:
     """Raise NonFinite where gamma*L or gamma*lambda leaves the float range;
     no entry of L exceeds its largest diagonal entry."""
-    if not math.isfinite(gamma * max(dec.lambda_max, float(np.max(np.diagonal(dec.laplacian))))):
+    if not math.isfinite(gamma * max(dec.lambda_max, float(np.max(dec.degree)))):
         raise NonFinite(f"modified Laplacian: gains.gamma * L leaves the float range "
                         f"(gains.gamma = {gamma:.6g})")
 
@@ -353,7 +358,7 @@ def modified_laplacian(dec: SpectralDecomposition, gamma: float) -> ModifiedLapl
     if gamma in dec.modified:
         return dec.modified[gamma]
     check_gamma(dec, gamma)
-    scaled = gamma * np.diagonal(dec.laplacian)
+    scaled = gamma * dec.degree
     if np.all(scaled + 1.0 == scaled):
         raise NonFinite(
             f"modified Laplacian I + gamma*L is singular to working precision at gamma = {gamma:.6g}"

@@ -17,6 +17,11 @@ quotients m, c, k of the three at x give m s^2 + c s + k = 0 with m > 0
 (Tisseur & Meerbergen, "The Quadratic Eigenvalue Problem", SIAM Review
 43(2), 2001). Two certificates follow from it.
 
+``DampedQEP`` is this problem for one (instance, gains). It holds d,
+alpha*lambda/d and k, and the transverse layer's only two N x N buffers: the
+pole matrix Pi = V^T P V, turned into C~ in place, and one work buffer that
+each step below overwrites. Both certificates and A_tv read it.
+
 Energy certificate (the sub-block). Without the average mode, the (x_hat,
 z_hat) sub-block is exactly the QEP s^2 D2 + s C2 + beta Lambda_2 with
 D2 = diag(1 + gamma*lambda_k), C2 = alpha Lambda_2 - V2^T P V2 (V2 =
@@ -62,7 +67,7 @@ import numpy as np
 
 from .errors import NonFinite
 from .netmodel import Gains, Instance, norm2
-from .spectral import EPS, IDENTITY_TOL, check_gamma, modified_laplacian
+from .spectral import BLOCK_ROWS, EPS, IDENTITY_TOL, check_gamma, modified_laplacian
 
 
 @dataclass(frozen=True)
@@ -96,31 +101,66 @@ def psi_blocks(instance: Instance, gamma: float) -> PsiBlocks:
     )
 
 
-def pole_matrix(instance: Instance) -> np.ndarray:
-    """V^T diag(rho) V, symmetrised: the agents' poles in the graph's
-    orthonormal eigenbasis V, shared by the damping block and the pencil."""
-    V = instance.dec.V
-    n = V.shape[0]
-    rho = instance.ensemble.rho
-    V2 = V[:, 1:]
-    PV = V2.T @ (rho[:, None] * V2)
-    PV *= 0.5  # halves first: no overflow near the float limit
-    poles = np.empty((n, n))
-    poles[1:, 1:] = PV
-    poles[1:, 1:] += PV.T
-    poles[0, 1:] = poles[1:, 0] = V2.T @ (rho * V[:, 0])
-    poles[0, 0] = instance.ensemble.psi11
-    return poles
+def dominant_real_part(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Largest real part of the roots of s^2 + b s + c, elementwise, for b > 0.
 
-
-def damping_block(poles: np.ndarray, lam: np.ndarray, alpha: float) -> np.ndarray:
-    """C2 = alpha Lambda_2 - V2^T diag(rho) V2 from the pole matrix, V2 = V[:, 1:].
-
-    The damping of the sub-block's quadratic eigenproblem.
+    Complex (or double) roots give -b/2. Real ones give the larger root from
+    the product of the roots, -2q/(1 + sqrt(1 - 4q/b)) with q = c/b, so no
+    b*b is formed and nothing cancels however small the root. An infinite c
+    leaves the sign of the discriminant unknown where b*b overflows: NaN.
     """
-    C2 = -poles[1:, 1:]
-    C2[np.diag_indices_from(C2)] += alpha * lam[1:]
-    return C2
+    with np.errstate(all="ignore"):
+        q = c / b
+        disc = 1.0 - 4.0 * (q / b)
+        root = np.where(disc > 0.0, -2.0 * q / (1.0 + np.sqrt(disc)), -b / 2.0)
+        return np.where(np.isinf(c) & np.isinf(b * b), np.nan, root)
+
+
+class DampedQEP:
+    """Q~(s) = s^2 I + s C~ + diag(k) of one (instance, gains): d = 1 + gamma*lambda,
+    c_alpha = alpha*lambda/d, k = beta*lambda/d and C~ = D^-1/2 (alpha Lambda - Pi) D^-1/2.
+
+    It owns the transverse layer's two N x N buffers. ``C`` holds the pole
+    matrix Pi = V^T diag(rho) V (the agents' poles in the graph's eigenbasis)
+    until the shift search turns it into C~ in place; ``work`` is overwritten
+    by each step: rho*V2 of the pole product, the energy block C2, -Q~(mu),
+    the estimate, each Q~(s) and the Schur complement.
+    """
+
+    def __init__(self, instance: Instance, gains: Gains):
+        lam = instance.dec.lam
+        n = lam.size
+        self.gains, self.lam = gains, lam
+        self.d = 1.0 + gains.gamma * lam
+        self.r = 1.0 / np.sqrt(self.d)
+        self.rho_max = float(np.max(np.abs(instance.ensemble.rho)))
+        with np.errstate(all="ignore"):  # a non-finite value sends the caller to eigvals
+            self.c_alpha = gains.alpha * (lam / self.d)  # finite where alpha*lambda_N need not be
+            self.k = gains.beta * (lam / self.d)
+            # |C~_ij| <= c_alpha_i [i = j] + max|rho| r_i r_j
+            self.c_size = self.c_alpha + self.rho_max * self.r * self.r
+        self.C, self.work = np.empty((n, n)), np.empty((n, n))
+        V, rho = instance.dec.V, instance.ensemble.rho
+        V2 = V[:, 1:]
+        PV = np.matmul(V2.T, np.multiply(rho[:, None], V2, out=self.work[:, 1:]),
+                       out=self.C[1:, 1:])
+        PV *= 0.5  # halves first: no overflow near the float limit
+        PV[...] = np.add(PV, PV.T, out=self.work[1:, 1:])
+        self.C[0, 1:] = self.C[1:, 0] = V2.T @ (rho * V[:, 0])
+        self.C[0, 0] = instance.ensemble.psi11
+
+    def energy_block(self, unit: float) -> np.ndarray:
+        """C2 / unit = (alpha Lambda_2 - V2^T P V2) / unit in ``work``, from Pi: the
+        damping of the sub-block's quadratic eigenproblem, V2 = V[:, 1:]."""
+        C2 = np.divide(self.C[1:, 1:], -unit, out=self.work[1:, 1:])
+        C2[np.diag_indices_from(C2)] += self.gains.alpha / unit * self.lam[1:]
+        return C2
+
+    def at(self, s: float) -> np.ndarray:
+        """Q~(s), formed in ``work``."""
+        Q = np.multiply(self.C, s, out=self.work)
+        Q[np.diag_indices_from(Q)] += s * s + self.k
+        return Q
 
 
 # Shifts mu tried, as multiples of the most negative diagonal estimate of the
@@ -128,43 +168,30 @@ def damping_block(poles: np.ndarray, lam: np.ndarray, alpha: float) -> np.ndarra
 SHIFT_FACTORS = (2.0, 3.0, 1.5, 4.0, 1.25, 6.0)
 
 
-def _hyperbolic_max_real_part(C: np.ndarray, lam: np.ndarray, gains: Gains,
-                              rho_max: float) -> float | None:
+def _hyperbolic_max_real_part(qep: DampedQEP) -> float | None:
     """Largest nonzero root of a hyperbolic Q, or None where no shift mu is
-    certified or no bracket around the root is.
-
-    ``C``, the pole matrix, becomes C~ in place.
-    """
-    n = lam.size
-    work = np.empty_like(C)
-    d = 1.0 + gains.gamma * lam
-    r = 1.0 / np.sqrt(d)
-    diag = np.diag_indices(n)
-    with np.errstate(all="ignore"):  # a non-finite value sends the caller to eigvals
-        C *= -r[:, None]
-        C *= r
-        c_alpha = gains.alpha * (lam / d)  # finite where alpha*lambda_N need not be
-        C[diag] += c_alpha
-        k = gains.beta * (lam / d)
-        # Q(mu) < 0 needs each diagonal s^2 + c s + k negative at mu: real
-        # roots, mu below every slow root and above every fast one
-        c = C.diagonal().copy()
-        q = k / c
-        disc = 1.0 - 4.0 * (q / c)
-        slow = -2.0 * q / (1.0 + np.sqrt(disc))
+    certified or no bracket around the root is. Turns ``qep.C`` into C~."""
+    C, k, c_size = qep.C, qep.k, qep.c_size
+    diag = np.diag_indices(k.size)
+    with np.errstate(all="ignore"):
+        C *= -qep.r[:, None]
+        C *= qep.r
+        C[diag] += qep.c_alpha
+    # Q(mu) < 0 needs each diagonal s^2 + c s + k negative at mu: real roots,
+    # mu below every slow root and above every fast one (complex roots give
+    # slow = fast = -c/2, so lo >= hi)
+    c = C.diagonal()
+    slow = dominant_real_part(c, k)
+    with np.errstate(all="ignore"):
         hi, lo = float(np.min(slow[1:])), float(np.max(-c - slow))
-        # |C_ij| <= alpha*lambda_i/d_i [i = j] + max|rho|/sqrt(d_i d_j)
-        c_size = c_alpha + rho_max * r * r
-    if not (np.isfinite(C).all() and np.isfinite(k).all() and np.all(c > 0)
-            and np.all(disc > 0) and lo < hi < 0):
+    if not (np.isfinite(C).all() and np.isfinite(k).all() and np.all(c > 0) and lo < hi < 0):
         return None
     for factor in SHIFT_FACTORS:
         mu = factor * hi
         if not lo < mu:
             continue
         with np.errstate(all="ignore"):
-            negQ = np.multiply(C, -mu, out=work)
-            negQ[diag] -= mu * mu + k
+            negQ = np.negative(qep.at(mu), out=qep.work)
             # IDENTITY_TOL times the size of the terms of each diagonal entry
             # covers its rounding, and that of the off-diagonal entries, which
             # stays below the geometric mean of the two diagonal sizes
@@ -179,7 +206,7 @@ def _hyperbolic_max_real_part(C: np.ndarray, lam: np.ndarray, gains: Gains,
     else:
         return None
     with np.errstate(all="ignore"):
-        return _slowest_root(C, k, mu, c_size, work)
+        return _slowest_root(qep, mu)
 
 
 # Relative half-width of the bracket certified around the slowest root; the
@@ -190,8 +217,7 @@ MAX_STEPS = 8
 STARTS = 3
 
 
-def _slowest_root(C: np.ndarray, k: np.ndarray, mu: float, c_size: np.ndarray,
-                  work: np.ndarray) -> float | None:
+def _slowest_root(qep: DampedQEP, mu: float) -> float | None:
     """Largest nonzero root r of Q(s) = s^2 I + s C + diag(k) above the certified
     mu, or None where no start ends on a certified bracket r (1 -+ BRACKET).
 
@@ -199,13 +225,15 @@ def _slowest_root(C: np.ndarray, k: np.ndarray, mu: float, c_size: np.ndarray,
     so the estimate -1/theta lies at or above r wherever it exceeds -c_00,
     and the first step, taken there, favours r over the roots below it.
     """
+    C, k = qep.C, qep.k
     n = k.size
     c00, col = C[0, 0], C[1:, 0]
     # estimate: without s^2, and with x_0 = -C_02 x_2 / c_00, s S x_2 + K_2 x_2 = 0
     # for the Schur complement S; the slowest root is -1/theta, theta the top
     # eigenvalue of K_2^-1/2 S K_2^-1/2, and one inverse iteration gives its vector
     w = 1.0 / np.sqrt(k[1:])
-    M = np.subtract(C[1:, 1:], np.outer(col / c00, col), out=work[1:, 1:])
+    M = np.outer(col / c00, col, out=qep.work[1:, 1:])
+    np.subtract(C[1:, 1:], M, out=M)
     M *= w[:, None]
     M *= w
     if not np.isfinite(M).all():
@@ -223,33 +251,31 @@ def _slowest_root(C: np.ndarray, k: np.ndarray, mu: float, c_size: np.ndarray,
     start[0] = -(col @ start[1:]) / (c00 - 1.0 / theta)
     found = []
     for _ in range(STARTS):
-        s, x = _refine(C, k, -1.0 / theta, start, work, found)
+        s, x = _refine(qep, -1.0 / theta, start, found)
         if not s < 0.0:
             return None
         if (mu < s * (1.0 + BRACKET)
-                and _one_root_above(C, k, s * (1.0 - BRACKET), c_size, work)
-                and _two_roots_above(C, k, s * (1.0 + BRACKET), x, c_size)):
+                and _one_root_above(qep, s * (1.0 - BRACKET))
+                and _two_roots_above(qep, s * (1.0 + BRACKET), x)):
             return s
         found.append((s, x))
     return None
 
 
-def _refine(C: np.ndarray, k: np.ndarray, s: float, x: np.ndarray, work: np.ndarray,
-            found: list) -> tuple[float, np.ndarray]:
+def _refine(qep: DampedQEP, s: float, x: np.ndarray, found: list) -> tuple[float, np.ndarray]:
     """Rayleigh functional iteration x <- Q(s)^-1 Q'(s) x, s <- p+(x) from (s, x),
     with the vectors of the roots ``found`` projected out; returns s and unit x."""
-    diag = np.diag_indices(k.size)
+    C, k = qep.C, qep.k
     x = _deflated(C, x, s, found)
     for _ in range(MAX_STEPS):
-        Q = np.multiply(C, s, out=work)
-        Q[diag] += s * s + k
+        Q = qep.at(s)
         rhs = C @ x + 2.0 * s * x
         try:
             y = np.linalg.solve(Q, rhs / norm2(rhs))
         except np.linalg.LinAlgError:
             break  # Q(s) is singular to working precision: s is the root
         x = _deflated(C, y, s, found)
-        prev, s = s, _larger_root(x @ (C @ x), k @ (x * x))
+        prev, s = s, float(dominant_real_part(x @ (C @ x), k @ (x * x)))
         if not abs(s - prev) > 4.0 * EPS * abs(s):  # converged, or NaN
             break
     return s, x
@@ -265,32 +291,22 @@ def _deflated(C: np.ndarray, v: np.ndarray, s: float, found: list) -> np.ndarray
     return v / norm2(v)
 
 
-def _larger_root(c: float, k: float) -> float:
-    """The larger root of s^2 + c s + k for c > 0 and real roots, else NaN; from
-    the product of the roots, so c*c may overflow and the root stays accurate."""
-    if not c > 0.0:
-        return math.nan
-    q = k / c
-    disc = 1.0 - 4.0 * (q / c)
-    return -2.0 * q / (1.0 + math.sqrt(disc)) if disc >= 0.0 else math.nan
-
-
-def _one_root_above(C: np.ndarray, k: np.ndarray, s: float, c_size: np.ndarray,
-                    work: np.ndarray) -> bool:
+def _one_root_above(qep: DampedQEP, s: float) -> bool:
     """Q(s) has one negative eigenvalue, so 0 is its only root above s: e_0^T Q(s)
     e_0 < 0 and the Schur complement of that entry is positive definite
     (Haynsworth's inertia additivity)."""
+    k = qep.k
     n = k.size
-    Q = np.multiply(C, s, out=work)
-    Q[np.diag_indices(n)] += s * s + k
+    Q = qep.at(s)
     q00, q = Q[0, 0], Q[1:, 0]
     if not q00 < 0.0:
         return False
-    schur = Q[1:, 1:]
-    schur -= np.outer(q / q00, q)
+    schur, u = Q[1:, 1:], q / q00
+    for start in range(0, n - 1, BLOCK_ROWS):  # no (N-1)^2 outer product beside C and work
+        schur[start:start + BLOCK_ROWS] -= np.outer(u[start:start + BLOCK_ROWS], q)
     # (N + 1) eps times the size of each diagonal entry's terms allows for
     # the rounding of the entries and of the factor
-    size = s * s - s * c_size[1:] + k[1:] - q * (q / q00)
+    size = s * s - s * qep.c_size[1:] + k[1:] - q * (q / q00)
     schur[np.diag_indices(n - 1)] -= (n + 1) * EPS * size
     if not np.isfinite(schur).all():
         return False
@@ -301,17 +317,17 @@ def _one_root_above(C: np.ndarray, k: np.ndarray, s: float, c_size: np.ndarray,
     return True
 
 
-def _two_roots_above(C: np.ndarray, k: np.ndarray, s: float, x: np.ndarray,
-                     c_size: np.ndarray) -> bool:
+def _two_roots_above(qep: DampedQEP, s: float, x: np.ndarray) -> bool:
     """Q(s) has two negative eigenvalues or more, so a nonzero root lies above s:
     its compression on span(e_0, x), unit x, is negative definite."""
+    C, k = qep.C, qep.k
     n = k.size
     a = s * (s + C[0, 0])  # e_0^T Q(s) e_0, as k_0 = 0
     b = s * (s * x[0] + C[0] @ x)
     kx = k @ (x * x)
     dd = s * s + s * (x @ (C @ x)) + kx
     # |C_ij| <= sqrt(c_size_i c_size_j) bounds |x|^T |C| |x|
-    size = s * s - s * (np.sqrt(c_size) @ np.abs(x)) ** 2 + kx
+    size = s * s - s * (np.sqrt(qep.c_size) @ np.abs(x)) ** 2 + kx
     return bool(a < 0.0 and dd - b * (b / a) + (n + 1) * EPS * size < 0.0)
 
 
@@ -337,21 +353,18 @@ class TransverseSystem:
     @cached_property
     def A_tv(self) -> np.ndarray:
         """[[D^-1 (Pi - alpha Lambda), [0; I]], [-beta D2^-1 Lambda_2, 0]], with Pi the
-        pole matrix and D = diag(1 + gamma*lambda)."""
-        gains, lam = self.gains, self.instance.dec.lam
-        n = lam.size
-        d = 1.0 + gains.gamma * lam
-        with np.errstate(over="ignore"):  # the diagonal of Gamma_hat, times each gain
-            alpha_G, beta_G = gains.alpha * (lam / d), gains.beta * (lam[1:] / d[1:])
-        for name, term in (("alpha", alpha_G), ("beta", beta_G)):
+        pole matrix and D = diag(1 + gamma*lambda), from a DampedQEP of its own."""
+        qep = DampedQEP(self.instance, self.gains)
+        n = qep.lam.size
+        for name, term in (("alpha", qep.c_alpha), ("beta", qep.k[1:])):
             if not np.isfinite(term).all():
                 raise NonFinite(f"transverse system: gains.{name} * Gamma_hat leaves the float "
-                                f"range (gains.{name} = {getattr(gains, name):.6g})")
+                                f"range (gains.{name} = {getattr(self.gains, name):.6g})")
         A = np.zeros((2 * n - 1, 2 * n - 1))
-        A[:n, :n] = pole_matrix(self.instance) / d[:, None]
-        A[np.diag_indices(n)] -= alpha_G
+        np.divide(qep.C, qep.d[:, None], out=A[:n, :n])
+        A[np.diag_indices(n)] -= qep.c_alpha
         A[1:n, n:] = np.eye(n - 1)
-        A[n:, 1:n] = np.diag(-beta_G)
+        A[n:, 1:n] = np.diag(-qep.k[1:])
         return A
 
     @cached_property
@@ -398,30 +411,26 @@ class TransverseSystem:
 
 
 def transverse_system(instance: Instance, gains: Gains) -> TransverseSystem:
-    """The transverse system with its energy and hyperbolic certificates."""
+    """The transverse system with its energy and hyperbolic certificates, both
+    read from one DampedQEP."""
     dec = instance.dec
     check_gamma(dec, gains.gamma)
-    rho_max = float(np.max(np.abs(instance.ensemble.rho)))
-    poles = pole_matrix(instance)
+    qep = DampedQEP(instance, gains)
+    rho_max = qep.rho_max
     # alpha*lambda_N + max|rho| bounds the entries and the norm of both terms
     # of C2. Forming C2 and eigvalsh round by about N*eps times it (below
     # 1e-12 for N <= config.MAX_NODES), so a margin above IDENTITY_TOL times
     # it cannot come from rounding, even where the two terms cancel. Where
     # that bound overflows, C2/alpha decides against the bound over alpha.
     unit = 1.0 if math.isfinite(gains.alpha * dec.lambda_max + rho_max) else gains.alpha
-    C2 = damping_block(poles if unit == 1.0 else poles / unit, dec.lam, gains.alpha / unit)
-    low = float(np.linalg.eigvalsh(C2)[0])
-    del C2
+    low = float(np.linalg.eigvalsh(qep.energy_block(unit))[0])
     bound = gains.alpha / unit * dec.lambda_max + rho_max / unit
     certified = gains.beta > 0 and low > IDENTITY_TOL * bound
     margin = unit * low
-    hyperbolic = None
-    if gains.beta > 0:
-        hyperbolic = _hyperbolic_max_real_part(poles, dec.lam, gains, rho_max)
     return TransverseSystem(
         instance=instance,
         gains=gains,
         energy_margin=margin if math.isfinite(margin) else None,
         energy_certified=certified,
-        hyperbolic_max_real_part=hyperbolic,
+        hyperbolic_max_real_part=_hyperbolic_max_real_part(qep) if gains.beta > 0 else None,
     )

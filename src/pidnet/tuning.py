@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHomogeneous, UnstableAverage
+from .errors import NonFinite, NotHomogeneous, UnstableAverage
 from .netmodel import Gains, Instance, norm2
 from .spectral import h_norm_bound, modified_laplacian
+from .transverse import dominant_real_part
 
 REGIME_HOMOGENEOUS_PID = "HomogeneousPID"
 REGIME_HOMOGENEOUS_PI = "HomogeneousPI"
@@ -95,13 +96,13 @@ def certify_homogeneous_pid(instance: Instance, gains: Gains) -> Certificate:
         Condition("stable_poles", rho_star > 0, rho_star),
     )
     x_inf = _homogeneous_x_inf(instance, rho_star)
-    z_bound = np.sqrt(n**3 * (n - 1)) / (gains.gamma * lam2 + 1.0) * instance.ensemble.delta_norm
+    z_bound = math.sqrt(n**3 * (n - 1)) / (gains.gamma * lam2 + 1.0) * instance.ensemble.delta_norm
     mu = convergence_rate(instance, gains) if rho_star > 0 else None
     return Certificate(
         regime=REGIME_HOMOGENEOUS_PID,
         conditions=conditions,
         x_inf=x_inf,
-        z_inf_bound=float(z_bound),
+        z_inf_bound=_finite_z_bound(z_bound, instance),
         mu=mu,
     )
 
@@ -117,13 +118,13 @@ def certify_homogeneous_pi(instance: Instance, gains: Gains) -> Certificate:
         Condition("stable_poles", rho_star > 0, rho_star),
     )
     x_inf = _homogeneous_x_inf(instance, rho_star)
-    z_bound = np.sqrt(n * (n - 1)) * instance.ensemble.delta_norm
+    z_bound = math.sqrt(n * (n - 1)) * instance.ensemble.delta_norm
     mu = convergence_rate(instance, gains) if rho_star > 0 else None
     return Certificate(
         regime=REGIME_HOMOGENEOUS_PI,
         conditions=conditions,
         x_inf=x_inf,
-        z_inf_bound=float(z_bound),
+        z_inf_bound=_finite_z_bound(z_bound, instance),
         mu=mu,
     )
 
@@ -164,39 +165,14 @@ def convergence_rate(instance: Instance, gains: Gains) -> float:
     the rate is the magnitude of the largest real part over all roots.
     """
     rho_star = _require_homogeneous(instance)
-    worst = -np.inf
-    for lam in instance.dec.lam[1:].tolist():
+    lam = instance.dec.lam[1:]
+    with np.errstate(all="ignore"):
         denom = gains.gamma * lam + 1.0
-        b = (gains.alpha * lam + rho_star) / denom
-        if math.isinf(gains.alpha * lam):  # b itself may still be finite
-            b = gains.alpha * (lam / denom) + rho_star / denom
+        b = np.where(np.isinf(gains.alpha * lam),  # b itself may still be finite
+                     gains.alpha * (lam / denom) + rho_star / denom,
+                     (gains.alpha * lam + rho_star) / denom)
         c = gains.beta * lam / denom
-        disc = b * b - 4.0 * c
-        if math.isinf(b * b):
-            re_dominant = _dominant_real_part_scaled(b, c)
-        elif disc >= 0:
-            re_dominant = (-b + np.sqrt(disc)) / 2.0
-        else:
-            re_dominant = -b / 2.0
-        worst = np.maximum(worst, re_dominant)  # keeps a NaN, unlike max()
-    return float(abs(worst))
-
-
-def _dominant_real_part_scaled(b: float, c: float) -> float:
-    """Largest real part of a root of eta^2 + b*eta + c where b*b overflows.
-
-    With s = max(|b|, sqrt|c|) the roots are s*zeta for zeta^2 + p*zeta + q,
-    |p|, |q| <= 1. The root nearer zero comes from the product of the roots,
-    (c / s) / zeta_big, so it survives even when it is tiny next to the other.
-    An infinite c leaves the sign of the discriminant unknown: NaN.
-    """
-    s = max(abs(b), math.sqrt(abs(c)))
-    p, q = b / s, c / s / s
-    disc = p * p - 4.0 * q
-    if disc < 0:
-        return -b / 2.0
-    big = -(p + math.copysign(math.sqrt(disc), p)) / 2.0
-    return max(s * big, c / s / big)
+    return float(abs(np.max(dominant_real_part(b, c))))  # np.max keeps a NaN
 
 
 def _gain_threshold_rhs(instance: Instance, h1_norm: float) -> float:
@@ -242,7 +218,15 @@ def z_infinity_bound(
         raise UnstableAverage("psi11 = 0: heterogeneous bound undefined")
     h_norm = h_norm_bound(instance.dec, gains.gamma) if use_norm_bound else mod_lap.h_norm
     het = 1.0 + (rho_bar_norm / (n * abs(ens.psi11)) if rho_bar_norm > 0 else 0.0)
-    return float(np.sqrt(n * (n - 1)) * h_norm * het * ens.delta_norm)
+    return _finite_z_bound(math.sqrt(n * (n - 1)) * h_norm * het * ens.delta_norm, instance)
+
+
+def _finite_z_bound(bound: float, instance: Instance) -> float:
+    """A bound formed in Python floats (inf, not a warning, on overflow) where finite."""
+    if not math.isfinite(bound):
+        raise NonFinite(f"z_inf_bound leaves the float range "
+                        f"(||ensemble.delta|| = {instance.ensemble.delta_norm:.6g})")
+    return bound
 
 
 def certify_heterogeneous_pid(instance: Instance, gains: Gains) -> Certificate:

@@ -32,6 +32,17 @@ def load_pidbench(name: str):
     return module
 
 
+def ring(node_count: int, weight: float = 1.0) -> Graph:
+    """Cycle graph with uniform edge weight."""
+    return Graph(node_count, tuple((k, (k + 1) % node_count, weight) for k in range(node_count)))
+
+
+def complete(node_count: int, weight: float = 1.0) -> Graph:
+    """Complete graph with uniform edge weight."""
+    return Graph(node_count, tuple((i, j, weight) for i in range(node_count)
+                                   for j in range(i + 1, node_count)))
+
+
 def random_graph(rng: np.random.Generator, n: int, extra_edges: int | None = None,
                  w_range: tuple[float, float] = (0.2, 3.0)) -> Graph:
     """Random connected graph: random spanning tree plus extra edges."""

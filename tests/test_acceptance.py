@@ -10,13 +10,11 @@ import numpy as np
 
 from pidnet import (
     Gains,
-    Graph,
     Instance,
     NodeEnsemble,
     SimConfig,
     UnstableAverage,
     assemble,
-    build_laplacian,
     build_microgrid,
     certify,
     certify_heterogeneous_pid,
@@ -34,7 +32,7 @@ from pidnet import (
     spectral_decompose,
     transverse_system,
 )
-from conftest import exact_affine_solution, random_graph
+from conftest import complete, exact_affine_solution, random_graph, ring
 
 BENCH_K = np.array([-2.0, 0.0, 0.0, -4.0, 0.0, -6.0])
 BENCH_P = np.array([150.0, 80.0, 120.0, 100.0, 100.0, 50.0])
@@ -47,7 +45,7 @@ def verdict(criterion: str, ok: bool, detail: str) -> None:
 
 
 def bench_instance() -> Instance:
-    return Instance.from_graph(Graph.ring(6, 5.0), BENCH_K, BENCH_P)
+    return Instance.from_graph(ring(6, 5.0), BENCH_K, BENCH_P)
 
 
 def test_criterion_1_benchmark_reproduction():
@@ -104,7 +102,7 @@ def test_criterion_3_identity_suite():
     for _ in range(count):
         n = int(rng.integers(2, 13))
         gamma = float(rng.uniform(0.0, 10.0))
-        dec = spectral_decompose(build_laplacian(random_graph(rng, n)))
+        dec = spectral_decompose(random_graph(rng, n))
         mod = modified_laplacian(dec, gamma)
         ones = np.ones((n - 1, 1))
         one = ones.ravel()
@@ -352,7 +350,7 @@ def test_criterion_7_hurwitz_consistency():
 
     # unbounded synchronized divergence: identical unstable agents still
     # reach consensus in the disagreement sense while every state grows
-    inst = Instance.from_graph(Graph.complete(4, 1.0), np.ones(4), np.zeros(4))
+    inst = Instance.from_graph(complete(4, 1.0), np.ones(4), np.zeros(4))
     gains = Gains(2.0, 1.0, 0.5)
     cert = certify_homogeneous_pid(inst, gains)
     flagged = not cert.certified and any(

@@ -143,7 +143,7 @@ def built(monkeypatch):
 
 
 # dense N x N accessors built on first use; analyze and tune read none of them
-DENSE = {"U", "U_inv", "L_tilde", "L_tilde_inv", "H_hat"}
+DENSE = {"laplacian", "U", "U_inv", "L_tilde", "L_tilde_inv", "H_hat"}
 
 
 def test_analyze_benchmark(capsys):
@@ -243,6 +243,13 @@ ensemble:
   delta: [1.0e+300, 1.0e+300, -1.0e+300]
 gains: {alpha: 1.0, beta: 1.0, gamma: 0.0}
 """
+# sqrt(N(N-1)) ||H_hat|| (1 + ||rho_bar||/(N |psi11|)) ||delta|| leaves the float range
+Z_BOUND_OVERFLOW = """
+graph: {nodes: 2, edges: [{i: 0, j: 1, w: 1.0}]}
+ensemble: {rho: [1.0, -2.0], delta: [1.0e+308, -0.5e+308]}
+gains: {alpha: 1.0, beta: 1.0, gamma: 1.0}
+"""
+Z_BOUND_RANGE = "z_inf_bound leaves the float range (||ensemble.delta|| = 1.11803e+308)"
 
 
 @pytest.mark.parametrize(
@@ -264,13 +271,17 @@ gains: {alpha: 1.0, beta: 1.0, gamma: 0.0}
         (["simulate", "--json"], HUGE_DELTA + "sim: {t_end: 1.0}\n", 0, '"final_offset": 5.75'),
         (["analyze", "--json"], OVERFLOWING_GAMMA, 4, GAMMA_RANGE),
         (["tune", "--json", "--gamma", "1e308"], README_CONFIG, 4, GAMMA_RANGE),
+        (["analyze", "--json"], Z_BOUND_OVERFLOW, 4, Z_BOUND_RANGE),
+        (["analyze", "--json"], HUGE_DELTA.replace("1.0e+300, 1.0e+300, -1.0e+300",
+                                                   "1.0e+308, -1.0e+308, 1.0e+308"), 4,
+         "z_inf_bound leaves the float range (||ensemble.delta|| = 1.73205e+308)"),
     ],
     ids=[
         "one-node-analyze", "one-node-tune", "one-node-simulate", "huge-gamma-analyze",
         "huge-gamma-tune", "huge-alpha-beta-json", "huge-alpha-beta-tree", "dt-underflow",
         "heavy-alpha-simulate", "heavy-alpha-analyze", "heavy-alpha-no-derivative-analyze",
         "huge-delta-analyze", "huge-delta-simulate", "overflowing-gamma-analyze",
-        "overflowing-gamma-tune",
+        "overflowing-gamma-tune", "overflowing-z-bound", "overflowing-z-bound-homogeneous",
     ],
 )
 def test_exit_code_holes(tmp_path, capsys, argv, config, code, message):
@@ -414,6 +425,19 @@ def test_runs_without_scipy(command):
     assert json.loads(run.stdout)["analysis"]["h_norm_exact"] > 0
 
 
+def test_overflowing_z_bound_under_warnings_as_errors(tmp_path):
+    # the bound is formed in Python floats, so numpy has no overflow to warn of
+    p = tmp_path / "z.yaml"
+    p.write_text(Z_BOUND_OVERFLOW)
+    script = "import sys; from pidnet.cli import main; sys.exit(main(sys.argv[1:]))"
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script, "analyze",
+                          "--json", "--config", str(p)], capture_output=True, text=True,
+                         timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert (run.returncode, run.stdout) == (4, "")
+    assert run.stderr == f"numeric failure: {Z_BOUND_RANGE}\n"
+
+
 def test_huge_alpha_sub_block_from_energy_certificate(tmp_path, capsys, linalg_calls):
     # the transverse eigenvalues near -beta/alpha = -1e-300 lie far below the
     # rounding of a dense eigensolve of entries near 1e300: the energy
@@ -504,20 +528,32 @@ def test_zero_pivot_gamma_fails_only_simulate(tmp_path, capsys, command, code):
         json.loads(captured.out, parse_constant=_reject_constant)
 
 
-def test_analyze_traced_peak_in_dense_matrices(tmp_path, capsys):
-    # analyze on the N = 200 benchmark instance: its traced peak is 5.8 matrices
-    # of N^2 floats (9.9 while I + gamma*L, its inverse and U and U^-1 were held)
-    n = 200
+def traced_peak(tmp_path, capsys, command: str, n: int = 200) -> float:
+    """Traced peak of one in-process command on the N = 200 benchmark instance,
+    in matrices of N^2 floats."""
     p = tmp_path / "n200.yaml"
     p.write_text(load_pidbench("inputs").random_instance(np.random.default_rng(1), n).to_yaml())
     tracemalloc.start()
     try:
-        assert main(["analyze", "--config", str(p), "--json"]) == 0
+        assert main([command, "--config", str(p), "--json"]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    assert peak < 6.5 * 8 * n * n
+    return peak / (8 * n * n)
+
+
+def test_analyze_traced_peak_in_dense_matrices(tmp_path, capsys):
+    # 4.3: V, the transverse layer's two buffers (C~ and work) and the factor
+    # that cholesky returns (5.6 while the Laplacian, a second scaled copy of
+    # V and the energy block were held beside them)
+    assert traced_peak(tmp_path, capsys, "analyze") < 4.7
+
+
+def test_tune_traced_peak_in_dense_matrices(tmp_path, capsys):
+    # 3.6: L, V and two blocks of rows of the reconstruction check (4.2 while
+    # the whole reconstruction was formed)
+    assert traced_peak(tmp_path, capsys, "tune") < 3.9
 
 
 def ring_config(n: int) -> str:

@@ -18,7 +18,7 @@ from pidnet import (
     integrate,
     modified_laplacian,
 )
-from conftest import random_graph, random_heterogeneous_instance
+from conftest import random_graph, random_heterogeneous_instance, ring
 
 TOL = 1e-9
 
@@ -86,7 +86,7 @@ def test_equilibrium_zero_disturbance(rng):
 
 
 def test_equilibrium_benchmark_consensus_value():
-    inst = Instance.from_graph(Graph.ring(6, 5.0), BENCH_RHO, BENCH_DELTA)
+    inst = Instance.from_graph(ring(6, 5.0), BENCH_RHO, BENCH_DELTA)
     sys_ = assemble(inst, Gains(alpha=7.0, beta=5.0, gamma=1.0))
     eq = equilibrium(sys_.ensemble, sys_.mod_lap)
     assert eq.x_inf == pytest.approx(50.0, abs=1e-12)
@@ -145,7 +145,7 @@ def test_singular_ensemble(rng):
 
 
 def test_protocol_balances_at_equilibrium():
-    inst = Instance.from_graph(Graph.ring(6, 5.0), BENCH_RHO, BENCH_DELTA)
+    inst = Instance.from_graph(ring(6, 5.0), BENCH_RHO, BENCH_DELTA)
     sys_ = assemble(inst, Gains(alpha=7.0, beta=5.0, gamma=1.0))
     eq = equilibrium(sys_.ensemble, sys_.mod_lap)
     # proportional and derivative terms vanish on the consensus manifold with

@@ -26,11 +26,13 @@ from pidnet import (
     metrics,
 )
 from conftest import (
+    complete,
     csv_row_by_row,
     exact_affine_solution,
     random_heterogeneous_instance,
     random_homogeneous_instance,
     rk4_step_loop,
+    ring,
 )
 
 BENCH_K = np.array([-2.0, 0.0, 0.0, -4.0, 0.0, -6.0])
@@ -38,7 +40,7 @@ BENCH_P = np.array([150.0, 80.0, 120.0, 100.0, 100.0, 50.0])
 
 
 def bench_system(gains: Gains):
-    return build_microgrid(Instance.from_graph(Graph.ring(6, 5.0), BENCH_K, BENCH_P), gains)
+    return build_microgrid(Instance.from_graph(ring(6, 5.0), BENCH_K, BENCH_P), gains)
 
 
 def replace_dynamics(sys_, A, b):
@@ -159,7 +161,7 @@ def test_step_guard_strict_and_warn(rng):
 def test_nonfinite_on_divergence():
     # homogeneous unstable poles with proportional-only coupling on a
     # disconnected-from-consensus average mode: the mean state blows up
-    inst = Instance.from_graph(Graph.complete(3, 1.0), np.ones(3), np.zeros(3))
+    inst = Instance.from_graph(complete(3, 1.0), np.ones(3), np.zeros(3))
     sys_ = assemble(inst, Gains(1.0))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite):
         integrate(sys_, SimConfig(t_end=2000.0, dt=0.05, x0=np.array([1.0, 1.0, 1.0])))
@@ -251,7 +253,7 @@ def test_microgrid_effective_alpha():
 
 def test_microgrid_zero_gains_singular():
     sys_ = build_microgrid(
-        Instance.from_graph(Graph.ring(4, 1.0), np.zeros(4), np.zeros(4)), Gains(1.0, 1.0, 0.0)
+        Instance.from_graph(ring(4, 1.0), np.zeros(4), np.zeros(4)), Gains(1.0, 1.0, 0.0)
     )
     with pytest.raises(SingularEnsemble):
         equilibrium(sys_.ensemble, sys_.mod_lap)

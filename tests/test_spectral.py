@@ -18,13 +18,14 @@ from pidnet import (
     modified_laplacian,
     spectral_decompose,
 )
-from conftest import random_graph, random_heterogeneous_instance, sign_fixed_column_by_column
+from conftest import (complete, random_graph, random_heterogeneous_instance, ring,
+                      sign_fixed_column_by_column)
 
 TOL = 1e-9
 
 
 def decompose(graph: Graph):
-    return spectral_decompose(build_laplacian(graph))
+    return spectral_decompose(graph)
 
 
 # ---------------------------------------------------------------- graphs
@@ -64,7 +65,7 @@ def test_two_node_laplacian_analytic():
 
 
 def test_ring6_weight5_algebraic_connectivity():
-    dec = decompose(Graph.ring(6, 5.0))
+    dec = decompose(ring(6, 5.0))
     assert abs(dec.lambda_2 - 5.0) < TOL
     assert abs(dec.lambda_max - 20.0) < TOL
     # full spectrum of the weight-5 six-cycle
@@ -72,7 +73,7 @@ def test_ring6_weight5_algebraic_connectivity():
 
 
 def test_complete4_unit_weight_spectrum():
-    dec = decompose(Graph.complete(4, 1.0))
+    dec = decompose(complete(4, 1.0))
     # oracle: brute-force eigensolve of the explicit 4x4 matrix
     explicit = 4.0 * np.eye(4) - np.ones((4, 4))
     assert np.allclose(dec.laplacian, explicit)
@@ -118,14 +119,25 @@ def test_decomposition_reconstructs_laplacian(rng):
 def test_sign_fixing_matches_column_loop(rng, graph):
     # the ring has repeated eigenvalues and eigenvector entries at the 1e-12 floor
     graphs = ([random_graph(rng, int(rng.integers(2, 41))) for _ in range(20)]
-              if graph == "random" else [Graph.ring(n, 1.5) for n in range(3, 41)])
+              if graph == "random" else [ring(n, 1.5) for n in range(3, 41)])
     for g in graphs:
-        L = build_laplacian(g)
         n = g.node_count
-        _, V = np.linalg.eigh(L)
+        _, V = np.linalg.eigh(build_laplacian(g))
         V[:, 0] = 1.0 / np.sqrt(n)
         U = np.sqrt(n) * sign_fixed_column_by_column(V)
-        assert np.array_equal(spectral_decompose(L).U, U)
+        assert np.array_equal(spectral_decompose(g).U, U)
+
+
+def test_laplacian_held_as_its_diagonal(rng):
+    # the decomposition keeps the weighted degrees; the dense L is rebuilt from
+    # the graph, bit for bit, only when asked for
+    for _ in range(5):
+        g = random_graph(rng, int(rng.integers(2, 30)))
+        dec = decompose(g)
+        assert "laplacian" not in vars(dec)
+        L = build_laplacian(g)
+        assert np.array_equal(dec.degree, np.diagonal(L))
+        assert np.array_equal(dec.laplacian, L)
 
 
 def test_sign_fixing_is_deterministic():
@@ -214,7 +226,7 @@ def test_product_spectrum_matches_closed_form(rng):
 
 
 def test_ring6_h_norm_bound_benchmark():
-    dec = decompose(Graph.ring(6, 5.0))
+    dec = decompose(ring(6, 5.0))
     mod = modified_laplacian(dec, 1.0)
     assert h_norm_bound(dec, 1.0) == pytest.approx(1.0, abs=TOL)
     assert mod.h_norm <= h_norm_bound(dec, 1.0) + TOL
@@ -273,7 +285,7 @@ def test_gram_norms_match_svd(n, seed, gamma):
 
 @pytest.mark.parametrize(
     "graph, gamma",
-    [(Graph(2, ((0, 1, 2.5),)), 0.3), (Graph.complete(6), 1.0), (Graph.ring(7, 1.3), 0.0)],
+    [(Graph(2, ((0, 1, 2.5),)), 0.3), (complete(6), 1.0), (ring(7, 1.3), 0.0)],
     ids=["N2", "complete", "gamma0"],
 )
 def test_norms_of_one_distinct_g(graph, gamma):
@@ -344,7 +356,7 @@ def test_gram_norms_at_largest_solvable_gamma():
 
 
 def test_singular_modified_laplacian_names_gamma():
-    dec = decompose(Graph.ring(4, 1.0))
+    dec = decompose(ring(4, 1.0))
     with pytest.raises(NonFinite, match=r"I \+ gamma\*L is singular .* at gamma = 1e\+300$"):
         modified_laplacian(dec, 1e300)
 

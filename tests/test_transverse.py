@@ -13,7 +13,6 @@ from pidnet import (
     Instance,
     NodeEnsemble,
     assemble,
-    build_laplacian,
     modified_laplacian,
     psi_blocks,
     spectral_decompose,
@@ -21,8 +20,8 @@ from pidnet import (
 )
 from pidnet import transverse
 from pidnet.errors import NonFinite
-from pidnet.transverse import damping_block, pole_matrix
-from conftest import load_pidbench, random_graph, random_heterogeneous_instance
+from pidnet.transverse import DampedQEP
+from conftest import complete, load_pidbench, random_graph, random_heterogeneous_instance, ring
 
 TOL = 1e-9
 
@@ -47,7 +46,7 @@ def test_psi_closed_form_equals_direct_product(rng):
 
 def test_psi_homogeneous_decoupling(rng):
     g = random_graph(rng, 6)
-    dec = spectral_decompose(build_laplacian(g))
+    dec = spectral_decompose(g)
     ens = NodeEnsemble(rho=-np.ones(6), delta=np.zeros(6))
     psi = psi_blocks(Instance(dec, ens), 0.0)
     assert psi.psi11 == pytest.approx(-1.0, abs=1e-12)
@@ -57,7 +56,7 @@ def test_psi_homogeneous_decoupling(rng):
 
 
 def test_psi_homogeneous_with_gamma_is_scaled_diagonal(rng):
-    dec = spectral_decompose(build_laplacian(random_graph(rng, 5)))
+    dec = spectral_decompose(random_graph(rng, 5))
     mod = modified_laplacian(dec, 1.3)
     ens = NodeEnsemble(rho=-2.0 * np.ones(5), delta=np.zeros(5))
     psi = psi_blocks(Instance(dec, ens), 1.3)
@@ -65,7 +64,7 @@ def test_psi_homogeneous_with_gamma_is_scaled_diagonal(rng):
 
 
 def test_psi_benchmark_values():
-    dec = spectral_decompose(build_laplacian(Graph.ring(6, 5.0)))
+    dec = spectral_decompose(ring(6, 5.0))
     psi = psi_blocks(Instance(dec, NodeEnsemble(rho=BENCH_RHO, delta=np.zeros(6))), 1.0)
     assert psi.psi11 == -2.0
     assert np.array_equal(psi.rho_bar, [2.0, 2.0, -2.0, 2.0, -4.0])
@@ -133,7 +132,7 @@ def test_homogeneous_positive_gains_hurwitz_sub_block(rng):
 
 def test_unstable_average_flagged_non_hurwitz():
     # ensemble with positive pole sum can destabilize the average mode
-    inst = Instance.from_graph(Graph.complete(4, 1.0), [1.0, 0.5, -0.2, 0.3], np.zeros(4))
+    inst = Instance.from_graph(complete(4, 1.0), [1.0, 0.5, -0.2, 0.3], np.zeros(4))
     gains = Gains(alpha=2.0, beta=1.0, gamma=0.5)
     tv = transverse_system(inst, gains)
     assert not tv.is_hurwitz()
@@ -171,7 +170,7 @@ def test_sub_block_is_the_damped_quadratic_eigenproblem(rng):
         inst = random_heterogeneous_instance(rng, n)
         gains = Gains(alpha=float(rng.uniform(0.2, 4)), beta=float(rng.uniform(0.2, 3)),
                       gamma=float(rng.uniform(0, 2)))
-        C2 = damping_block(pole_matrix(inst), inst.dec.lam, gains.alpha)
+        C2 = DampedQEP(inst, gains).energy_block(1.0)
         assert np.array_equal(C2, C2.T)
         lam = inst.dec.lam[1:]
         D2_inv = np.diag(1.0 / (1.0 + gains.gamma * lam))
@@ -233,7 +232,7 @@ def test_overflowing_damping_certified_over_alpha(monkeypatch, alpha, margin):
     # alpha * lambda_N = alpha * 4e10 overflows, so C2/alpha = Lambda_2 - V2^T P V2/alpha
     # decides against lambda_N + max|rho|/alpha; the margin alpha * lambda_min(C2/alpha)
     # is reported where it stays finite
-    inst = Instance.from_graph(Graph.ring(4, 1e10), -np.ones(4), np.zeros(4))
+    inst = Instance.from_graph(ring(4, 1e10), -np.ones(4), np.zeros(4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         tv = transverse_system(inst, Gains(alpha=alpha, beta=1.0, gamma=1.0))
@@ -388,14 +387,14 @@ def test_bracket_checks_tell_the_sides_of_the_root(monkeypatch):
     monkeypatch.setattr(transverse, "_refine", lambda *a: refined.append(refine(*a)) or refined[-1])
     inst, gains = pidbench_case(0)
     r = transverse_system(inst, gains).max_real_part
-    C, k, _, c_size, work = args
+    qep, _ = args
     [(s, x)] = refined
     assert s == r
     above, below = r * (1 - 1e-10), r * (1 + 1e-10)
-    assert transverse._one_root_above(C, k, above, c_size, work)
-    assert not transverse._one_root_above(C, k, below, c_size, work)
-    assert transverse._two_roots_above(C, k, below, x, c_size)
-    assert not transverse._two_roots_above(C, k, above, x, c_size)
+    assert transverse._one_root_above(qep, above)
+    assert not transverse._one_root_above(qep, below)
+    assert transverse._two_roots_above(qep, below, x)
+    assert not transverse._two_roots_above(qep, above, x)
 
 
 PATH3 = Graph(3, ((0, 1, 1.0), (1, 2, 1.0)))
@@ -427,7 +426,7 @@ def test_full_spectrum_falls_back_to_eigvals(monkeypatch, graph, rho, gains):
 def test_non_finite_pencil_falls_back_to_eigvals():
     # alpha * lambda/(1 + gamma*lambda) = 4e310 with gamma = 0: the pencil is not
     # formed, and the dense A_tv names the overflowing gain
-    inst = Instance.from_graph(Graph.ring(4, 1e10), -np.ones(4), np.zeros(4))
+    inst = Instance.from_graph(ring(4, 1e10), -np.ones(4), np.zeros(4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         tv = transverse_system(inst, Gains(alpha=1e300, beta=1.0, gamma=0.0))
@@ -438,7 +437,7 @@ def test_non_finite_pencil_falls_back_to_eigvals():
 
 def test_overflowing_gamma_names_the_gain():
     # gamma * lambda_N = 4e308 leaves the float range before any matrix is formed
-    inst = Instance.from_graph(Graph.ring(4, 1.0), -np.ones(4), np.zeros(4))
+    inst = Instance.from_graph(ring(4, 1.0), -np.ones(4), np.zeros(4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFinite, match=r"gains.gamma \* L leaves the float range"):

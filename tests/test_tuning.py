@@ -28,7 +28,8 @@ from pidnet import (
     transverse_system,
     z_infinity_bound,
 )
-from conftest import random_graph, random_heterogeneous_instance, random_homogeneous_instance
+from pidnet.transverse import dominant_real_part
+from conftest import random_graph, random_heterogeneous_instance, random_homogeneous_instance, ring
 
 TOL = 1e-9
 
@@ -37,7 +38,7 @@ BENCH_DELTA = np.array([150.0, 80.0, 120.0, 100.0, 100.0, 50.0])
 
 
 def bench_instance() -> Instance:
-    return Instance.from_graph(Graph.ring(6, 5.0), BENCH_RHO, BENCH_DELTA)
+    return Instance.from_graph(ring(6, 5.0), BENCH_RHO, BENCH_DELTA)
 
 
 # ------------------------------------------------------------- regimes
@@ -77,7 +78,7 @@ def test_homogeneous_pid_consensus_value(rng):
 
 def test_homogeneous_pid_z_bound_formula(rng):
     # benchmark-sized check of the closed form sqrt(N^3 (N-1)) / (gamma lam2 + 1)
-    inst = Instance.from_graph(Graph.ring(6, 5.0), -2.0 * np.ones(6), BENCH_DELTA)
+    inst = Instance.from_graph(ring(6, 5.0), -2.0 * np.ones(6), BENCH_DELTA)
     cert = certify_homogeneous_pid(inst, Gains(6, 5, 1))
     expected = np.sqrt(216.0 * 5.0) / 6.0 * np.linalg.norm(BENCH_DELTA)
     assert cert.z_inf_bound == pytest.approx(expected, rel=1e-12)
@@ -159,12 +160,27 @@ def test_rate_without_overflow(alpha, beta, gamma):
     assert mu == pytest.approx(float(abs(root)), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "b, c, expected",
+    [(3.0, 2.0, -1.0), (2.0, 5.0, -1.0), (2.0, 1.0, -1.0), (1e8, 1.0, -1e-8),
+     (3.0, float("inf"), -1.5), (1e200, float("inf"), float("nan"))],
+    ids=["real", "complex", "double", "tiny-root", "c-infinite", "unknown-sign"],
+)
+def test_dominant_real_part(b, c, expected):
+    # the tiny root comes from the product of the roots: (-b + sqrt(b*b - 4c))/2
+    # would be 25% off at b = 1e8, c = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = dominant_real_part(np.array([b]), np.array([c]))[0]
+    assert got == pytest.approx(expected, rel=1e-15, nan_ok=True)
+
+
 # --------------------------------------------------------------- PD
 
 
 def test_pd_epsilon_formula():
     # ring (lam2 = 5, lamN = 20), rho* = 2, alpha = 10, gamma = 1
-    inst = Instance.from_graph(Graph.ring(6, 5.0), -2.0 * np.ones(6), BENCH_DELTA)
+    inst = Instance.from_graph(ring(6, 5.0), -2.0 * np.ones(6), BENCH_DELTA)
     cert = certify_homogeneous_pd(inst, Gains(10, 0, 1))
     expected = (21.0 / 6.0) * (6.0 / 202.0) * np.linalg.norm(BENCH_DELTA)
     assert cert.epsilon_bound == pytest.approx(expected, rel=1e-12)
