@@ -26,11 +26,12 @@ from .spectral import Graph
 # Largest graph.nodes a config may declare, checked before any matrix is
 # built. Every command holds dense N^2 matrices, and simulate and the dense
 # transverse fallback of analyze (2N)^2 ones. Where the hyperbolic
-# certificate holds, a fresh analyze process peaks at 75 MB at N = 800,
-# 119 MB at N = 1200 and 241 MB at this cap, and takes 0.6 s, 1.3 s and 5.2 s
-# on a 2-CPU Xeon; where the dense eigvals decides (beta = 0) it peaks at
-# 104 MB and 186 MB and takes 1.3 s and 3.1 s at N = 800 and 1200, and 397 MB
-# and 11 s at this cap. simulate peaks near 330 bytes * N^2, 1.4 GB at this cap.
+# certificate holds, a fresh analyze process peaks at 65 MB at N = 800,
+# 97 MB at N = 1200 and 206 MB at this cap, and takes about 0.8 s, 1.4 s and
+# 5.5 s on a 2-CPU Xeon; where the dense eigvals decides (beta = 0) it peaks
+# at 99 MB and 175 MB and takes 1.9 s and 3.6 s at N = 800 and 1200, and
+# 366 MB and 12 s at this cap. simulate peaks near 330 bytes * N^2, 1.4 GB at
+# this cap.
 MAX_NODES = 2048
 
 # libyaml's parser builds the same document as the pure-Python one, faster.

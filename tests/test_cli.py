@@ -547,7 +547,7 @@ def test_analyze_traced_peak_in_dense_matrices(tmp_path, capsys):
     # 4.3: V, the transverse layer's two buffers (C~ and work) and the factor
     # that cholesky returns (5.6 while the Laplacian, a second scaled copy of
     # V and the energy block were held beside them)
-    assert traced_peak(tmp_path, capsys, "analyze") < 4.7
+    assert traced_peak(tmp_path, capsys, "analyze") < 4.5
 
 
 def test_tune_traced_peak_in_dense_matrices(tmp_path, capsys):
