@@ -50,13 +50,12 @@ def _analysis_values(cfg: InstanceConfig, gamma: float) -> dict:
     instance = cfg.instance
     dec = instance.dec
     mod_lap = modified_laplacian(dec, gamma)
-    rho_bar = instance.ensemble.rho_bar
     return {
         "nodes": dec.node_count,
         "lambda_2": dec.lambda_2,
         "lambda_max": dec.lambda_max,
         "psi11": instance.ensemble.psi11,
-        "rho_bar_sq": float(rho_bar @ rho_bar),
+        "rho_bar_sq": instance.ensemble.rho_bar_sq,
         "h_norm_exact": mod_lap.h_norm,
         "h_norm_bound": h_norm_bound(dec, gamma),
     }

@@ -27,12 +27,19 @@ from .spectral import (
 HOMOGENEITY_RTOL = 1e-12
 
 
-def norm2(v: np.ndarray) -> float:
-    """Euclidean norm whose squares cannot overflow: v is scaled by a power of
-    two first, so wherever np.linalg.norm(v) is finite the two agree bit for bit."""
+def _scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """v * 2^-e and e, max|v * 2^-e| in [0.5, 1) (e = 0 for v = 0): its sums and
+    squares cannot overflow, and the scaling is exact above 2^-1021 max|v|."""
     exp = math.frexp(float(np.max(np.abs(v), initial=0.0)))[1]
+    return np.ldexp(v, -exp), exp
+
+
+def norm2(v: np.ndarray) -> float:
+    """Euclidean norm whose squares cannot overflow: wherever np.linalg.norm(v)
+    is finite the two agree bit for bit."""
+    v, exp = _scaled(v)
     with np.errstate(over="ignore"):  # a norm beyond the float range is inf
-        return float(np.ldexp(np.linalg.norm(np.ldexp(v, -exp)), exp))
+        return float(np.ldexp(np.linalg.norm(v), exp))
 
 
 def row_norms(a: np.ndarray) -> np.ndarray:
@@ -84,8 +91,33 @@ class NodeEnsemble:
         return self.rho[1:] - self.rho[0]
 
     @property
+    def rho_bar_sq(self) -> float:
+        with np.errstate(over="ignore"):
+            rr = float(self.rho_bar @ self.rho_bar)
+        if not math.isfinite(rr):
+            raise NonFinite(f"rho_bar_sq leaves the float range "
+                            f"(max|ensemble.rho| = {np.max(np.abs(self.rho)):.6g})")
+        return rr
+
+    @property
     def delta_norm(self) -> float:
         return norm2(self.delta)
+
+    @property
+    def x_inf(self) -> float | None:
+        """The consensus value -sum(delta)/sum(rho) from _scaled sums, which cannot
+        overflow; None where sum(rho) is numerically zero (at most 1e-10 N max|rho|)."""
+        delta, delta_exp = _scaled(self.delta)
+        rho, rho_exp = _scaled(self.rho)
+        rho_sum = float(np.sum(rho))
+        if abs(rho_sum) <= 1e-10 * self.node_count * float(np.max(np.abs(rho))):
+            return None
+        with np.errstate(over="ignore"):
+            x_inf = -float(np.ldexp(float(np.sum(delta)) / rho_sum, delta_exp - rho_exp))
+        if not math.isfinite(x_inf):
+            raise NonFinite(f"consensus value -sum(delta)/sum(rho) leaves the float range "
+                            f"(||ensemble.delta|| = {self.delta_norm:.6g})")
+        return x_inf
 
     def is_homogeneous(self) -> bool:
         spread = float(np.max(self.rho) - np.min(self.rho))
@@ -188,22 +220,16 @@ def equilibrium(ensemble: NodeEnsemble, mod_lap: ModifiedLaplacian) -> Equilibri
 
     L_tilde^-1 = V diag(1, g) V^T, so z* costs two matrix-vector products.
     """
-    rho = ensemble.rho
-    delta = ensemble.delta
-    n = rho.size
-    rho_sum = float(np.sum(rho))
-    scale = float(np.max(np.abs(rho))) if n else 0.0
-    threshold = 1e-10 * n * scale if scale > 0 else 1e-12
-    if abs(rho_sum) <= threshold:
-        raise SingularEnsemble(f"sum of poles {rho_sum:.3e} is numerically zero")
-    x_inf = -float(np.sum(delta)) / rho_sum
-    x_star = x_inf * np.ones(n)
-    b = rho * x_star + delta
+    rho, x_inf = ensemble.rho, ensemble.x_inf
+    if x_inf is None:
+        raise SingularEnsemble(f"sum of poles {float(np.sum(rho)):.3e} is numerically zero")
+    x_star = x_inf * np.ones(rho.size)
+    b = rho * x_star + ensemble.delta
     # |V^T b| reaches sqrt(N) max|b|, where L_tilde^-1 b (a weighted mean of b)
     # stays within max|b|: scaling b by a power of two first keeps V^T b finite
-    exp = math.frexp(float(np.max(np.abs(b))))[1]
+    b, exp = _scaled(b)
     V = mod_lap.dec.V
-    w = V.T @ np.ldexp(b, -exp)
+    w = V.T @ b
     w[1:] *= mod_lap.g
     z_star = -np.ldexp(V @ w, exp)
     return Equilibrium(x_inf=x_inf, x_star=x_star, z_star=z_star)

@@ -66,7 +66,6 @@ class SimConfig:
     t_end: float
     dt: float | None = None
     x0: np.ndarray | None = None
-    z0: np.ndarray | None = None
     record_stride: int = 1
 
     def __post_init__(self):
@@ -80,10 +79,8 @@ class SimConfig:
             raise ValueError(f"t_end must be at least one step, got {self.t_end}")
         if self.record_stride < 1:
             raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
-        for name in ("x0", "z0"):
-            val = getattr(self, name)
-            if val is not None:
-                object.__setattr__(self, name, np.asarray(val, dtype=float))
+        if self.x0 is not None:
+            object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
 
 
 def default_x0(n: int, scale: float = 1.0) -> np.ndarray:
@@ -250,14 +247,8 @@ def integrate(sys: ClosedLoopSystem, cfg: SimConfig, strict: bool = False) -> Tr
         warnings.warn(msg, stacklevel=2)
 
     x0 = cfg.x0 if cfg.x0 is not None else default_x0(n)
-    z0 = cfg.z0 if cfg.z0 is not None else np.zeros(n)
-    if x0.shape != (n,) or z0.shape != (n,):
-        raise DimensionMismatch(f"x0/z0 must have shape ({n},)")
-    if np.any(z0 != 0.0):
-        warnings.warn(
-            "nonzero initial integral state: the zero-sum invariant of z(t) no longer holds",
-            stacklevel=2,
-        )
+    if x0.shape != (n,):
+        raise DimensionMismatch(f"x0 must have shape ({n},)")
 
     stride = cfg.record_stride
     # Checked before math.ceil, which raises on an infinite step count; the int
@@ -277,7 +268,7 @@ def integrate(sys: ClosedLoopSystem, cfg: SimConfig, strict: bool = False) -> Tr
 
     M = _rk4_map(A, b, dt)
     m = M.shape[0]
-    w = np.concatenate([x0, z0, [1.0]])
+    w = np.concatenate([x0, np.zeros(n), [1.0]])  # z(0) = 0: the integral states keep zero sum
     samples = np.empty((times.size, 2 * n))
     samples[0] = w[:-1]
     pos = 1

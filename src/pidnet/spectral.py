@@ -134,8 +134,6 @@ class SpectralDecomposition:
     degree: np.ndarray  # the diagonal of L
     lam: np.ndarray
     V: np.ndarray
-    # ModifiedLaplacian per gamma, filled by modified_laplacian().
-    modified: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def node_count(self) -> int:
@@ -232,18 +230,14 @@ class ModifiedLaplacian:
     z: np.ndarray  # V[0, 1:]: the first row of the orthonormal eigenbasis, k >= 2
     dec: SpectralDecomposition = field(repr=False, compare=False)
 
-    @property
-    def node_count(self) -> int:
-        return self.dec.node_count
-
     @cached_property
     def L_tilde(self) -> np.ndarray:
-        return np.eye(self.node_count) + self.gamma * self.dec.laplacian
+        return np.eye(self.dec.node_count) + self.gamma * self.dec.laplacian
 
     @cached_property
     def L_tilde_inv(self) -> np.ndarray:
         try:
-            return np.linalg.solve(self.L_tilde, np.eye(self.node_count))
+            return np.linalg.solve(self.L_tilde, np.eye(self.dec.node_count))
         except np.linalg.LinAlgError as exc:
             raise NonFinite(f"modified Laplacian I + gamma*L is singular to working precision "
                             f"at gamma = {self.gamma:.6g}") from exc
@@ -347,29 +341,25 @@ def check_gamma(dec: SpectralDecomposition, gamma: float) -> None:
 def modified_laplacian(dec: SpectralDecomposition, gamma: float) -> ModifiedLaplacian:
     """I + gamma*L in the graph's eigenbasis: g_k = 1/(gamma*lambda_k + 1), k >= 2.
 
-    No matrix is formed. The result is kept on ``dec``, so each (graph, gamma)
-    pair is built once. Where gamma*L_ii absorbs the identity on every
+    No matrix is formed. Where gamma*L_ii absorbs the identity on every
     diagonal entry, the formed I + gamma*L would be fl(gamma*L), singular to
     rounding as L 1 = 0, so that gamma raises NonFinite here, as a failed
     solve of the lazy ``L_tilde_inv`` does.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    if gamma in dec.modified:
-        return dec.modified[gamma]
     check_gamma(dec, gamma)
     scaled = gamma * dec.degree
     if np.all(scaled + 1.0 == scaled):
         raise NonFinite(
             f"modified Laplacian I + gamma*L is singular to working precision at gamma = {gamma:.6g}"
         )
-    mod_lap = dec.modified[gamma] = ModifiedLaplacian(
+    return ModifiedLaplacian(
         gamma=float(gamma),
         g=1.0 / (gamma * dec.lam[1:] + 1.0),
         z=dec.V[0, 1:],
         dec=dec,
     )
-    return mod_lap
 
 
 def h_norm_bound(dec: SpectralDecomposition, gamma: float) -> float:

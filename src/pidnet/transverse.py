@@ -36,7 +36,9 @@ k(x) < 0 for every unit x, so c(x) > |mu| + k(x)/|mu| >= |mu|: C~ > |mu| I.
 Every root then has real part <= 0, and real part 0 needs k(x) = 0, which
 holds only at the average direction, where the root is s = 0 and simple
 (c > 0 there). So the transverse system, spectrum(Q) less that zero, is
-Hurwitz. A Cholesky factor certifies mu. Q~(mu) < 0 also makes the QEP
+Hurwitz. The one mu tried is -sqrt(lo hi), the geometric mean of the gap
+(lo, hi) that Q~(mu) < 0 needs on the diagonal, and a Cholesky factor
+certifies it. Q~(mu) < 0 also makes the QEP
 hyperbolic (Guo, Higham & Tisseur, SIAM J. Matrix Anal. Appl. 30(4), 2009):
 all 2N roots are real, N of them above mu, and for s > mu the number of
 negative eigenvalues of Q~(s) is the number of roots above s. The largest
@@ -53,8 +55,9 @@ real part is the root r next below the zero, found with N^2 work:
   part lies within 1e-10 of r, relatively. An iteration that ends on a
   lower root of a close pair fails the first check and restarts with that
   root's vector projected out.
-Where no shift is certified (beta = 0, complex modes, no mu found), no
-bracket is, or a value is not finite, the dense eigvals of A_tv decides.
+Where the shift is not certified (beta = 0, complex modes, no gap, a failed
+Cholesky), no bracket is, or a value is not finite, the dense eigvals of
+A_tv decides.
 """
 
 from __future__ import annotations
@@ -163,49 +166,35 @@ class DampedQEP:
         return Q
 
 
-# Shifts mu tried, as multiples of the most negative diagonal estimate of the
-# slow roots.
-SHIFT_FACTORS = (2.0, 3.0, 1.5, 4.0, 1.25, 6.0)
-
-
 def _hyperbolic_max_real_part(qep: DampedQEP) -> float | None:
-    """Largest nonzero root of a hyperbolic Q, or None where no shift mu is
+    """Largest nonzero root of a hyperbolic Q, or None where the shift mu is not
     certified or no bracket around the root is. Turns ``qep.C`` into C~."""
     C, k, c_size = qep.C, qep.k, qep.c_size
     diag = np.diag_indices(k.size)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # each value is checked before it decides
         C *= -qep.r[:, None]
         C *= qep.r
         C[diag] += qep.c_alpha
-    # Q(mu) < 0 needs each diagonal s^2 + c s + k negative at mu: real roots,
-    # mu below every slow root and above every fast one (complex roots give
-    # slow = fast = -c/2, so lo >= hi)
-    c = C.diagonal()
-    slow = dominant_real_part(c, k)
-    with np.errstate(all="ignore"):
+        # Q(mu) < 0 needs each diagonal s^2 + c s + k negative at mu: real roots,
+        # mu below every slow root and above every fast one (complex roots give
+        # slow = fast = -c/2, so lo >= hi)
+        c = C.diagonal()
+        slow = dominant_real_part(c, k)
         hi, lo = float(np.min(slow[1:])), float(np.max(-c - slow))
-    if not (np.isfinite(C).all() and np.isfinite(k).all() and np.all(c > 0) and lo < hi < 0):
-        return None
-    for factor in SHIFT_FACTORS:
-        mu = factor * hi
-        if not lo < mu:
-            continue
-        with np.errstate(all="ignore"):
-            negQ = np.negative(qep.at(mu), out=qep.work)
-            # IDENTITY_TOL times the size of the terms of each diagonal entry
-            # covers its rounding, and that of the off-diagonal entries, which
-            # stays below the geometric mean of the two diagonal sizes
-            negQ[diag] -= IDENTITY_TOL * (mu * mu - mu * c_size + k)
+        if not (np.isfinite(C).all() and np.isfinite(k).all() and np.all(c > 0) and lo < hi < 0):
+            return None
+        mu = -math.sqrt(-lo) * math.sqrt(-hi)  # inside the gap; lo * hi is never formed
+        negQ = np.negative(qep.at(mu), out=qep.work)
+        # IDENTITY_TOL times the size of the terms of each diagonal entry
+        # covers its rounding, and that of the off-diagonal entries, which
+        # stays below the geometric mean of the two diagonal sizes
+        negQ[diag] -= IDENTITY_TOL * (mu * mu - mu * c_size + k)
         if not np.isfinite(negQ).all():
-            continue
+            return None
         try:
             np.linalg.cholesky(negQ)
         except np.linalg.LinAlgError:
-            continue
-        break
-    else:
-        return None
-    with np.errstate(all="ignore"):
+            return None
         return _slowest_root(qep, mu)
 
 

@@ -75,10 +75,6 @@ def _require_homogeneous(instance: Instance) -> float:
     return -float(instance.ensemble.rho[0])
 
 
-def _homogeneous_x_inf(instance: Instance, rho_star: float) -> float | None:
-    return float(np.mean(instance.ensemble.delta)) / rho_star if rho_star != 0.0 else None
-
-
 def certify_homogeneous_pid(instance: Instance, gains: Gains) -> Certificate:
     """Full PID on identical agents: certified for any positive gains.
 
@@ -95,13 +91,12 @@ def certify_homogeneous_pid(instance: Instance, gains: Gains) -> Certificate:
         Condition("gamma_positive", gains.gamma > 0, gains.gamma),
         Condition("stable_poles", rho_star > 0, rho_star),
     )
-    x_inf = _homogeneous_x_inf(instance, rho_star)
     z_bound = math.sqrt(n**3 * (n - 1)) / (gains.gamma * lam2 + 1.0) * instance.ensemble.delta_norm
     mu = convergence_rate(instance, gains) if rho_star > 0 else None
     return Certificate(
         regime=REGIME_HOMOGENEOUS_PID,
         conditions=conditions,
-        x_inf=x_inf,
+        x_inf=instance.ensemble.x_inf,
         z_inf_bound=_finite_z_bound(z_bound, instance),
         mu=mu,
     )
@@ -117,13 +112,12 @@ def certify_homogeneous_pi(instance: Instance, gains: Gains) -> Certificate:
         Condition("gamma_zero", gains.gamma == 0, -abs(gains.gamma)),
         Condition("stable_poles", rho_star > 0, rho_star),
     )
-    x_inf = _homogeneous_x_inf(instance, rho_star)
     z_bound = math.sqrt(n * (n - 1)) * instance.ensemble.delta_norm
     mu = convergence_rate(instance, gains) if rho_star > 0 else None
     return Certificate(
         regime=REGIME_HOMOGENEOUS_PI,
         conditions=conditions,
-        x_inf=x_inf,
+        x_inf=instance.ensemble.x_inf,
         z_inf_bound=_finite_z_bound(z_bound, instance),
         mu=mu,
     )
@@ -184,7 +178,7 @@ def _gain_threshold_rhs(instance: Instance, h1_norm: float) -> float:
     ens = instance.ensemble
     if ens.psi11 >= 0:
         raise UnstableAverage(f"average pole psi11 = {ens.psi11:.6g} is nonnegative")
-    rr = float(ens.rho_bar @ ens.rho_bar)
+    rr = ens.rho_bar_sq
     return (np.max(np.abs(ens.rho)) + rr / (4.0 * abs(ens.psi11)) * h1_norm**2) / ens.node_count
 
 
@@ -201,22 +195,14 @@ def min_alpha(instance: Instance, gamma: float, conservative: bool = False) -> f
     return float(rhs * (gamma * lam2 + 1.0) / lam2)
 
 
-def z_infinity_bound(
-    instance: Instance, gains: Gains, use_norm_bound: bool = False
-) -> float:
-    """Asymptotic bound on the norm of the integral states.
-
-    ``use_norm_bound=True`` substitutes N/(gamma*lambda_2+1) for the exact
-    spectral norm of H_hat; for identical agents that reduces the expression
-    to the homogeneous closed form.
-    """
-    mod_lap = modified_laplacian(instance.dec, gains.gamma)
+def z_infinity_bound(instance: Instance, gains: Gains) -> float:
+    """Asymptotic bound on the norm of the integral states."""
+    h_norm = modified_laplacian(instance.dec, gains.gamma).h_norm
     ens = instance.ensemble
     n = instance.node_count
     rho_bar_norm = norm2(ens.rho_bar)
     if rho_bar_norm > 0 and ens.psi11 == 0.0:
         raise UnstableAverage("psi11 = 0: heterogeneous bound undefined")
-    h_norm = h_norm_bound(instance.dec, gains.gamma) if use_norm_bound else mod_lap.h_norm
     het = 1.0 + (rho_bar_norm / (n * abs(ens.psi11)) if rho_bar_norm > 0 else 0.0)
     return _finite_z_bound(math.sqrt(n * (n - 1)) * h_norm * het * ens.delta_norm, instance)
 
@@ -243,11 +229,10 @@ def certify_heterogeneous_pid(instance: Instance, gains: Gains) -> Certificate:
         Condition("beta_positive", gains.beta > 0, gains.beta),
         Condition("proportional_gain_threshold", lhs > rhs, float(lhs - rhs)),
     )
-    x_inf = -float(np.sum(ens.delta)) / float(np.sum(ens.rho))
     return Certificate(
         regime=REGIME_HETEROGENEOUS_PID,
         conditions=conditions,
-        x_inf=x_inf,
+        x_inf=ens.x_inf,
         z_inf_bound=z_infinity_bound(instance, gains),
     )
 

@@ -250,6 +250,20 @@ ensemble: {rho: [1.0, -2.0], delta: [1.0e+308, -0.5e+308]}
 gains: {alpha: 1.0, beta: 1.0, gamma: 1.0}
 """
 Z_BOUND_RANGE = "z_inf_bound leaves the float range (||ensemble.delta|| = 1.11803e+308)"
+# sum(delta) = 2e308 overflows, though x_inf = -sum(delta)/sum(rho) does not
+X_INF_SUM_OVERFLOW = """
+graph: {nodes: 3, edges: [{i: 0, j: 1, w: 1.0}, {i: 1, j: 2, w: 1.0}]}
+ensemble: {rho: [-1.0, -1.0, -1.0], delta: [1.0e+308, 1.0e+308, -1.0e+308]}
+gains: {alpha: 1.0, beta: 1.0, gamma: 1000.0}
+"""
+# x_inf = 3e308 / 1.5 itself leaves the float range
+X_INF_OVERFLOW = X_INF_SUM_OVERFLOW.replace("-1.0, -1.0, -1.0", "-0.5, -0.5, -0.5").replace(
+    "-1.0e+308]", "1.0e+308]")
+X_INF_RANGE = ("consensus value -sum(delta)/sum(rho) leaves the float range "
+               "(||ensemble.delta|| = 1.73205e+308)")
+# rho_bar = [-1e200, 2e200]: its squares leave the float range
+RHO_BAR_OVERFLOW = X_INF_SUM_OVERFLOW.replace("-1.0, -1.0, -1.0", "-1.0e+200, -2.0e+200, 1.0e+200")
+RHO_BAR_RANGE = "rho_bar_sq leaves the float range (max|ensemble.rho| = 2e+200)"
 
 
 @pytest.mark.parametrize(
@@ -275,6 +289,10 @@ Z_BOUND_RANGE = "z_inf_bound leaves the float range (||ensemble.delta|| = 1.1180
         (["analyze", "--json"], HUGE_DELTA.replace("1.0e+300, 1.0e+300, -1.0e+300",
                                                    "1.0e+308, -1.0e+308, 1.0e+308"), 4,
          "z_inf_bound leaves the float range (||ensemble.delta|| = 1.73205e+308)"),
+        (["analyze", "--json"], X_INF_SUM_OVERFLOW, 0, '"x_inf": 3.333333333333333e+307'),
+        (["analyze", "--json"], X_INF_OVERFLOW, 4, X_INF_RANGE),
+        (["analyze", "--json"], RHO_BAR_OVERFLOW, 4, RHO_BAR_RANGE),
+        (["tune", "--json"], RHO_BAR_OVERFLOW, 4, RHO_BAR_RANGE),
     ],
     ids=[
         "one-node-analyze", "one-node-tune", "one-node-simulate", "huge-gamma-analyze",
@@ -282,6 +300,8 @@ Z_BOUND_RANGE = "z_inf_bound leaves the float range (||ensemble.delta|| = 1.1180
         "heavy-alpha-simulate", "heavy-alpha-analyze", "heavy-alpha-no-derivative-analyze",
         "huge-delta-analyze", "huge-delta-simulate", "overflowing-gamma-analyze",
         "overflowing-gamma-tune", "overflowing-z-bound", "overflowing-z-bound-homogeneous",
+        "overflowing-delta-sum", "overflowing-x-inf", "overflowing-rho-bar-sq-analyze",
+        "overflowing-rho-bar-sq-tune",
     ],
 )
 def test_exit_code_holes(tmp_path, capsys, argv, config, code, message):
@@ -406,10 +426,12 @@ def test_one_eigensolve_per_command(capsys, hom_config, linalg_calls, built, con
                             "assemble": 0}
     # no linalg call of analyze or tune takes a matrix larger than N x N
     assert linalg_calls.largest == {"bench": 6, "homogeneous": 4}[config]
-    # one decomposition and one modified Laplacian, neither holding a dense accessor
-    assert [type(obj).__name__ for obj in built] == ["SpectralDecomposition",
-                                                     "ModifiedLaplacian"]
-    assert [DENSE & vars(obj).keys() for obj in built] == [set(), set()]
+    # one decomposition; each modified Laplacian at the config's gamma; no dense accessor
+    names = [type(obj).__name__ for obj in built]
+    assert names.count("SpectralDecomposition") == 1
+    gamma = yaml.safe_load(Path(path).read_text())["gains"]["gamma"]
+    assert {obj.gamma for obj in built if type(obj).__name__ == "ModifiedLaplacian"} == {gamma}
+    assert all(DENSE.isdisjoint(vars(obj)) for obj in built)
 
 
 @pytest.mark.parametrize("command", ["analyze", "tune"])
@@ -425,17 +447,29 @@ def test_runs_without_scipy(command):
     assert json.loads(run.stdout)["analysis"]["h_norm_exact"] > 0
 
 
-def test_overflowing_z_bound_under_warnings_as_errors(tmp_path):
-    # the bound is formed in Python floats, so numpy has no overflow to warn of
+@pytest.mark.parametrize(
+    "config, code, message",
+    [
+        (Z_BOUND_OVERFLOW, 4, Z_BOUND_RANGE),
+        (X_INF_SUM_OVERFLOW, 0, '"x_inf": 3.333333333333333e+307'),
+        (RHO_BAR_OVERFLOW, 4, RHO_BAR_RANGE),
+    ],
+    ids=["z-bound", "delta-sum", "rho-bar-sq"],
+)
+def test_overflowing_z_bound_under_warnings_as_errors(tmp_path, config, code, message):
+    # the bounds, x_inf and rho_bar_sq are formed without a numpy overflow to warn of
     p = tmp_path / "z.yaml"
-    p.write_text(Z_BOUND_OVERFLOW)
+    p.write_text(config)
     script = "import sys; from pidnet.cli import main; sys.exit(main(sys.argv[1:]))"
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script, "analyze",
                           "--json", "--config", str(p)], capture_output=True, text=True,
                          timeout=120, env={**os.environ, "PYTHONPATH": path})
-    assert (run.returncode, run.stdout) == (4, "")
-    assert run.stderr == f"numeric failure: {Z_BOUND_RANGE}\n"
+    assert run.returncode == code
+    if code:
+        assert (run.stdout, run.stderr) == ("", f"numeric failure: {message}\n")
+    else:
+        assert message in run.stdout and run.stderr == ""
 
 
 def test_huge_alpha_sub_block_from_energy_certificate(tmp_path, capsys, linalg_calls):
@@ -486,7 +520,7 @@ def test_tune_gamma_reports_analysis_at_that_gamma(capsys, linalg_calls, built):
     assert code == 0
     assert linalg_calls["solve"] == 0  # tune builds no I + gamma*L
     # I + 0.3 L only: the config's gamma is never built
-    assert [obj.gamma for obj in built if hasattr(obj, "gamma")] == [0.3]
+    assert {obj.gamma for obj in built if hasattr(obj, "gamma")} == {0.3}
     ana = report["analysis"]
     assert ana["h_norm_bound"] == pytest.approx(2.4, rel=1e-12)
     dec = parse_config(BENCH_CONFIG.read_text()).instance.dec

@@ -137,11 +137,10 @@ def test_integrate_matches_step_loop(rng, monkeypatch, stride, batch):
                                     float(rng.uniform(0, 1.5))))
         if batch is not None:
             monkeypatch.setattr(sim, "PROPAGATOR_BYTES", batch * 8 * (2 * n + 1) ** 2)
-        x0, z0 = rng.normal(0, 1, n), rng.normal(0, 0.5, n)
-        with pytest.warns(UserWarning, match="integral"):
-            trace = integrate(sys_, SimConfig(t_end=t_end, dt=dt, x0=x0, z0=z0,
-                                              record_stride=stride))
-        times, ref = rk4_step_loop(sys_.A, sys_.affine, np.concatenate([x0, z0]), dt, steps, stride)
+        x0 = rng.normal(0, 1, n)
+        trace = integrate(sys_, SimConfig(t_end=t_end, dt=dt, x0=x0, record_stride=stride))
+        times, ref = rk4_step_loop(sys_.A, sys_.affine, np.concatenate([x0, np.zeros(n)]), dt,
+                                   steps, stride)
         assert np.array_equal(trace.times, times)
         got = np.hstack([trace.x, trace.z])
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -180,13 +179,6 @@ def test_nonfinite_reports_first_bad_sample(monkeypatch):
         NonFinite, match=rf"^state overflowed at t = {first_step * 0.01:.6g}$"
     ):
         integrate(growing, SimConfig(t_end=30.0, dt=0.01, x0=np.ones(2), record_stride=7))
-
-
-def test_nonzero_z0_warns(rng):
-    inst = random_heterogeneous_instance(rng, 3)
-    sys_ = assemble(inst, Gains(1.0, 1.0, 0.0))
-    with pytest.warns(UserWarning, match="integral"):
-        integrate(sys_, SimConfig(t_end=1.0, dt=0.01, z0=np.array([0.1, 0.0, -0.1])))
 
 
 def test_record_stride_and_final_sample(rng):

@@ -358,6 +358,30 @@ def test_every_certified_shift_gives_the_slowest_root(monkeypatch, rng):
     assert certified >= 150
 
 
+@pytest.mark.parametrize(
+    "graph, rho, gains",
+    [
+        (Graph(3, ((1, 2, 2.7875940841270532), (1, 0, 2.5734496509174205),
+                   (0, 2, 0.6115372002871895))),
+         [-0.21782776177297203, 0.1770585875621986, -0.6267734799213089],
+         Gains(7.583512349537773, 1.2768664211633352, 0.13151712362071522)),
+        (Graph(4, ((1, 2, 1.5576154612443989), (1, 3, 1.6117992562378203),
+                   (3, 0, 1.9537525540774983), (2, 0, 1.087983593522252))),
+         [-2.085830043713801, -2.7667217639485804, 0.159475274166601, 1.8357974709996618],
+         Gains(2.9379274956013823, 0.43941475957069054, 0.1772355635218692)),
+    ],
+    ids=["near-the-slow-end", "no-multiple-of-hi"],
+)
+def test_geometric_mean_shift_is_certified(graph, rho, gains):
+    # the geometric mean mu = -sqrt(lo hi) of each gap is certified, though no
+    # multiple f hi with f = 1.5, 2, 3 or 4 is, nor in the second gap f = 1.25 or 6
+    inst = Instance.from_graph(graph, rho, np.zeros(graph.node_count))
+    tv = transverse_system(inst, gains)
+    assert tv.spectrum == "hyperbolic"
+    eigs = np.linalg.eigvals(tv.A_tv)
+    assert abs(tv.max_real_part - np.max(eigs.real)) <= 1e-10 * np.max(np.abs(eigs))
+
+
 def test_close_pair_restarts_without_the_lower_root(monkeypatch):
     # the slow roots -0.54278 and -0.54396 lie 0.2% apart: the first start ends
     # on the lower one, whose bracket fails, and the start without it finds r

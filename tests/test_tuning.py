@@ -21,6 +21,7 @@ from pidnet import (
     certify_homogeneous_pid,
     convergence_rate,
     equilibrium,
+    h_norm_bound,
     integrate,
     metrics,
     min_alpha,
@@ -299,11 +300,13 @@ def test_h1_matrix_norm_bound(rng):
 
 
 def test_z_bound_homogeneous_reduction(rng):
-    # with the norm-bound mode and rho_bar = 0 the heterogeneous expression
-    # collapses to the homogeneous closed form
-    inst = Instance.from_graph(random_graph(rng, 6), -2.0 * np.ones(6), rng.normal(0, 2, 6))
+    # with ||H_hat|| replaced by its bound N/(gamma*lambda_2 + 1) and rho_bar = 0
+    # the heterogeneous expression collapses to the homogeneous closed form
+    n = 6
+    inst = Instance.from_graph(random_graph(rng, n), -2.0 * np.ones(n), rng.normal(0, 2, n))
     gains = Gains(2, 1, 1.2)
-    bound = z_infinity_bound(inst, gains, use_norm_bound=True)
+    bound = (np.sqrt(n * (n - 1)) * h_norm_bound(inst.dec, gains.gamma)
+             * np.linalg.norm(inst.ensemble.delta))
     hom = certify_homogeneous_pid(inst, gains).z_inf_bound
     assert bound == pytest.approx(hom, rel=1e-12)
 
@@ -311,15 +314,6 @@ def test_z_bound_homogeneous_reduction(rng):
 def test_z_bound_zero_disturbance(rng):
     inst = Instance.from_graph(random_graph(rng, 5), [-1, -2, -1, -3, -2], np.zeros(5))
     assert z_infinity_bound(inst, Gains(2, 1, 1)) == 0.0
-
-
-def test_z_bound_norm_mode_non_increasing_in_gamma(rng):
-    inst = random_heterogeneous_instance(rng, 6)
-    vals = [
-        z_infinity_bound(inst, Gains(2, 1, g), use_norm_bound=True)
-        for g in (0.0, 0.5, 1.0, 2.0, 5.0)
-    ]
-    assert all(a >= b - TOL for a, b in zip(vals, vals[1:]))
 
 
 def test_z_bound_holds_in_simulation_benchmark():
