@@ -301,7 +301,8 @@ def test_h1_matrix_norm_bound(rng):
 
 def test_z_bound_homogeneous_reduction(rng):
     # with ||H_hat|| replaced by its bound N/(gamma*lambda_2 + 1) and rho_bar = 0
-    # the heterogeneous expression collapses to the homogeneous closed form
+    # the heterogeneous expression collapses to the homogeneous closed form,
+    # which the exact norm of H_hat can only tighten
     n = 6
     inst = Instance.from_graph(random_graph(rng, n), -2.0 * np.ones(n), rng.normal(0, 2, n))
     gains = Gains(2, 1, 1.2)
@@ -309,6 +310,7 @@ def test_z_bound_homogeneous_reduction(rng):
              * np.linalg.norm(inst.ensemble.delta))
     hom = certify_homogeneous_pid(inst, gains).z_inf_bound
     assert bound == pytest.approx(hom, rel=1e-12)
+    assert z_infinity_bound(inst, gains) <= hom * (1 + 1e-12)
 
 
 def test_z_bound_zero_disturbance(rng):
