@@ -249,26 +249,33 @@ REPRODUCE_SCENARIOS = (
 )
 
 
+def _reproduce_scenario(cfg: InstanceConfig, gains: Gains, path: str) -> dict:
+    """Run one scenario and write its trace; only its results outlive the call,
+    so no two scenarios' traces are held at once."""
+    sys_ = build_microgrid(cfg.instance, gains)
+    cert = certify(cfg.instance, sys_.gains)
+    trace, x_inf, summary = _run(sys_, cfg.sim, strict=False)
+    _write_trace(trace, path)
+    return {
+        "gains": {"alpha": gains.alpha, "beta": gains.beta, "gamma": gains.gamma},
+        "certified": cert.certified,
+        "x_inf": x_inf,
+        "final_state": [float(v) for v in trace.x[-1]],
+        "final_disagreement": summary.final_disagreement,
+        "steady_disagreement": summary.steady_disagreement,
+        "steady_z_norm": summary.steady_z_norm,
+        "z_inf_bound": cert.z_inf_bound,
+    }
+
+
 def cmd_reproduce(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     cfg = load_config(BENCHMARK_CONFIG)
     instance = cfg.instance
-    results = {}
-    for name, gains in REPRODUCE_SCENARIOS:
-        sys_ = build_microgrid(instance, gains)
-        cert = certify(instance, sys_.gains)
-        trace, x_inf, summary = _run(sys_, cfg.sim, strict=False)
-        _write_trace(trace, os.path.join(args.out, f"{name}.csv"))
-        results[name] = {
-            "gains": {"alpha": gains.alpha, "beta": gains.beta, "gamma": gains.gamma},
-            "certified": cert.certified,
-            "x_inf": x_inf,
-            "final_state": [float(v) for v in trace.x[-1]],
-            "final_disagreement": summary.final_disagreement,
-            "steady_disagreement": summary.steady_disagreement,
-            "steady_z_norm": summary.steady_z_norm,
-            "z_inf_bound": cert.z_inf_bound,
-        }
+    results = {
+        name: _reproduce_scenario(cfg, gains, os.path.join(args.out, f"{name}.csv"))
+        for name, gains in REPRODUCE_SCENARIOS
+    }
 
     gamma = cfg.gains.gamma
     report = {

@@ -42,6 +42,17 @@ def norm2(v: np.ndarray) -> float:
         return float(np.ldexp(np.linalg.norm(v), exp))
 
 
+def mean(v: np.ndarray) -> float:
+    """np.mean(v), from _scaled values where the plain sum leaves the float range:
+    wherever np.mean(v) is finite the two agree bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        m = float(np.mean(v))
+    if not math.isfinite(m):
+        v, exp = _scaled(v)
+        m = float(np.ldexp(np.mean(v), exp))
+    return m
+
+
 def row_norms(a: np.ndarray) -> np.ndarray:
     """np.linalg.norm(a, axis=1), with norm2 on the rows whose squares overflow."""
     with np.errstate(over="ignore"):
@@ -83,7 +94,7 @@ class NodeEnsemble:
     @property
     def psi11(self) -> float:
         """The average pole mean(rho), Psi's (1, 1) entry for every gamma."""
-        return float(np.mean(self.rho))
+        return mean(self.rho)
 
     @property
     def rho_bar(self) -> np.ndarray:

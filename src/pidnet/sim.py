@@ -13,6 +13,13 @@ from a stack of the powers of M^record_stride in one product (Moler & Van
 Loan, "Nineteen Dubious Ways to Compute the Exponential of a Matrix",
 SIAM Review 2003).
 
+At its peak integrate() holds one trace and temporaries a fraction of its
+size. While the samples of x and z are computed, it holds at most
+PROPAGATOR_BYTES of propagator powers beside them, and releases them before
+the post-processing. That forms d and ||z|| (the squares of z are the size of
+the u column) before u exists, then builds u in its own buffer, forming
+rho * x TRACE_BLOCK_VALUES values at a time.
+
 Trace.to_csv writes every value as "%.11e" would, byte for byte, but
 formats whole chunks in numpy: the 12 digits come from one scale by a
 power of ten and a rint, and table lookups place them in fixed byte slots.
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, StepTooLarge, TraceTooLarge
-from .netmodel import ClosedLoopSystem, Gains, Instance, assemble, norm2, row_norms
+from .netmodel import ClosedLoopSystem, Gains, Instance, assemble, mean, norm2, row_norms
 
 # dt * spectral_radius(A) must stay below this for RK4 stability.
 STEP_GUARD = 2.5
@@ -40,6 +47,10 @@ MAX_RECORDED_VALUES = 2**25
 
 # Largest stack of propagator powers integrate() holds at once, in bytes.
 PROPAGATOR_BYTES = 2**21
+
+# Values of a trace-sized product integrate() forms per numpy pass (the rho * x
+# term of u), so that no temporary is the size of a trace column.
+TRACE_BLOCK_VALUES = 2**14
 
 # Values Trace.to_csv formats per numpy pass (whole rows, at least one);
 # chunks keep the whole table and its text out of memory.
@@ -292,6 +303,7 @@ def integrate(sys: ClosedLoopSystem, cfg: SimConfig, strict: bool = False) -> Tr
             samples[pos : pos + k] = block[:, :-1]
             w = block[-1]
             pos += k
+        del stack, flat
     if rem:
         block = (np.linalg.matrix_power(M, rem) @ w)[None, :]
         _check_finite(block, times[pos:])
@@ -299,12 +311,19 @@ def integrate(sys: ClosedLoopSystem, cfg: SimConfig, strict: bool = False) -> Tr
 
     xs = samples[:, :n]
     zs = samples[:, n:]
-    # u from the agent equation xdot = rho*x + delta + u, with xdot taken
-    # from the ODE right-hand side, so the protocol is exact at samples.
-    xdot = xs @ sys.A1.T + zs + sys.affine[:n]  # L_tilde^-1 delta
-    us = xdot - xs * sys.ensemble.rho - sys.ensemble.delta
+    # the norms' temporaries come and go before u exists
     disagreement = xs.max(axis=1) - xs.min(axis=1)
     z_norm = row_norms(zs)
+    # u from the agent equation xdot = rho*x + delta + u, with xdot taken
+    # from the ODE right-hand side, so the protocol is exact at samples:
+    # xdot - rho*x - delta, built in its own buffer by the same operations
+    us = xs @ sys.A1.T
+    us += zs
+    us += sys.affine[:n]  # L_tilde^-1 delta
+    rows = max(1, TRACE_BLOCK_VALUES // n)
+    for start in range(0, us.shape[0], rows):
+        us[start : start + rows] -= xs[start : start + rows] * sys.ensemble.rho
+    us -= sys.ensemble.delta
     return Trace(times=times, x=xs, z=zs, u=us, disagreement=disagreement, z_norm=z_norm)
 
 
@@ -351,8 +370,8 @@ def metrics(trace: Trace, x_inf: float | None = None) -> TraceMetrics:
             norm2(trace.x[-1] - x_inf) if x_inf is not None else None
         ),
         final_z_norm=float(trace.z_norm[-1]),
-        steady_z_norm=float(trace.z_norm[-tail:].mean()),
-        steady_disagreement=float(d[-tail:].mean()),
+        steady_z_norm=mean(trace.z_norm[-tail:]),
+        steady_disagreement=mean(d[-tail:]),
         empirical_rate=rate,
     )
 

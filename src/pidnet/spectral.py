@@ -106,14 +106,19 @@ class Graph:
 
 
 def build_laplacian(graph: Graph) -> np.ndarray:
-    """Assemble the weighted combinatorial Laplacian matrix."""
+    """Assemble the weighted combinatorial Laplacian matrix; raise NonFinite
+    where a weighted degree (a sum of edge weights) leaves the float range."""
     n = graph.node_count
     L = np.zeros((n, n))
-    for i, j, w in graph.edges:
-        L[i, i] += w
-        L[j, j] += w
-        L[i, j] -= w
-        L[j, i] -= w
+    with np.errstate(over="ignore"):  # checked below
+        for i, j, w in graph.edges:
+            L[i, i] += w
+            L[j, j] += w
+            L[i, j] -= w
+            L[j, i] -= w
+    bad = np.flatnonzero(np.isinf(np.diagonal(L)))
+    if bad.size:
+        raise NonFinite(f"graph.edges: the weighted degree of node {bad[0]} leaves the float range")
     return L
 
 

@@ -19,7 +19,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pidnet import netmodel, spectral, transverse
+from pidnet import cli, netmodel, spectral, transverse
 from pidnet.cli import BENCHMARK_ALPHA_REFERENCE, main
 from pidnet.config import MAX_NODES, parse_config
 from pidnet.spectral import modified_laplacian
@@ -264,6 +264,17 @@ X_INF_RANGE = ("consensus value -sum(delta)/sum(rho) leaves the float range "
 # rho_bar = [-1e200, 2e200]: its squares leave the float range
 RHO_BAR_OVERFLOW = X_INF_SUM_OVERFLOW.replace("-1.0, -1.0, -1.0", "-1.0e+200, -2.0e+200, 1.0e+200")
 RHO_BAR_RANGE = "rho_bar_sq leaves the float range (max|ensemble.rho| = 2e+200)"
+# the trailing disagreements (about 4.8e306 each) sum past the float range, their mean does not
+STEADY_MEAN = '"steady_disagreement": 4.81746558456104e+306'
+# sum(rho) = -1.5e308 overflows, though psi11 = mean(rho) does not; rho_bar . rho_bar does
+PSI11_SUM_OVERFLOW = X_INF_SUM_OVERFLOW.replace(
+    "[-1.0, -1.0, -1.0], delta: [1.0e+308, 1.0e+308, -1.0e+308]",
+    "[-1.0e+308, -1.0e+308, 5.0e+307], delta: [1.0, 2.0, 3.0]")
+PSI11_RANGE = "rho_bar_sq leaves the float range (max|ensemble.rho| = 1e+308)"
+# node 1 meets two weights of 1e308: its weighted degree leaves the float range
+DEGREE_OVERFLOW = X_INF_SUM_OVERFLOW.replace("w: 1.0}", "w: 1.0e+308}").replace(
+    "1.0e+308, 1.0e+308, -1.0e+308", "1.0, 2.0, 3.0")
+DEGREE_RANGE = "graph.edges: the weighted degree of node 1 leaves the float range"
 
 
 @pytest.mark.parametrize(
@@ -293,6 +304,12 @@ RHO_BAR_RANGE = "rho_bar_sq leaves the float range (max|ensemble.rho| = 2e+200)"
         (["analyze", "--json"], X_INF_OVERFLOW, 4, X_INF_RANGE),
         (["analyze", "--json"], RHO_BAR_OVERFLOW, 4, RHO_BAR_RANGE),
         (["tune", "--json"], RHO_BAR_OVERFLOW, 4, RHO_BAR_RANGE),
+        (["simulate", "--json"], X_INF_SUM_OVERFLOW, 0, STEADY_MEAN),
+        (["analyze", "--json"], PSI11_SUM_OVERFLOW, 4, PSI11_RANGE),
+        (["tune", "--json"], PSI11_SUM_OVERFLOW, 4, PSI11_RANGE),
+        (["analyze", "--json"], DEGREE_OVERFLOW, 4, DEGREE_RANGE),
+        (["tune", "--json"], DEGREE_OVERFLOW, 4, DEGREE_RANGE),
+        (["simulate", "--json"], DEGREE_OVERFLOW, 4, DEGREE_RANGE),
     ],
     ids=[
         "one-node-analyze", "one-node-tune", "one-node-simulate", "huge-gamma-analyze",
@@ -301,7 +318,9 @@ RHO_BAR_RANGE = "rho_bar_sq leaves the float range (max|ensemble.rho| = 2e+200)"
         "huge-delta-analyze", "huge-delta-simulate", "overflowing-gamma-analyze",
         "overflowing-gamma-tune", "overflowing-z-bound", "overflowing-z-bound-homogeneous",
         "overflowing-delta-sum", "overflowing-x-inf", "overflowing-rho-bar-sq-analyze",
-        "overflowing-rho-bar-sq-tune",
+        "overflowing-rho-bar-sq-tune", "overflowing-steady-mean-simulate",
+        "overflowing-psi11-sum-analyze", "overflowing-psi11-sum-tune",
+        "overflowing-degree-analyze", "overflowing-degree-tune", "overflowing-degree-simulate",
     ],
 )
 def test_exit_code_holes(tmp_path, capsys, argv, config, code, message):
@@ -448,22 +467,27 @@ def test_runs_without_scipy(command):
 
 
 @pytest.mark.parametrize(
-    "config, code, message",
+    "command, config, code, message",
     [
-        (Z_BOUND_OVERFLOW, 4, Z_BOUND_RANGE),
-        (X_INF_SUM_OVERFLOW, 0, '"x_inf": 3.333333333333333e+307'),
-        (RHO_BAR_OVERFLOW, 4, RHO_BAR_RANGE),
+        ("analyze", Z_BOUND_OVERFLOW, 4, Z_BOUND_RANGE),
+        ("analyze", X_INF_SUM_OVERFLOW, 0, '"x_inf": 3.333333333333333e+307'),
+        ("analyze", RHO_BAR_OVERFLOW, 4, RHO_BAR_RANGE),
+        ("simulate", X_INF_SUM_OVERFLOW, 0, STEADY_MEAN),
+        ("tune", PSI11_SUM_OVERFLOW, 4, PSI11_RANGE),
+        ("analyze", DEGREE_OVERFLOW, 4, DEGREE_RANGE),
     ],
-    ids=["z-bound", "delta-sum", "rho-bar-sq"],
+    ids=["z-bound", "delta-sum", "rho-bar-sq", "steady-mean", "psi11-sum", "weighted-degree"],
 )
-def test_overflowing_z_bound_under_warnings_as_errors(tmp_path, config, code, message):
-    # the bounds, x_inf and rho_bar_sq are formed without a numpy overflow to warn of
+def test_overflowing_z_bound_under_warnings_as_errors(tmp_path, command, config, code, message):
+    # the bounds, x_inf, rho_bar_sq, psi11, the steady means and the weighted
+    # degrees are formed without a numpy overflow to warn of
     p = tmp_path / "z.yaml"
     p.write_text(config)
     script = "import sys; from pidnet.cli import main; sys.exit(main(sys.argv[1:]))"
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
-    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script, "analyze",
-                          "--json", "--config", str(p)], capture_output=True, text=True,
+    out = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script, command,
+                          "--json", "--config", str(p), *out], capture_output=True, text=True,
                          timeout=120, env={**os.environ, "PYTHONPATH": path})
     assert run.returncode == code
     if code:
@@ -588,6 +612,30 @@ def test_tune_traced_peak_in_dense_matrices(tmp_path, capsys):
     # 3.6: L, V and two blocks of rows of the reconstruction check (4.2 while
     # the whole reconstruction was formed)
     assert traced_peak(tmp_path, capsys, "tune") < 3.9
+
+
+def test_reproduce_traced_peak_in_traces(tmp_path, capsys, monkeypatch):
+    # 1.12: the largest trace and the blocks of its u and CSV (2.35 while the
+    # previous scenario's trace, the propagator stack and the trace-sized
+    # temporaries of u were held beside it)
+    sizes, original = [], cli.integrate
+
+    def integrate(*args, **kwargs):
+        trace = original(*args, **kwargs)
+        sizes.append(sum(getattr(trace, f).nbytes
+                         for f in ("times", "x", "z", "u", "disagreement", "z_norm")))
+        return trace
+
+    monkeypatch.setattr(cli, "integrate", integrate)
+    tracemalloc.start()
+    try:
+        assert main(["reproduce", "--out", str(tmp_path / "repro"), "--json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert len(sizes) == 4
+    assert peak < 1.3 * max(sizes)
 
 
 def ring_config(n: int) -> str:

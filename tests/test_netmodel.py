@@ -18,6 +18,7 @@ from pidnet import (
     integrate,
     modified_laplacian,
 )
+from pidnet import netmodel
 from conftest import random_graph, random_heterogeneous_instance, ring
 
 TOL = 1e-9
@@ -133,6 +134,21 @@ def test_equilibrium_near_the_float_limit():
     assert eq.x_inf == 5e307
     # P x* + delta is an eigenvector of L for lambda = 2
     assert eq.z_star == pytest.approx(np.array([-1.5e308, 1.5e308]) / 2001.0, rel=1e-14)
+
+
+def test_mean_is_numpy_mean_where_finite(rng):
+    for _ in range(50):
+        v = rng.normal(0, 1, int(rng.integers(1, 40))) * 10.0 ** rng.uniform(-300, 300)
+        assert netmodel.mean(v) == float(np.mean(v))
+    # sums past the float range, means within it
+    assert netmodel.mean(np.array([1e308, 1e308, -1e308])) == 1e308 / 3
+    assert netmodel.mean(np.array([-1e308, -1e308, 5e307])) == -5e307
+    assert netmodel.mean(np.full(9, 1.5e308)) == 1.5e308
+
+
+def test_psi11_past_the_float_sum():
+    ens = NodeEnsemble(rho=[-1e308, -1e308, 5e307], delta=np.ones(3))
+    assert ens.psi11 == -5e307
 
 
 def test_singular_ensemble(rng):

@@ -201,6 +201,33 @@ def test_u_reconstruction_satisfies_agent_equation(rng):
     assert np.max(np.abs(residual)) < 1e-9
 
 
+@pytest.mark.parametrize("block_values", [None, 7], ids=["default-blocks", "blocks-of-7"])
+def test_in_place_u_matches_the_expression(rng, monkeypatch, block_values):
+    # u is built in its own buffer, rho*x in row blocks (7 values: one row of
+    # 5 nodes per block), by the operations of the one-line expression
+    inst = random_heterogeneous_instance(rng, 5)
+    sys_ = assemble(inst, Gains(2.0, 1.0, 0.7))
+    if block_values is not None:
+        monkeypatch.setattr(sim, "TRACE_BLOCK_VALUES", block_values)
+    trace = integrate(sys_, SimConfig(t_end=5.0, dt=0.01, record_stride=10))
+    xs, zs = trace.x, trace.z
+    expected = (xs @ sys_.A1.T + zs + sys_.affine[:5]
+                - xs * inst.ensemble.rho - inst.ensemble.delta)
+    assert np.array_equal(trace.u, expected)
+    assert np.array_equal(trace.disagreement, xs.max(axis=1) - xs.min(axis=1))
+    assert np.array_equal(trace.z_norm, np.linalg.norm(zs, axis=1))
+
+
+def test_steady_means_past_the_float_sum():
+    # ten trailing samples of 1e308 sum past the float range; their mean does not
+    t = np.linspace(0, 1, 100)
+    d = np.full(100, 1e308)
+    z = np.zeros((100, 2))
+    trace = Trace(times=t, x=z, z=z, u=z, disagreement=d, z_norm=d)
+    m = metrics(trace)
+    assert (m.steady_disagreement, m.steady_z_norm) == (1e308, 1e308)
+
+
 def test_metrics_on_consensus_trace():
     t = np.linspace(0, 1, 11)
     x = np.full((11, 3), 2.5)

@@ -58,6 +58,15 @@ def test_graph_rejects_disconnected():
         Graph(4, ((0, 1, 1.0), (2, 3, 1.0)))
 
 
+def test_overflowing_weighted_degree_names_graph_edges():
+    # node 1 meets two weights of 1e308: each is finite, their sum is not
+    g = Graph(3, ((0, 1, 1e308), (1, 2, 1e308)))
+    with pytest.raises(NonFinite, match=r"^graph.edges: the weighted degree of node 1 "):
+        build_laplacian(g)
+    with pytest.raises(NonFinite, match="weighted degree of node 1"):
+        spectral_decompose(g)
+
+
 def test_two_node_laplacian_analytic():
     g = Graph(2, ((0, 1, 1.0),))
     assert np.array_equal(build_laplacian(g), np.array([[1.0, -1.0], [-1.0, 1.0]]))
