@@ -144,11 +144,7 @@ def test_mean_is_numpy_mean_where_finite(rng):
     assert netmodel.mean(np.array([1e308, 1e308, -1e308])) == 1e308 / 3
     assert netmodel.mean(np.array([-1e308, -1e308, 5e307])) == -5e307
     assert netmodel.mean(np.full(9, 1.5e308)) == 1.5e308
-
-
-def test_psi11_past_the_float_sum():
-    ens = NodeEnsemble(rho=[-1e308, -1e308, 5e307], delta=np.ones(3))
-    assert ens.psi11 == -5e307
+    assert NodeEnsemble(rho=[-1e308, -1e308, 5e307], delta=np.ones(3)).psi11 == -5e307
 
 
 def test_singular_ensemble(rng):
