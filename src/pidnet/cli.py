@@ -7,6 +7,7 @@ Exit codes are a stable contract for scripting:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -28,7 +29,7 @@ from .errors import (
     UnstableAverage,
 )
 from .netmodel import ClosedLoopSystem, Gains, equilibrium, norm2
-from .sim import SimConfig, Trace, TraceMetrics, build_microgrid, integrate, metrics
+from .sim import SimConfig, StreamedTrace, TraceMetrics, build_microgrid, metrics, propagate, write_trace
 from .spectral import h_norm_bound, modified_laplacian
 from .transverse import transverse_system
 from .tuning import certify, min_alpha
@@ -110,17 +111,23 @@ def _fmt(val) -> str:
     return str(val)
 
 
+@contextlib.contextmanager
+def _staged(path: str):
+    """A temporary path that replaces ``path`` when the block succeeds and is
+    removed when it fails, so no partial file is left behind."""
+    tmp = path + ".tmp"
+    try:
+        yield tmp
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+    os.replace(tmp, path)
+
+
 def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
+    with _staged(path) as tmp, open(tmp, "w") as fh:
         fh.write(text)
-    os.replace(tmp, path)
-
-
-def _write_trace(trace: Trace, path: str) -> None:
-    tmp = path + ".tmp"
-    trace.to_csv(tmp)
-    os.replace(tmp, path)
 
 
 def cmd_analyze(args) -> int:
@@ -151,30 +158,27 @@ def cmd_analyze(args) -> int:
 
 
 def _run(
-    sys_: ClosedLoopSystem, sim_cfg: SimConfig, strict: bool
-) -> tuple[Trace, float | None, TraceMetrics]:
-    """Integrate, then summarise the trace against the consensus value."""
-    trace = integrate(sys_, sim_cfg, strict=strict)
-    x_inf = None
-    try:
-        x_inf = equilibrium(sys_.ensemble, sys_.mod_lap).x_inf
-    except SingularEnsemble:
-        pass
+    sys_: ClosedLoopSystem, sim_cfg: SimConfig, strict: bool, csv_path: str
+) -> tuple[StreamedTrace, float | None, TraceMetrics]:
+    """Integrate, writing the trace to csv_path as it is formed, then
+    summarise it against the consensus value."""
+    trace = write_trace(csv_path, *propagate(sys_, sim_cfg, strict=strict))
+    x_inf = sys_.ensemble.x_inf
     return trace, x_inf, metrics(trace, x_inf=x_inf)
 
 
-def _simulate_once(cfg: InstanceConfig, strict: bool) -> tuple[dict, Trace]:
+def _simulate_once(cfg: InstanceConfig, strict: bool, csv_path: str) -> dict:
     cert_report = _certificate_report(cfg)
     if not cert_report["certified"]:
         warnings.warn("instance is not certified; simulating anyway", stacklevel=2)
-    trace, x_inf, summary = _run(cfg.system, cfg.sim, strict)
+    trace, x_inf, summary = _run(cfg.system, cfg.sim, strict, csv_path)
     report = {
         "certificate": cert_report,
         "simulation": {
             "t_end": float(trace.times[-1]),
             "samples": int(trace.times.size),
             "x_inf": x_inf,
-            "final_state": [float(v) for v in trace.x[-1]],
+            "final_state": [float(v) for v in trace.x_final],
             "final_disagreement": summary.final_disagreement,
             "final_offset": summary.final_offset,
             "final_z_norm": summary.final_z_norm,
@@ -203,15 +207,27 @@ def _simulate_once(cfg: InstanceConfig, strict: bool) -> tuple[dict, Trace]:
             }
         )
     report["bound_comparisons"] = comparisons
-    return report, trace
+    return report
 
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    report, trace = _simulate_once(cfg, args.strict)
-    summary = _dumps(report) + "\n"
+    # the directories os.makedirs creates, deepest first: a failed run removes them
+    made, parent = [], os.path.abspath(args.out)
+    while not os.path.exists(parent):
+        made.append(parent)
+        parent = os.path.dirname(parent)
     os.makedirs(args.out, exist_ok=True)
-    _write_trace(trace, os.path.join(args.out, "trace.csv"))
+    try:
+        # trace.csv appears only once the report is known to be finite
+        with _staged(os.path.join(args.out, "trace.csv")) as tmp:
+            report = _simulate_once(cfg, args.strict, tmp)
+            summary = _dumps(report) + "\n"
+    except BaseException:
+        for path in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
     _atomic_write(os.path.join(args.out, "summary.json"), summary)
     _print_report(report, args.json)
     return EXIT_OK
@@ -250,17 +266,16 @@ REPRODUCE_SCENARIOS = (
 
 
 def _reproduce_scenario(cfg: InstanceConfig, gains: Gains, path: str) -> dict:
-    """Run one scenario and write its trace; only its results outlive the call,
-    so no two scenarios' traces are held at once."""
+    """Run one scenario, writing its trace to path as it is formed."""
     sys_ = build_microgrid(cfg.instance, gains)
     cert = certify(cfg.instance, sys_.gains)
-    trace, x_inf, summary = _run(sys_, cfg.sim, strict=False)
-    _write_trace(trace, path)
+    with _staged(path) as tmp:
+        trace, x_inf, summary = _run(sys_, cfg.sim, False, tmp)
     return {
         "gains": {"alpha": gains.alpha, "beta": gains.beta, "gamma": gains.gamma},
         "certified": cert.certified,
         "x_inf": x_inf,
-        "final_state": [float(v) for v in trace.x[-1]],
+        "final_state": [float(v) for v in trace.x_final],
         "final_disagreement": summary.final_disagreement,
         "steady_disagreement": summary.steady_disagreement,
         "steady_z_norm": summary.steady_z_norm,

@@ -131,7 +131,8 @@ class NodeEnsemble:
         return x_inf
 
     def is_homogeneous(self) -> bool:
-        spread = float(np.max(self.rho) - np.min(self.rho))
+        with np.errstate(over="ignore"):  # a spread beyond the float range is inf
+            spread = float(np.max(self.rho) - np.min(self.rho))
         return spread <= HOMOGENEITY_RTOL * max(1.0, float(np.max(np.abs(self.rho))))
 
 
@@ -211,7 +212,12 @@ def assemble(instance: Instance, gains: Gains) -> ClosedLoopSystem:
         if not np.isfinite(term).all():
             raise NonFinite(f"closed-loop assembly: gains.{name} * L leaves the float range "
                             f"(gains.{name} = {getattr(gains, name):.6g})")
-    A1 = Linv @ (ensemble.P - alpha_L)
+    with np.errstate(over="ignore", invalid="ignore"):
+        A1 = Linv @ (ensemble.P - alpha_L)
+    if not np.isfinite(A1).all():
+        raise NonFinite(f"closed-loop assembly: ensemble.rho - gains.alpha * L leaves the float "
+                        f"range (max|ensemble.rho| = {np.max(np.abs(ensemble.rho)):.6g}, "
+                        f"gains.alpha = {gains.alpha:.6g})")
     A = np.block([[A1, np.eye(n)], [A2, np.zeros((n, n))]])
     affine = np.concatenate([Linv @ ensemble.delta, np.zeros(n)])
     return ClosedLoopSystem(A=A, affine=affine, mod_lap=mod_lap, ensemble=ensemble, gains=gains)
@@ -235,12 +241,22 @@ def equilibrium(ensemble: NodeEnsemble, mod_lap: ModifiedLaplacian) -> Equilibri
     if x_inf is None:
         raise SingularEnsemble(f"sum of poles {float(np.sum(rho)):.3e} is numerically zero")
     x_star = x_inf * np.ones(rho.size)
-    b = rho * x_star + ensemble.delta
-    # |V^T b| reaches sqrt(N) max|b|, where L_tilde^-1 b (a weighted mean of b)
-    # stays within max|b|: scaling b by a power of two first keeps V^T b finite
-    b, exp = _scaled(b)
+    # b = rho * x_inf + delta from terms scaled by powers of two, so that neither
+    # overflows; |V^T b| reaches sqrt(N) max|b|, where L_tilde^-1 b (a weighted
+    # mean of b) stays within max|b|, so b is scaled to below 1 before V^T b
+    rho_s, rho_exp = _scaled(rho)
+    frac, x_exp = math.frexp(x_inf)
+    delta_s, delta_exp = _scaled(ensemble.delta)
+    exp = max(rho_exp + x_exp, delta_exp)
+    b, b_exp = _scaled(np.ldexp(rho_s * frac, rho_exp + x_exp - exp)
+                       + np.ldexp(delta_s, delta_exp - exp))
+    exp += b_exp
     V = mod_lap.dec.V
     w = V.T @ b
     w[1:] *= mod_lap.g
-    z_star = -np.ldexp(V @ w, exp)
+    with np.errstate(over="ignore"):
+        z_star = -np.ldexp(V @ w, exp)
+    if not np.isfinite(z_star).all():
+        raise NonFinite(f"consensus equilibrium: z* leaves the float range "
+                        f"(||ensemble.delta|| = {ensemble.delta_norm:.6g})")
     return Equilibrium(x_inf=x_inf, x_star=x_star, z_star=z_star)

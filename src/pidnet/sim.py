@@ -7,18 +7,18 @@ verified against a matrix-exponential oracle in the test suite.
 
 On a linear time-invariant system one RK4 step is a fixed affine map, so
 it is precomputed once as a matrix M on the augmented state [x; z; 1].
-The step count then costs only the squarings of M^record_stride, and each
-recorded sample costs one matrix-vector product; batches of samples come
-from a stack of the powers of M^record_stride in one product (Moler & Van
-Loan, "Nineteen Dubious Ways to Compute the Exponential of a Matrix",
-SIAM Review 2003).
+The step count then costs only the squarings of Q = M^record_stride. The
+samples come from B chains (Moler & Van Loan, "Nineteen Dubious Ways to
+Compute the Exponential of a Matrix", SIAM Review 2003): the first block is
+[w, Q w, ..., Q^(B-1) w], and each later block of B samples is the last one
+times Q^B, one matrix product per block. B comes from CHAIN_BYTES, so the
+run holds M, Q and Q^B and one block of B samples, whatever its length.
 
-At its peak integrate() holds one trace and temporaries a fraction of its
-size. While the samples of x and z are computed, it holds at most
-PROPAGATOR_BYTES of propagator powers beside them, and releases them before
-the post-processing. That forms d and ||z|| (the squares of z are the size of
-the u column) before u exists, then builds u in its own buffer, forming
-rho * x TRACE_BLOCK_VALUES values at a time.
+propagate() yields the trace one block at a time, each with its u, d and
+||z|| and each checked for overflow. write_trace() writes each block's CSV
+rows as the block is formed and keeps only the sample times, d, ||z|| and
+the final state, which is all that metrics() reads; integrate() collects
+the blocks into one Trace.
 
 Trace.to_csv writes every value as "%.11e" would, byte for byte, but
 formats whole chunks in numpy: the 12 digits come from one scale by a
@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,17 +43,16 @@ from .netmodel import ClosedLoopSystem, Gains, Instance, assemble, mean, norm2, 
 # dt * spectral_radius(A) must stay below this for RK4 stability.
 STEP_GUARD = 2.5
 
-# Largest trace integrate() records, counted in stored values (samples x 2N).
+# Largest trace propagate() records, counted in values (samples x 2N). It
+# bounds the CSV size and the run time; a streamed run holds only t, d and
+# ||z|| of each sample.
 MAX_RECORDED_VALUES = 2**25
 
-# Largest stack of propagator powers integrate() holds at once, in bytes.
-PROPAGATOR_BYTES = 2**21
+# Largest block of chained augmented states propagate() advances at once, in
+# bytes: B = CHAIN_BYTES // (8 * (2N + 1)) samples per block (at least one).
+CHAIN_BYTES = 2**17
 
-# Values of a trace-sized product integrate() forms per numpy pass (the rho * x
-# term of u), so that no temporary is the size of a trace column.
-TRACE_BLOCK_VALUES = 2**14
-
-# Values Trace.to_csv formats per numpy pass (whole rows, at least one);
+# Values the CSV writer formats per numpy pass (whole rows, at least one);
 # chunks keep the whole table and its text out of memory.
 CSV_CHUNK_VALUES = 2**12
 
@@ -114,30 +114,40 @@ class Trace:
     def node_count(self) -> int:
         return self.x.shape[1]
 
+    @property
+    def x_final(self) -> np.ndarray:
+        return self.x[-1]
+
     def to_csv(self, path) -> None:
         """CSV export: a header, then each sample as "%.11e" values."""
-        n = self.node_count
-        header = (
-            ["t"]
-            + [f"x_{k + 1}" for k in range(n)]
-            + [f"z_{k + 1}" for k in range(n)]
-            + [f"u_{k + 1}" for k in range(n)]
-            + ["d", "z_norm"]
-        )
-        columns = [
-            self.times[:, None],
-            self.x,
-            self.z,
-            self.u,
-            self.disagreement[:, None],
-            self.z_norm[:, None],
-        ]
-        rows = max(1, CSV_CHUNK_VALUES // len(header))
         with open(path, "wb") as fh:
-            fh.write((",".join(header) + "\n").encode())
-            for start in range(0, self.times.size, rows):
-                block = np.hstack([c[start : start + rows] for c in columns])
-                fh.write(_format_e11(block))
+            fh.write(_csv_header(self.node_count))
+            _write_rows(fh, self)
+
+
+@dataclass(frozen=True)
+class StreamedTrace:
+    """What a run streamed to CSV keeps of its trace: what metrics reads."""
+
+    times: np.ndarray
+    disagreement: np.ndarray
+    z_norm: np.ndarray
+    x_final: np.ndarray  # x at the last sample
+
+
+def _csv_header(n: int) -> bytes:
+    names = ["t"] + [f"{c}_{k + 1}" for c in "xzu" for k in range(n)] + ["d", "z_norm"]
+    return (",".join(names) + "\n").encode()
+
+
+def _write_rows(fh, trace: Trace) -> None:
+    """The CSV rows of a trace, CSV_CHUNK_VALUES values (whole rows) at a time."""
+    columns = [trace.times[:, None], trace.x, trace.z, trace.u,
+               trace.disagreement[:, None], trace.z_norm[:, None]]
+    rows = max(1, CSV_CHUNK_VALUES // (3 * trace.node_count + 3))
+    for start in range(0, trace.times.size, rows):
+        block = np.hstack([c[start : start + rows] for c in columns])
+        fh.write(_format_e11(block))
 
 
 @functools.cache
@@ -220,11 +230,17 @@ def _format_e11(block: np.ndarray) -> np.ndarray:
     return raw[raw != 0]
 
 
-def _check_finite(block: np.ndarray, times: np.ndarray) -> None:
-    """Raise NonFinite at the time of the first non-finite row of a batch."""
-    bad = ~np.isfinite(block).all(axis=1)
+def _check_finite(block: np.ndarray, times: np.ndarray, name: str = "state") -> None:
+    """Raise NonFinite at the time of the first non-finite row of a block (the
+    whole block is one row where times holds one time)."""
+    bad = ~np.isfinite(block).reshape(times.size, -1).all(axis=1)
     if bad.any():
-        raise NonFinite(f"state overflowed at t = {times[np.argmax(bad)]:.6g}")
+        raise NonFinite(f"{name} overflowed at t = {times[np.argmax(bad)]:.6g}")
+
+
+def _checked_next():
+    """np.errstate for a product whose result is checked on the next line."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _rk4_map(A: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
@@ -242,11 +258,17 @@ def _rk4_map(A: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
     return eye + X @ (eye + X @ (eye + X @ (eye + X / 4.0) / 3.0) / 2.0)
 
 
-def integrate(sys: ClosedLoopSystem, cfg: SimConfig, strict: bool = False) -> Trace:
-    """RK4 integration of the augmented closed loop, as a precomputed map."""
+def propagate(
+    sys: ClosedLoopSystem, cfg: SimConfig, strict: bool = False
+) -> tuple[np.ndarray, Iterator[Trace]]:
+    """Sample times of the RK4 run, and its samples as a generator of blocks.
+
+    The step, the guard and the sample budget are checked here, before any
+    step; the blocks (Trace objects of consecutive samples) are formed one
+    at a time as the generator is advanced.
+    """
     n = sys.node_count
     A = sys.A
-    b = sys.affine
     radius = float(np.max(np.abs(np.linalg.eigvals(A))))
     dt = cfg.dt if cfg.dt is not None else (1.0 / (20.0 * radius) if radius > 0 else cfg.t_end / 100.0)
     if not 0.0 < dt < math.inf:
@@ -276,55 +298,117 @@ def integrate(sys: ClosedLoopSystem, cfg: SimConfig, strict: bool = False) -> Tr
     times = np.empty(full + 1 + (rem != 0))
     times[0] = 0.0
     times[-1] = steps * dt
-
-    M = _rk4_map(A, b, dt)
-    m = M.shape[0]
-    w = np.concatenate([x0, np.zeros(n), [1.0]])  # z(0) = 0: the integral states keep zero sum
-    samples = np.empty((times.size, 2 * n))
-    samples[0] = w[:-1]
-    pos = 1
     if full:
         # stride <= steps here, so float(stride) is finite
         times[1 : full + 1] = np.arange(1, full + 1) * float(stride) * dt
-        # Q^1 .. Q^B for Q = M^stride: B samples per matrix-vector product.
-        batch = max(1, min(full, PROPAGATOR_BYTES // (8 * m * m)))
-        stack = np.empty((batch, m, m))
-        stack[0] = np.linalg.matrix_power(M, stride)
-        k = 1
-        while k < batch:
-            j = min(k, batch - k)
-            np.matmul(stack[:j], stack[k - 1], out=stack[k : k + j])
-            k += j
-        flat = stack.reshape(batch * m, m)
-        while pos <= full:
-            k = min(batch, full + 1 - pos)
-            block = (flat[: k * m] @ w).reshape(k, m)
-            _check_finite(block, times[pos : pos + k])
-            samples[pos : pos + k] = block[:, :-1]
-            w = block[-1]
-            pos += k
-        del stack, flat
-    if rem:
-        block = (np.linalg.matrix_power(M, rem) @ w)[None, :]
-        _check_finite(block, times[pos:])
-        samples[pos] = block[0, :-1]
+    w = np.concatenate([x0, np.zeros(n), [1.0]])  # z(0) = 0: the integral states keep zero sum
+    return times, _blocks(sys, w, dt, stride, full, rem, times)
 
-    xs = samples[:, :n]
-    zs = samples[:, n:]
-    # the norms' temporaries come and go before u exists
-    disagreement = xs.max(axis=1) - xs.min(axis=1)
+
+def _blocks(sys, w, dt, stride, full, rem, times) -> Iterator[Trace]:
+    """The samples of propagate(), in blocks of B = CHAIN_BYTES // (8m).
+
+    The first block is W = [w, Q w, ..., Q^(B-1) w] for Q = M^stride, and
+    each later one is the last times Q^B: one product per block, with M, Q
+    and Q^B beside W (Moler & Van Loan 2003). W and Q^B come from the
+    bits of B, top first: with rows 0..k-1 formed and P = Q^k, rows k..2k-1
+    are rows 0..k-1 times P, and a set bit adds one row times Q. Each
+    product is checked on the next line, and a power of M at the first
+    sample it forms, so the error names the first sample that is not finite
+    or whose propagator is not.
+    """
+    with _checked_next():
+        M = _rk4_map(sys.A, sys.affine, dt)
+    _check_finite(M, times[1:2], "propagator")
+    B = max(1, min(full + 1, CHAIN_BYTES // (8 * M.shape[0])))
+    W = np.empty((B, M.shape[0]))
+    W[0] = w
+    if full:
+        with _checked_next():
+            Qt = np.linalg.matrix_power(M, stride).T
+        _check_finite(Qt, times[1:2], "propagator")
+        P, k = Qt, 1  # P = (Q^k)^T
+        for bit in bin(B)[3:]:
+            with _checked_next():
+                W[k : 2 * k] = W[:k] @ P
+            _check_finite(W[k : 2 * k], times[k : 2 * k])
+            k *= 2
+            if bit == "1":
+                with _checked_next():
+                    W[k] = W[k - 1] @ Qt
+                _check_finite(W[k : k + 1], times[k : k + 1])
+                k += 1
+            if k < B or full >= B:
+                with _checked_next():
+                    P = P @ P
+                    if bit == "1":
+                        P = P @ Qt
+                _check_finite(P, times[k : k + 1], "propagator")
+    pos = 0
+    while True:
+        yield _block(sys, W, times[pos : pos + len(W)])
+        pos += len(W)
+        if pos > full:
+            break
+        with _checked_next():
+            W = W[: full + 1 - pos] @ P
+        _check_finite(W, times[pos : pos + len(W)])
+    if rem:
+        with _checked_next():
+            R = np.linalg.matrix_power(M, rem)
+        _check_finite(R, times[pos:], "propagator")
+        with _checked_next():
+            W = (R @ W[-1])[None, :]
+        _check_finite(W, times[pos:])
+        yield _block(sys, W, times[pos:])
+
+
+def _block(sys: ClosedLoopSystem, W: np.ndarray, times: np.ndarray) -> Trace:
+    """The samples of the augmented states W (rows), with u, d and ||z||.
+
+    u comes from the agent equation xdot = rho*x + delta + u, with xdot
+    taken from the ODE right-hand side, so the protocol is exact at the
+    samples: xdot - rho*x - delta.
+    """
+    n = sys.node_count
+    xs = W[:, :n]
+    zs = W[:, n:-1]
+    with _checked_next():
+        disagreement = xs.max(axis=1) - xs.min(axis=1)
+    _check_finite(disagreement, times, "d")
     z_norm = row_norms(zs)
-    # u from the agent equation xdot = rho*x + delta + u, with xdot taken
-    # from the ODE right-hand side, so the protocol is exact at samples:
-    # xdot - rho*x - delta, built in its own buffer by the same operations
-    us = xs @ sys.A1.T
-    us += zs
-    us += sys.affine[:n]  # L_tilde^-1 delta
-    rows = max(1, TRACE_BLOCK_VALUES // n)
-    for start in range(0, us.shape[0], rows):
-        us[start : start + rows] -= xs[start : start + rows] * sys.ensemble.rho
-    us -= sys.ensemble.delta
+    _check_finite(z_norm, times, "z_norm")
+    with _checked_next():
+        # sys.affine[:n] is L_tilde^-1 delta
+        us = xs @ sys.A1.T + zs + sys.affine[:n] - xs * sys.ensemble.rho - sys.ensemble.delta
+    _check_finite(us, times, "u")
     return Trace(times=times, x=xs, z=zs, u=us, disagreement=disagreement, z_norm=z_norm)
+
+
+def integrate(sys: ClosedLoopSystem, cfg: SimConfig, strict: bool = False) -> Trace:
+    """The whole trace of propagate(), collected into one Trace."""
+    times, blocks = propagate(sys, cfg, strict)
+    blocks = list(blocks)
+    return Trace(times, *(np.concatenate([getattr(b, field) for b in blocks])
+                          for field in ("x", "z", "u", "disagreement", "z_norm")))
+
+
+def write_trace(path, times: np.ndarray, blocks: Iterator[Trace]) -> StreamedTrace:
+    """Write each block's CSV rows as it is formed (the bytes of Trace.to_csv
+    of the whole trace), keeping only what metrics reads."""
+    disagreement, z_norm = np.empty(times.size), np.empty(times.size)
+    pos = 0
+    with open(path, "wb") as fh:
+        for block in blocks:
+            if not pos:
+                fh.write(_csv_header(block.node_count))
+            _write_rows(fh, block)
+            end = pos + block.times.size
+            disagreement[pos:end] = block.disagreement
+            z_norm[pos:end] = block.z_norm
+            pos = end
+    return StreamedTrace(times=times, disagreement=disagreement, z_norm=z_norm,
+                         x_final=block.x[-1].copy())
 
 
 @dataclass(frozen=True)
@@ -337,7 +421,7 @@ class TraceMetrics:
     empirical_rate: float | None
 
 
-def metrics(trace: Trace, x_inf: float | None = None) -> TraceMetrics:
+def metrics(trace: Trace | StreamedTrace, x_inf: float | None = None) -> TraceMetrics:
     """Summary metrics including a log-linear fit of the disagreement decay.
 
     The decay rate is fitted on the running envelope of d(t) inside the
@@ -367,7 +451,7 @@ def metrics(trace: Trace, x_inf: float | None = None) -> TraceMetrics:
     return TraceMetrics(
         final_disagreement=float(d[-1]),
         final_offset=(
-            norm2(trace.x[-1] - x_inf) if x_inf is not None else None
+            norm2(trace.x_final - x_inf) if x_inf is not None else None
         ),
         final_z_norm=float(trace.z_norm[-1]),
         steady_z_norm=mean(trace.z_norm[-tail:]),

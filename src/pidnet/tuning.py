@@ -192,7 +192,7 @@ def min_alpha(instance: Instance, gamma: float, conservative: bool = False) -> f
     h1_norm = 1.0 + h_norm_bound(instance.dec, gamma) if conservative else mod_lap.h1_norm
     lam2 = instance.dec.lambda_2
     rhs = _gain_threshold_rhs(instance, h1_norm)
-    return float(rhs * (gamma * lam2 + 1.0) / lam2)
+    return float(rhs) * (gamma * lam2 + 1.0) / lam2  # Python floats: inf, not a warning
 
 
 def z_infinity_bound(instance: Instance, gains: Gains) -> float:

@@ -265,7 +265,7 @@ X_INF_RANGE = ("consensus value -sum(delta)/sum(rho) leaves the float range "
 RHO_BAR_OVERFLOW = X_INF_SUM_OVERFLOW.replace("-1.0, -1.0, -1.0", "-1.0e+200, -2.0e+200, 1.0e+200")
 RHO_BAR_RANGE = "rho_bar_sq leaves the float range (max|ensemble.rho| = 2e+200)"
 # the trailing disagreements (about 4.8e306 each) sum past the float range, their mean does not
-STEADY_MEAN = '"steady_disagreement": 4.81746558456104e+306'
+STEADY_MEAN = '"steady_disagreement": 4.817465584561069e+306'
 # sum(rho) = -1.5e308 overflows, though psi11 = mean(rho) does not; rho_bar . rho_bar does
 PSI11_SUM_OVERFLOW = X_INF_SUM_OVERFLOW.replace(
     "[-1.0, -1.0, -1.0], delta: [1.0e+308, 1.0e+308, -1.0e+308]",
@@ -275,6 +275,24 @@ PSI11_RANGE = "rho_bar_sq leaves the float range (max|ensemble.rho| = 1e+308)"
 DEGREE_OVERFLOW = X_INF_SUM_OVERFLOW.replace("w: 1.0}", "w: 1.0e+308}").replace(
     "1.0e+308, 1.0e+308, -1.0e+308", "1.0, 2.0, 3.0")
 DEGREE_RANGE = "graph.edges: the weighted degree of node 1 leaves the float range"
+# every state stays finite (about 3.2e307), but u = A1 x + ... does not
+U_OVERFLOW = """
+graph:
+  nodes: 5
+  edges:
+    - {i: 0, j: 1, w: 0.9426}
+    - {i: 1, j: 2, w: 2.5665}
+    - {i: 2, j: 3, w: 1.0e+8}
+    - {i: 3, j: 4, w: 1.0e+8}
+    - {i: 0, j: 3, w: 2.3763}
+    - {i: 0, j: 4, w: 3.0422}
+microgrid:
+  k: [1.3136798079657384, 1.3136798079657384, 1.3136798079657384, 1.3136798079657384,
+      1.3136798079657384]
+  p_star: [-4.79, 5.0e+307, 1.28, -4.41, 3.77]
+gains: {alpha: 1.0e+8, beta: 1.94, gamma: 2.40}
+sim: {t_end: 1.294, record_stride: 1000000000000000000}
+"""
 
 
 @pytest.mark.parametrize(
@@ -310,6 +328,7 @@ DEGREE_RANGE = "graph.edges: the weighted degree of node 1 leaves the float rang
         (["analyze", "--json"], DEGREE_OVERFLOW, 4, DEGREE_RANGE),
         (["tune", "--json"], DEGREE_OVERFLOW, 4, DEGREE_RANGE),
         (["simulate", "--json"], DEGREE_OVERFLOW, 4, DEGREE_RANGE),
+        (["simulate", "--json"], U_OVERFLOW, 4, "numeric failure: u overflowed at t = 1.294\n"),
     ],
     ids=[
         "one-node-analyze", "one-node-tune", "one-node-simulate", "huge-gamma-analyze",
@@ -321,6 +340,7 @@ DEGREE_RANGE = "graph.edges: the weighted degree of node 1 leaves the float rang
         "overflowing-rho-bar-sq-tune", "overflowing-steady-mean-simulate",
         "overflowing-psi11-sum-analyze", "overflowing-psi11-sum-tune",
         "overflowing-degree-analyze", "overflowing-degree-tune", "overflowing-degree-simulate",
+        "overflowing-u-simulate",
     ],
 )
 def test_exit_code_holes(tmp_path, capsys, argv, config, code, message):
@@ -341,7 +361,8 @@ def test_exit_code_holes(tmp_path, capsys, argv, config, code, message):
     assert out.exists() is (code == 0 and argv[0] == "simulate")
 
 
-FUZZ_SPECIAL = (0.0, 1e-300, -1e-300, 1e300, -1e300, 1e150, 5e-324, 1e8, -1e8)
+FUZZ_SPECIAL = (0.0, 1e-300, -1e-300, 1e300, -1e300, 1e150, 5e-324, 1e8, -1e8, 1e308, -1e308,
+                5e307)
 
 
 @st.composite
@@ -390,11 +411,14 @@ def test_fuzzed_configs_keep_exit_code_contract(text):
         )
         for argv in runs:
             stdout = io.StringIO()
-            with (warnings.catch_warnings(), contextlib.redirect_stdout(stdout),
+            with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(stdout),
                   contextlib.redirect_stderr(io.StringIO())):
-                warnings.simplefilter("ignore")  # overflow on the way to exit 4
+                warnings.simplefilter("always")
                 code = main(argv + ["--config", str(path)])
             assert code in (0, 2, 3, 4), (argv, text)
+            # a CLI run would print these to stderr
+            assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == [], (
+                argv, text)
             if code != 0:
                 continue
             if "--json" in argv:
@@ -402,6 +426,9 @@ def test_fuzzed_configs_keep_exit_code_contract(text):
             else:
                 values = {line.rsplit(" ", 1)[-1] for line in stdout.getvalue().splitlines()}
                 assert not values & {"inf", "-inf", "nan"}, (argv, text)
+            if argv[0] == "simulate":
+                trace = (Path(tmp) / "out" / "trace.csv").read_text()
+                assert "inf" not in trace and "nan" not in trace, text
 
 
 @pytest.mark.parametrize("argv", [["analyze", "--json"], ["analyze"]], ids=["json", "tree"])
@@ -614,28 +641,25 @@ def test_tune_traced_peak_in_dense_matrices(tmp_path, capsys):
     assert traced_peak(tmp_path, capsys, "tune") < 3.9
 
 
-def test_reproduce_traced_peak_in_traces(tmp_path, capsys, monkeypatch):
-    # 1.12: the largest trace and the blocks of its u and CSV (2.35 while the
-    # previous scenario's trace, the propagator stack and the trace-sized
-    # temporaries of u were held beside it)
-    sizes, original = [], cli.integrate
-
-    def integrate(*args, **kwargs):
-        trace = original(*args, **kwargs)
-        sizes.append(sum(getattr(trace, f).nbytes
-                         for f in ("times", "x", "z", "u", "disagreement", "z_norm")))
-        return trace
-
-    monkeypatch.setattr(cli, "integrate", integrate)
+def test_reproduce_traced_peak_in_traces(tmp_path, capsys):
+    # 0.27: t, d and ||z|| of the largest run, one block of chained states and
+    # its CSV chunk (1.12 while the whole trace was held, 2.35 while two traces
+    # and the stack of propagator powers were)
+    out = tmp_path / "repro"
     tracemalloc.start()
     try:
-        assert main(["reproduce", "--out", str(tmp_path / "repro"), "--json"]) == 0
+        assert main(["reproduce", "--out", str(out), "--json"]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     capsys.readouterr()
+    # a whole trace holds 8 bytes per CSV value
+    sizes = []
+    for path in out.glob("*.csv"):
+        lines = path.read_text().splitlines()
+        sizes.append(8 * (len(lines) - 1) * len(lines[0].split(",")))
     assert len(sizes) == 4
-    assert peak < 1.3 * max(sizes)
+    assert peak < 0.4 * max(sizes)
 
 
 def ring_config(n: int) -> str:

@@ -136,7 +136,7 @@ def test_integrate_matches_step_loop(rng, monkeypatch, stride, batch):
         sys_ = assemble(inst, Gains(float(rng.uniform(0.5, 3)), float(rng.uniform(0.2, 2)),
                                     float(rng.uniform(0, 1.5))))
         if batch is not None:
-            monkeypatch.setattr(sim, "PROPAGATOR_BYTES", batch * 8 * (2 * n + 1) ** 2)
+            monkeypatch.setattr(sim, "CHAIN_BYTES", batch * 8 * (2 * n + 1))
         x0 = rng.normal(0, 1, n)
         trace = integrate(sys_, SimConfig(t_end=t_end, dt=dt, x0=x0, record_stride=stride))
         times, ref = rk4_step_loop(sys_.A, sys_.affine, np.concatenate([x0, np.zeros(n)]), dt,
@@ -174,11 +174,28 @@ def test_nonfinite_reports_first_bad_sample(monkeypatch):
                                np.zeros(4))
     g = 1.0 + 0.4 + 0.4**2 / 2 + 0.4**3 / 6 + 0.4**4 / 24
     first_step = 7 * math.ceil(np.log(np.finfo(float).max) / np.log(g) / 7)
-    monkeypatch.setattr(sim, "PROPAGATOR_BYTES", 4 * 8 * 5**2)
+    monkeypatch.setattr(sim, "CHAIN_BYTES", 4 * 8 * 5)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         NonFinite, match=rf"^state overflowed at t = {first_step * 0.01:.6g}$"
     ):
         integrate(growing, SimConfig(t_end=30.0, dt=0.01, x0=np.ones(2), record_stride=7))
+
+
+@pytest.mark.parametrize("chains", [None, 300], ids=["default-chains", "300-chains"])
+def test_overflowing_propagator_names_its_first_sample(monkeypatch, chains):
+    # x0 = 1e-300 grows by Q = g^7 = 16.4 per sample, so every sample up to
+    # t = 30 (428 samples) is finite, but Q^300 (10^365), which forms the
+    # second block of 300 chains, is not; 429 chains never form it
+    inst = Instance.from_graph(Graph(2, ((0, 1, 1.0),)), -np.ones(2), np.zeros(2))
+    growing = replace_dynamics(assemble(inst, Gains(1.0)), np.diag([40.0, 40.0, 0.0, 0.0]),
+                               np.zeros(4))
+    cfg = SimConfig(t_end=30.0, dt=0.01, x0=np.full(2, 1e-300), record_stride=7)
+    if chains is None:
+        assert np.isfinite(integrate(growing, cfg).x[-1]).all()
+        return
+    monkeypatch.setattr(sim, "CHAIN_BYTES", chains * 8 * 5)
+    with pytest.raises(NonFinite, match=r"^propagator overflowed at t = 21$"):
+        integrate(growing, cfg)
 
 
 def test_record_stride_and_final_sample(rng):
@@ -201,21 +218,52 @@ def test_u_reconstruction_satisfies_agent_equation(rng):
     assert np.max(np.abs(residual)) < 1e-9
 
 
-@pytest.mark.parametrize("block_values", [None, 7], ids=["default-blocks", "blocks-of-7"])
-def test_in_place_u_matches_the_expression(rng, monkeypatch, block_values):
-    # u is built in its own buffer, rho*x in row blocks (7 values: one row of
-    # 5 nodes per block), by the operations of the one-line expression
+@pytest.mark.parametrize("chains", [None, 7], ids=["default-blocks", "blocks-of-7"])
+def test_in_place_u_matches_the_expression(rng, monkeypatch, chains):
+    # each block's u, d and ||z|| are the one-line expressions on the block's
+    # rows (7 chains: blocks of 7 samples), and integrate() stacks the blocks
     inst = random_heterogeneous_instance(rng, 5)
     sys_ = assemble(inst, Gains(2.0, 1.0, 0.7))
-    if block_values is not None:
-        monkeypatch.setattr(sim, "TRACE_BLOCK_VALUES", block_values)
-    trace = integrate(sys_, SimConfig(t_end=5.0, dt=0.01, record_stride=10))
-    xs, zs = trace.x, trace.z
-    expected = (xs @ sys_.A1.T + zs + sys_.affine[:5]
-                - xs * inst.ensemble.rho - inst.ensemble.delta)
-    assert np.array_equal(trace.u, expected)
-    assert np.array_equal(trace.disagreement, xs.max(axis=1) - xs.min(axis=1))
-    assert np.array_equal(trace.z_norm, np.linalg.norm(zs, axis=1))
+    if chains is not None:
+        monkeypatch.setattr(sim, "CHAIN_BYTES", chains * 8 * 11)
+    cfg = SimConfig(t_end=5.0, dt=0.01, record_stride=10)
+    times, blocks = sim.propagate(sys_, cfg)
+    us = []
+    for block in blocks:
+        xs, zs = block.x, block.z
+        expected = (xs @ sys_.A1.T + zs + sys_.affine[:5]
+                    - xs * inst.ensemble.rho - inst.ensemble.delta)
+        assert np.array_equal(block.u, expected)
+        assert np.array_equal(block.disagreement, xs.max(axis=1) - xs.min(axis=1))
+        assert np.array_equal(block.z_norm, np.linalg.norm(zs, axis=1))
+        us.append(block.u)
+    # one block and the remainder sample, or blocks of 7
+    sizes = [len(u) for u in us]
+    if chains:
+        assert max(sizes) == 7 and len(sizes) > 2
+    else:
+        assert len(sizes) <= 2
+    assert np.array_equal(integrate(sys_, cfg).u, np.vstack(us))
+
+
+@pytest.mark.parametrize("chains", [None, 1, 3], ids=["default-chains", "1-chain", "3-chains"])
+@pytest.mark.parametrize("stride", [1, 7, 10])
+def test_streamed_csv_matches_collected_trace(tmp_path, rng, monkeypatch, stride, chains):
+    # 201 steps: a remainder for strides 7 and 10, and a partial last block
+    inst = random_heterogeneous_instance(rng, 4)
+    sys_ = assemble(inst, Gains(2.0, 1.0, 0.7))
+    if chains is not None:
+        monkeypatch.setattr(sim, "CHAIN_BYTES", chains * 8 * 9)
+    cfg = SimConfig(t_end=2.005, dt=0.01, record_stride=stride)
+    trace = integrate(sys_, cfg)
+    trace.to_csv(tmp_path / "collected.csv")
+    kept = sim.write_trace(tmp_path / "streamed.csv", *sim.propagate(sys_, cfg))
+    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "collected.csv").read_bytes()
+    assert np.array_equal(kept.times, trace.times)
+    assert np.array_equal(kept.disagreement, trace.disagreement)
+    assert np.array_equal(kept.z_norm, trace.z_norm)
+    assert np.array_equal(kept.x_final, trace.x[-1])
+    assert metrics(kept) == metrics(trace)
 
 
 def test_steady_means_past_the_float_sum():
