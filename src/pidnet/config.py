@@ -30,8 +30,9 @@ from .spectral import Graph
 # 97 MB at N = 1200 and 206 MB at this cap, and takes about 0.8 s, 1.4 s and
 # 5.5 s on a 2-CPU Xeon; where the dense eigvals decides (beta = 0) it peaks
 # at 99 MB and 175 MB and takes 1.9 s and 3.6 s at N = 800 and 1200, and
-# 366 MB and 12 s at this cap. simulate peaks near 330 bytes * N^2, 1.4 GB at
-# this cap.
+# 366 MB and 12 s at this cap. A fresh simulate of the pidbench instance with
+# sim: {t_end: 0.001, record_stride: 10} peaks at 166 MiB at N = 800 and 366 MiB
+# at N = 1200 (record_stride: 20); 270 bytes * N^2 fits both, so 1.1 GB here.
 MAX_NODES = 2048
 
 # libyaml's parser builds the same document as the pure-Python one, faster.

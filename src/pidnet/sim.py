@@ -8,11 +8,11 @@ verified against a matrix-exponential oracle in the test suite.
 On a linear time-invariant system one RK4 step is a fixed affine map, so
 it is precomputed once as a matrix M on the augmented state [x; z; 1].
 The step count then costs only the squarings of Q = M^record_stride. The
-samples come from B chains (Moler & Van Loan, "Nineteen Dubious Ways to
-Compute the Exponential of a Matrix", SIAM Review 2003): the first block is
-[w, Q w, ..., Q^(B-1) w], and each later block of B samples is the last one
-times Q^B, one matrix product per block. B comes from CHAIN_BYTES, so the
-run holds M, Q and Q^B and one block of B samples, whatever its length.
+samples come from chains grown from the one sample w (Moler & Van Loan,
+"Nineteen Dubious Ways to Compute the Exponential of a Matrix", SIAM Review
+2003): k chains W give the next k samples W Q^k. They double up to B chains
+(see CHAIN_BYTES), and each later block of B samples is the last one times
+Q^B. So the run holds M, Q^B and two blocks of B samples, whatever its length.
 
 propagate() yields the trace one block at a time, each with its u, d and
 ||z|| and each checked for overflow. write_trace() writes each block's CSV
@@ -20,7 +20,7 @@ rows as the block is formed and keeps only the sample times, d, ||z|| and
 the final state, which is all that metrics() reads; integrate() collects
 the blocks into one Trace.
 
-Trace.to_csv writes every value as "%.11e" would, byte for byte, but
+write_trace() writes every value as "%.11e" would, byte for byte, but
 formats whole chunks in numpy: the 12 digits come from one scale by a
 power of ten and a rint, and table lookups place them in fixed byte slots.
 Values whose digits that scale cannot settle (near rounding ties, extreme
@@ -49,7 +49,7 @@ STEP_GUARD = 2.5
 MAX_RECORDED_VALUES = 2**25
 
 # Largest block of chained augmented states propagate() advances at once, in
-# bytes: B = CHAIN_BYTES // (8 * (2N + 1)) samples per block (at least one).
+# bytes: B samples, the largest power of two within CHAIN_BYTES // (8(2N + 1)).
 CHAIN_BYTES = 2**17
 
 # Values the CSV writer formats per numpy pass (whole rows, at least one);
@@ -120,9 +120,7 @@ class Trace:
 
     def to_csv(self, path) -> None:
         """CSV export: a header, then each sample as "%.11e" values."""
-        with open(path, "wb") as fh:
-            fh.write(_csv_header(self.node_count))
-            _write_rows(fh, self)
+        write_trace(path, self.times, [self])
 
 
 @dataclass(frozen=True)
@@ -133,21 +131,6 @@ class StreamedTrace:
     disagreement: np.ndarray
     z_norm: np.ndarray
     x_final: np.ndarray  # x at the last sample
-
-
-def _csv_header(n: int) -> bytes:
-    names = ["t"] + [f"{c}_{k + 1}" for c in "xzu" for k in range(n)] + ["d", "z_norm"]
-    return (",".join(names) + "\n").encode()
-
-
-def _write_rows(fh, trace: Trace) -> None:
-    """The CSV rows of a trace, CSV_CHUNK_VALUES values (whole rows) at a time."""
-    columns = [trace.times[:, None], trace.x, trace.z, trace.u,
-               trace.disagreement[:, None], trace.z_norm[:, None]]
-    rows = max(1, CSV_CHUNK_VALUES // (3 * trace.node_count + 3))
-    for start in range(0, trace.times.size, rows):
-        block = np.hstack([c[start : start + rows] for c in columns])
-        fh.write(_format_e11(block))
 
 
 @functools.cache
@@ -306,53 +289,40 @@ def propagate(
 
 
 def _blocks(sys, w, dt, stride, full, rem, times) -> Iterator[Trace]:
-    """The samples of propagate(), in blocks of B = CHAIN_BYTES // (8m).
+    """The samples of propagate(), in blocks of 1, 1, 2, 4, ..., B samples.
 
-    The first block is W = [w, Q w, ..., Q^(B-1) w] for Q = M^stride, and
-    each later one is the last times Q^B: one product per block, with M, Q
-    and Q^B beside W (Moler & Van Loan 2003). W and Q^B come from the
-    bits of B, top first: with rows 0..k-1 formed and P = Q^k, rows k..2k-1
-    are rows 0..k-1 times P, and a set bit adds one row times Q. Each
-    product is checked on the next line, and a power of M at the first
-    sample it forms, so the error names the first sample that is not finite
-    or whose propagator is not.
+    W starts as the one sample w and P as Q = M^stride. Each step forms the
+    next samples as W @ P; while W holds fewer than B chains they join W and
+    P is squared (a P^2 that is not finite stops the growth), and after that
+    they replace W. Each sample is checked on the next line, and M, M^stride
+    and M^rem at the first sample they form, so the error names the first
+    sample that is not finite or whose propagator is not.
     """
     with _checked_next():
         M = _rk4_map(sys.A, sys.affine, dt)
     _check_finite(M, times[1:2], "propagator")
-    B = max(1, min(full + 1, CHAIN_BYTES // (8 * M.shape[0])))
-    W = np.empty((B, M.shape[0]))
-    W[0] = w
     if full:
         with _checked_next():
-            Qt = np.linalg.matrix_power(M, stride).T
-        _check_finite(Qt, times[1:2], "propagator")
-        P, k = Qt, 1  # P = (Q^k)^T
-        for bit in bin(B)[3:]:
-            with _checked_next():
-                W[k : 2 * k] = W[:k] @ P
-            _check_finite(W[k : 2 * k], times[k : 2 * k])
-            k *= 2
-            if bit == "1":
-                with _checked_next():
-                    W[k] = W[k - 1] @ Qt
-                _check_finite(W[k : k + 1], times[k : k + 1])
-                k += 1
-            if k < B or full >= B:
-                with _checked_next():
-                    P = P @ P
-                    if bit == "1":
-                        P = P @ Qt
-                _check_finite(P, times[k : k + 1], "propagator")
-    pos = 0
-    while True:
-        yield _block(sys, W, times[pos : pos + len(W)])
-        pos += len(W)
-        if pos > full:
-            break
+            P = np.linalg.matrix_power(M, stride).T  # P = (Q^k)^T for k = len(W)
+        _check_finite(P, times[1:2], "propagator")
+    W = w[None, :]
+    yield _block(sys, W, times[:1])
+    B = 1 << (max(1, CHAIN_BYTES // (8 * M.shape[0])).bit_length() - 1)
+    pos = 1
+    while pos <= full:
         with _checked_next():
-            W = W[: full + 1 - pos] @ P
-        _check_finite(W, times[pos : pos + len(W)])
+            new = W[: full + 1 - pos] @ P
+        _check_finite(new, times[pos : pos + len(new)])
+        yield _block(sys, new, times[pos : pos + len(new)])
+        pos += len(new)
+        if len(W) < B and pos <= full:
+            with _checked_next():
+                P2 = P @ P
+            if np.isfinite(P2).all():
+                W, P = np.concatenate([W, new]), P2
+                continue
+            B = len(W)
+        W = new
     if rem:
         with _checked_next():
             R = np.linalg.matrix_power(M, rem)
@@ -394,15 +364,21 @@ def integrate(sys: ClosedLoopSystem, cfg: SimConfig, strict: bool = False) -> Tr
 
 
 def write_trace(path, times: np.ndarray, blocks: Iterator[Trace]) -> StreamedTrace:
-    """Write each block's CSV rows as it is formed (the bytes of Trace.to_csv
-    of the whole trace), keeping only what metrics reads."""
+    """Write a header, then each block's CSV rows as it is formed, in chunks of
+    CSV_CHUNK_VALUES values (whole rows); keep only what metrics reads."""
     disagreement, z_norm = np.empty(times.size), np.empty(times.size)
     pos = 0
     with open(path, "wb") as fh:
         for block in blocks:
+            n = block.node_count
             if not pos:
-                fh.write(_csv_header(block.node_count))
-            _write_rows(fh, block)
+                names = ["t"] + [f"{c}_{k + 1}" for c in "xzu" for k in range(n)] + ["d", "z_norm"]
+                fh.write((",".join(names) + "\n").encode())
+            columns = [block.times[:, None], block.x, block.z, block.u,
+                       block.disagreement[:, None], block.z_norm[:, None]]
+            rows = max(1, CSV_CHUNK_VALUES // (3 * n + 3))
+            for start in range(0, block.times.size, rows):
+                fh.write(_format_e11(np.hstack([c[start : start + rows] for c in columns])))
             end = pos + block.times.size
             disagreement[pos:end] = block.disagreement
             z_norm[pos:end] = block.z_norm

@@ -265,7 +265,7 @@ X_INF_RANGE = ("consensus value -sum(delta)/sum(rho) leaves the float range "
 RHO_BAR_OVERFLOW = X_INF_SUM_OVERFLOW.replace("-1.0, -1.0, -1.0", "-1.0e+200, -2.0e+200, 1.0e+200")
 RHO_BAR_RANGE = "rho_bar_sq leaves the float range (max|ensemble.rho| = 2e+200)"
 # the trailing disagreements (about 4.8e306 each) sum past the float range, their mean does not
-STEADY_MEAN = '"steady_disagreement": 4.817465584561069e+306'
+STEADY_MEAN = '"steady_disagreement": 4.8174655845610347e+306'
 # sum(rho) = -1.5e308 overflows, though psi11 = mean(rho) does not; rho_bar . rho_bar does
 PSI11_SUM_OVERFLOW = X_INF_SUM_OVERFLOW.replace(
     "[-1.0, -1.0, -1.0], delta: [1.0e+308, 1.0e+308, -1.0e+308]",
@@ -293,6 +293,11 @@ microgrid:
 gains: {alpha: 1.0e+8, beta: 1.94, gamma: 2.40}
 sim: {t_end: 1.294, record_stride: 1000000000000000000}
 """
+# the fuzz draws neither a zero gain alpha nor a zero edge weight; both are config errors
+ZERO_ALPHA = README_CONFIG.replace("alpha: 2.0", "alpha: 0.0")
+ZERO_ALPHA_ERROR = "config error: gains: alpha must be positive, got 0.0"
+ZERO_WEIGHT = README_CONFIG.replace("{i: 1, j: 2, w: 1.0}", "{i: 1, j: 2, w: 0.0}")
+ZERO_WEIGHT_ERROR = "config error: graph: edge (1, 2) has nonpositive weight 0.0"
 
 
 @pytest.mark.parametrize(
@@ -329,6 +334,12 @@ sim: {t_end: 1.294, record_stride: 1000000000000000000}
         (["tune", "--json"], DEGREE_OVERFLOW, 4, DEGREE_RANGE),
         (["simulate", "--json"], DEGREE_OVERFLOW, 4, DEGREE_RANGE),
         (["simulate", "--json"], U_OVERFLOW, 4, "numeric failure: u overflowed at t = 1.294\n"),
+        (["analyze", "--json"], ZERO_ALPHA, 3, ZERO_ALPHA_ERROR),
+        (["tune", "--json"], ZERO_ALPHA, 3, ZERO_ALPHA_ERROR),
+        (["simulate", "--json"], ZERO_ALPHA, 3, ZERO_ALPHA_ERROR),
+        (["analyze", "--json"], ZERO_WEIGHT, 3, ZERO_WEIGHT_ERROR),
+        (["tune", "--json"], ZERO_WEIGHT, 3, ZERO_WEIGHT_ERROR),
+        (["simulate", "--json"], ZERO_WEIGHT, 3, ZERO_WEIGHT_ERROR),
     ],
     ids=[
         "one-node-analyze", "one-node-tune", "one-node-simulate", "huge-gamma-analyze",
@@ -340,7 +351,8 @@ sim: {t_end: 1.294, record_stride: 1000000000000000000}
         "overflowing-rho-bar-sq-tune", "overflowing-steady-mean-simulate",
         "overflowing-psi11-sum-analyze", "overflowing-psi11-sum-tune",
         "overflowing-degree-analyze", "overflowing-degree-tune", "overflowing-degree-simulate",
-        "overflowing-u-simulate",
+        "overflowing-u-simulate", "zero-alpha-analyze", "zero-alpha-tune", "zero-alpha-simulate",
+        "zero-weight-analyze", "zero-weight-tune", "zero-weight-simulate",
     ],
 )
 def test_exit_code_holes(tmp_path, capsys, argv, config, code, message):
@@ -363,19 +375,26 @@ def test_exit_code_holes(tmp_path, capsys, argv, config, code, message):
 
 FUZZ_SPECIAL = (0.0, 1e-300, -1e-300, 1e300, -1e300, 1e150, 5e-324, 1e8, -1e8, 1e308, -1e308,
                 5e307)
+FUZZ_WEIGHT_SCALES = (1e-300, 1e-4, 1.0, 1e8, 1e150, 1e300)
 
 
 @st.composite
 def fuzz_configs(draw):
-    """Config documents with extreme and ordinary numbers, N = 1 to 5."""
+    """Config documents with extreme and ordinary numbers, N = 2 to 5.
+
+    Each graph's weights share one scale, so that it stays connected in
+    floating point; a zero alpha or weight and a single node are config
+    errors, which test_exit_code_holes covers.
+    """
     num = st.one_of(st.sampled_from(FUZZ_SPECIAL), st.floats(-5.0, 5.0))
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(2, 5))
     # a path keeps the graph connected; chords are drawn on top of it
     pairs = [(k, k + 1) for k in range(n - 1)]
     chords = [(i, j) for i in range(n) for j in range(i + 2, n)]
     if chords:
         pairs += draw(st.lists(st.sampled_from(chords), unique=True))
-    edges = [{"i": i, "j": j, "w": abs(draw(num))} for i, j in pairs]
+    scale = draw(st.sampled_from(FUZZ_WEIGHT_SCALES))
+    edges = [{"i": i, "j": j, "w": scale * draw(st.floats(0.5, 2.0))} for i, j in pairs]
     rho = [draw(num)] * n if draw(st.booleans()) else [draw(num) for _ in range(n)]
     delta = [draw(num) for _ in range(n)]
     agents = (
@@ -388,7 +407,8 @@ def fuzz_configs(draw):
     if draw(st.booleans()):  # at most 50 steps
         sim["dt"] = sim["t_end"] / draw(st.integers(1, 50))
         sim["record_stride"] = draw(st.sampled_from([1, 7, 10**18]))
-    gains = {key: abs(draw(num)) for key in ("alpha", "beta", "gamma")}
+    gains = {key: abs(draw(num)) for key in ("beta", "gamma")}
+    gains["alpha"] = abs(draw(num.filter(lambda v: v != 0)))
     doc = {"graph": {"nodes": n, "edges": edges}, **agents, "gains": gains, "sim": sim}
     return yaml.safe_dump(doc)
 

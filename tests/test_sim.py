@@ -181,21 +181,27 @@ def test_nonfinite_reports_first_bad_sample(monkeypatch):
         integrate(growing, SimConfig(t_end=30.0, dt=0.01, x0=np.ones(2), record_stride=7))
 
 
-@pytest.mark.parametrize("chains", [None, 300], ids=["default-chains", "300-chains"])
+@pytest.mark.parametrize(
+    "chains", [None, 1, 3, 7, 64, 256, 300, 429],
+    ids=["default-chains", "1-chain", "3-chains", "7-chains", "64-chains", "256-chains",
+         "300-chains", "429-chains"])
 def test_overflowing_propagator_names_its_first_sample(monkeypatch, chains):
     # x0 = 1e-300 grows by Q = g^7 = 16.4 per sample, so every sample up to
-    # t = 30 (428 samples) is finite, but Q^300 (10^365), which forms the
-    # second block of 300 chains, is not; 429 chains never form it
+    # t = 30 (428 samples) is finite, but Q^256 (10^311) is not: the chains
+    # stop growing at 128 and the run goes on, the same for any chain count
     inst = Instance.from_graph(Graph(2, ((0, 1, 1.0),)), -np.ones(2), np.zeros(2))
     growing = replace_dynamics(assemble(inst, Gains(1.0)), np.diag([40.0, 40.0, 0.0, 0.0]),
                                np.zeros(4))
     cfg = SimConfig(t_end=30.0, dt=0.01, x0=np.full(2, 1e-300), record_stride=7)
-    if chains is None:
-        assert np.isfinite(integrate(growing, cfg).x[-1]).all()
-        return
-    monkeypatch.setattr(sim, "CHAIN_BYTES", chains * 8 * 5)
-    with pytest.raises(NonFinite, match=r"^propagator overflowed at t = 21$"):
-        integrate(growing, cfg)
+    default = integrate(growing, cfg).x
+    if chains is not None:
+        monkeypatch.setattr(sim, "CHAIN_BYTES", chains * 8 * 5)
+    x = integrate(growing, cfg).x
+    assert np.isfinite(x).all()
+    assert np.max(np.abs(x - default) / default) <= 1e-13
+    # M^2000 = g^2000 (10^347) forms the first sample at t = 20 by itself
+    with pytest.raises(NonFinite, match=r"^propagator overflowed at t = 20$"):
+        integrate(growing, SimConfig(t_end=30.0, dt=0.01, x0=np.ones(2), record_stride=2000))
 
 
 def test_record_stride_and_final_sample(rng):
@@ -221,7 +227,7 @@ def test_u_reconstruction_satisfies_agent_equation(rng):
 @pytest.mark.parametrize("chains", [None, 7], ids=["default-blocks", "blocks-of-7"])
 def test_in_place_u_matches_the_expression(rng, monkeypatch, chains):
     # each block's u, d and ||z|| are the one-line expressions on the block's
-    # rows (7 chains: blocks of 7 samples), and integrate() stacks the blocks
+    # rows, and integrate() stacks the blocks
     inst = random_heterogeneous_instance(rng, 5)
     sys_ = assemble(inst, Gains(2.0, 1.0, 0.7))
     if chains is not None:
@@ -237,12 +243,10 @@ def test_in_place_u_matches_the_expression(rng, monkeypatch, chains):
         assert np.array_equal(block.disagreement, xs.max(axis=1) - xs.min(axis=1))
         assert np.array_equal(block.z_norm, np.linalg.norm(zs, axis=1))
         us.append(block.u)
-    # one block and the remainder sample, or blocks of 7
+    # 51 samples in blocks of 1, 1, 2, 4, ... up to B: 1024 by default, and 4
+    # (the largest power of two within 7) with 7 chains
     sizes = [len(u) for u in us]
-    if chains:
-        assert max(sizes) == 7 and len(sizes) > 2
-    else:
-        assert len(sizes) <= 2
+    assert sizes == ([1, 1, 2, 4, 8, 16, 19] if chains is None else [1, 1, 2] + [4] * 11 + [3])
     assert np.array_equal(integrate(sys_, cfg).u, np.vstack(us))
 
 
