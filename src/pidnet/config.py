@@ -187,6 +187,8 @@ def parse_config(text: str) -> InstanceConfig:
     _check_keys(sim_raw, {"dt", "t_end", "x0", "x0_scale", "record_stride"}, "sim")
     dt = _number(sim_raw, "dt", "sim", required=False)
     t_end = _number(sim_raw, "t_end", "sim", required=False, default=30.0)
+    if "x0" in sim_raw and "x0_scale" in sim_raw:
+        raise ConfigError("sim: give x0 or x0_scale, not both")
     x0_scale = _number(sim_raw, "x0_scale", "sim", required=False, default=1.0)
     x0 = _vector(sim_raw, "x0", "sim", n) if "x0" in sim_raw else default_x0(n, x0_scale)
     stride = sim_raw.get("record_stride", 1)

@@ -48,8 +48,11 @@ STEP_GUARD = 2.5
 # ||z|| of each sample.
 MAX_RECORDED_VALUES = 2**25
 
-# Largest block of chained augmented states propagate() advances at once, in
-# bytes: B samples, the largest power of two within CHAIN_BYTES // (8(2N + 1)).
+# Bytes of the block of chained augmented states propagate() advances at once
+# on a small system: B samples, the largest power of two within
+# max(CHAIN_BYTES // (8m), m // 16) for m = 2N + 1. Past m = 512 the second
+# term decides: the chains stay within a sixteenth of Q^B's 8m^2 bytes, and
+# each pass over Q^B forms at least m/16 samples (64 at N = 800, not 8).
 CHAIN_BYTES = 2**17
 
 # Values the CSV writer formats per numpy pass (whole rows, at least one);
@@ -60,8 +63,9 @@ CSV_CHUNK_VALUES = 2**12
 # writer leaves a value to Python's "%.11e" (see _format_e11).
 E11_NEAR_TIE = 1e-3
 
-# Largest |decimal exponent| of the CSV writer's power-of-ten table.
-E11_EMAX = 300
+# Decimal exponents of the CSV writer's power-of-ten table: it formats
+# |v| in [10^E11_EMIN, 10^(E11_EMAX + 1)) in numpy (see _format_e11).
+E11_EMIN, E11_EMAX = -280, 300
 
 # Fraction of the horizon averaged when reporting steady-state quantities.
 STEADY_STATE_FRACTION = 0.1
@@ -95,8 +99,11 @@ class SimConfig:
 
 
 def default_x0(n: int, scale: float = 1.0) -> np.ndarray:
-    """Deterministic spread of initial states: node index times scale."""
-    return scale * np.arange(1, n + 1, dtype=float)
+    """Deterministic spread of initial states: node index times scale.
+
+    Entries past the float range are inf; propagate() rejects them."""
+    with np.errstate(over="ignore"):
+        return scale * np.arange(1, n + 1, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -135,31 +142,42 @@ class StreamedTrace:
 
 @functools.cache
 def _e11_tables() -> tuple[np.ndarray, ...]:
-    """Tables of _format_e11: four of 4-byte slot words, then powers of ten.
+    """Tables of _format_e11: four of 4-byte slot words, then the scales.
 
-    The words are built from text, so they hold the same bytes on any byte
-    order. The powers of ten are Python's correctly rounded float("1e<k>").
+    Each word table holds every combination of one byte from each of its
+    four columns, the last varying fastest, so it holds the same bytes on
+    any byte order. Row k of expo and pow10 is the decimal exponent
+    e = E11_EMIN - 1 + k, except row 0, which is e = 0: it takes zeros and
+    the values below 10^E11_EMIN. The scales 10^(11 - e) are Python's
+    correctly rounded float("1e<11 - e>").
     """
 
-    def words(texts):
-        return np.frombuffer("".join(texts).encode("latin-1"), dtype=np.uint32)
+    def words(*columns: bytes) -> np.ndarray:
+        grids = np.meshgrid(*[np.frombuffer(c, dtype=np.uint8) for c in columns], indexing="ij")
+        return np.stack(grids, axis=-1).view(np.uint32).ravel()
 
-    pairs = [f"{k:02d}" for k in range(100)]
-    head = words(sign + q[0] + "." + q[1] for sign in ("\0", "-") for q in pairs)
-    quads = words(f"{k:04d}" for k in range(10**4))
-    tail = words(p + "e" + sign for p in pairs for sign in "+-")
-    expo = words(f"{k:02d}".rjust(3, "\0") + "," for k in range(E11_EMAX + 1))
-    pow10 = np.array([float(f"1e{k}") for k in range(-E11_EMAX, E11_EMAX + 1)])
-    return head, quads, tail, expo, pow10
+    digits = b"0123456789"
+    head = words(b",", b"\x00-", digits, b".")
+    quads = words(digits, digits, digits, digits)
+    triples = words(digits, digits, digits, b"e")
+    e = np.arange(E11_EMIN - 1, E11_EMAX + 1)
+    e[0] = 0
+    # sign, then |e| < 400 as hundreds or pad, tens and units
+    expo = words(b"+-", b"\x00123", digits, digits)[400 * (e < 0) + np.abs(e)]
+    pow10 = np.array([float(f"1e{11 - k}") for k in e.tolist()])
+    return head, quads, triples, expo, pow10
 
 
-def _format_e11(block: np.ndarray) -> np.ndarray:
+def _format_e11(block: np.ndarray) -> bytearray:
     """CSV bytes of the rows of a 2-D float block, each value as "%.11e" % v.
 
-    Each value gets a 20-byte slot of five 4-byte words: [sign or pad, d0,
-    ".", d1], [d2..d5], [d6..d9], [d10, d11, "e", exponent sign], [hundreds
-    or pad, tens, units, separator]. Pad bytes are 0 and are dropped once
-    all slots are filled.
+    Each value gets a 20-byte slot of five 4-byte words: [separator, sign or
+    pad, d0, "."], [d1..d4], [d5..d8], [d9, d10, d11, "e"], [exponent sign,
+    hundreds or pad, tens, units]. The separator is "," inside a row, a
+    newline at a row's start, and a pad for the block's first value; a
+    newline follows the last slot. Pad bytes are 0, and bytes.translate
+    drops them once all slots are filled: neither the digits nor "%.11e"
+    text holds a 0 byte.
 
     The 12 significant digits are rint(m) for m = |v| * 10^(11 - e) and
     e = floor(log10|v|). The power of ten is correctly rounded and the
@@ -168,49 +186,64 @@ def _format_e11(block: np.ndarray) -> np.ndarray:
     inside (n - 0.5, n + 0.5), M rounds to n as well, and n is the digit
     string of the correctly rounded "%.11e"; E11_NEAR_TIE = 1e-3 leaves a
     factor of four. (If m >= 1e11 > M, both print 1.00000000000e+<e>.)
-    These values take Python's "%.11e" % v in their slot instead:
+    e is clamped into [E11_EMIN - 1, E11_EMAX], and E11_EMIN - 1 stands for
+    e = 0 (see _e11_tables). These values take Python's "%.11e" % v in their
+    slot instead:
 
     - m within E11_NEAR_TIE of n + 0.5, exact ties included, so that only
       Python decides round-half-even;
-    - m outside [1e11, 1e12) or rounding to 1e12: log10 misjudged e, or the
-      digits carry into a thirteenth place;
-    - |v| outside [1e-280, 1e300]: non-finite values, subnormals and the
-      exponents the power table does not cover. Zeros of either sign are
-      exact and stay in numpy.
+    - m outside [1e11, 1e12) or rounding to 1e12: log10 misjudged e, the
+      digits carry into a thirteenth place, or the clamp moved e. That takes
+      NaN, +-inf, subnormals and every |v| outside [1e-280, 1e301). Zeros
+      of either sign have m = 0 and are exact.
     """
-    head, quads, tail, expo, pow10 = _e11_tables()
+    head, quads, triples, expo, pow10 = _e11_tables()
     v = block.ravel()
     a = np.abs(v)
-    inside = (a >= 1e-280) & (a <= 1e300)
-    # zeros, non-finite values and an overflowing scale are flagged here
+    # log10 of zeros and non-finite values, inf - inf: all flagged, not warned about
     with np.errstate(all="ignore"):
-        e = np.where(inside, np.floor(np.log10(a)), 0.0).astype(np.int64)
-        m = a * pow10[E11_EMAX + 11 - e]
-        d = np.rint(m)
-        exact = inside & (m >= 1e11) & (d < 1e12) & (np.abs(m - d) < 0.5 - E11_NEAR_TIE)
-    flagged = ~(exact | (a == 0))
-    e[flagged] = 0
-    # d = [d0 d1][d2..d5] * 10^6 + [d6..d9][d10 d11]
-    d = np.where(flagged, 0.0, d).astype(np.int64)
-    hi = d // 10**6
-    lo = (d - hi * 10**6).astype(np.int32)
-    hi = hi.astype(np.int32)
+        e = np.log10(a)
+        np.floor(e, out=e)
+        np.fmax(e, E11_EMIN - 1, out=e)  # also takes NaN
+        np.fmin(e, E11_EMAX, out=e)
+        k = e.astype(np.intp)
+        k -= E11_EMIN - 1
+        m = np.take(pow10, k, out=e)
+        m *= a
+        d = np.rint(m, out=a)
+        exact = m >= 1e11
+        exact |= m == 0
+        exact &= d < 1e12
+        m -= d
+        np.abs(m, out=m)
+        exact &= m < 0.5 - E11_NEAR_TIE
+    flagged = np.flatnonzero(~exact)
+    d[flagged] = 0.0
+    # d = [d0 d1..d4] * 10^7 + [d5..d8 d9..d11], split in the buffers of m and d
+    lo = m.view(np.int64)
+    lo[:] = d
+    hi = np.floor_divide(lo, 10**7, out=d.view(np.int64))
+    lo -= hi * 10**7
     lead = hi // 10**4
-    mid = lo // 100
-    slots = np.empty((v.size, 5), dtype=np.uint32)
-    slots[:, 0] = head[lead + 100 * np.signbit(v)]
-    slots[:, 1] = quads[hi - lead * 10**4]
+    hi -= lead * 10**4
+    mid = lo // 1000
+    lo -= mid * 1000
+    lead += 10 * np.signbit(v)
+    text = bytearray(20 * v.size + 4)
+    slots = np.frombuffer(text, dtype=np.uint32)[:-1].reshape(-1, 5)
+    slots[:, 0] = head[lead]
+    slots[:, 1] = quads[hi]
     slots[:, 2] = quads[mid]
-    slots[:, 3] = tail[2 * (lo - mid * 100) + (e < 0)]
-    slots[:, 4] = expo[np.abs(e)]
+    slots[:, 3] = triples[lo]
+    slots[:, 4] = expo[k]
     raw = slots.view(np.uint8).reshape(block.shape + (20,))
-    raw[:, -1, 19] = ord("\n")
-    idx = np.flatnonzero(flagged)
-    if idx.size:
-        text = "".join([("%.11e" % x).ljust(19, "\0") for x in v[idx].tolist()])
-        raw.reshape(-1, 20)[idx, :19] = np.frombuffer(text.encode(), np.uint8).reshape(-1, 19)
-    raw = raw.ravel()
-    return raw[raw != 0]
+    raw[1:, 0, 0] = ord("\n")
+    raw[0, 0, 0] = 0
+    text[-4] = ord("\n")
+    if flagged.size:
+        fallback = "".join([("%.11e" % x).ljust(19, "\0") for x in v[flagged].tolist()])
+        raw.reshape(-1, 20)[flagged, 1:] = np.frombuffer(fallback.encode(), np.uint8).reshape(-1, 19)
+    return text.translate(None, b"\0")
 
 
 def _check_finite(block: np.ndarray, times: np.ndarray, name: str = "state") -> None:
@@ -265,6 +298,9 @@ def propagate(
     x0 = cfg.x0 if cfg.x0 is not None else default_x0(n)
     if x0.shape != (n,):
         raise DimensionMismatch(f"x0 must have shape ({n},)")
+    if not np.isfinite(x0).all():
+        raise NonFinite(f"x0 leaves the float range at node {np.argmin(np.isfinite(x0)) + 1} "
+                        "(the default x0 is sim.x0_scale times the node number)")
 
     stride = cfg.record_stride
     # Checked before math.ceil, which raises on an infinite step count; the int
@@ -307,7 +343,8 @@ def _blocks(sys, w, dt, stride, full, rem, times) -> Iterator[Trace]:
         _check_finite(P, times[1:2], "propagator")
     W = w[None, :]
     yield _block(sys, W, times[:1])
-    B = 1 << (max(1, CHAIN_BYTES // (8 * M.shape[0])).bit_length() - 1)
+    m = M.shape[0]
+    B = 1 << (max(1, CHAIN_BYTES // (8 * m), m // 16).bit_length() - 1)
     pos = 1
     while pos <= full:
         with _checked_next():

@@ -298,6 +298,13 @@ ZERO_ALPHA = README_CONFIG.replace("alpha: 2.0", "alpha: 0.0")
 ZERO_ALPHA_ERROR = "config error: gains: alpha must be positive, got 0.0"
 ZERO_WEIGHT = README_CONFIG.replace("{i: 1, j: 2, w: 1.0}", "{i: 1, j: 2, w: 0.0}")
 ZERO_WEIGHT_ERROR = "config error: graph: edge (1, 2) has nonpositive weight 0.0"
+# the default x0 = x0_scale * [1, 2, 3, 4] leaves the float range from node 2 on; only
+# simulate reads it
+HUGE_X0_SCALE = README_CONFIG.replace("x0: [1.0, 2.0, 3.0, 4.0]", "x0_scale: 1.0e+308")
+X0_SCALE_RANGE = ("numeric failure: x0 leaves the float range at node 2 "
+                  "(the default x0 is sim.x0_scale times the node number)")
+BOTH_X0 = README_CONFIG + "  x0_scale: 2.0\n"
+BOTH_X0_ERROR = "config error: sim: give x0 or x0_scale, not both"
 
 
 @pytest.mark.parametrize(
@@ -340,6 +347,12 @@ ZERO_WEIGHT_ERROR = "config error: graph: edge (1, 2) has nonpositive weight 0.0
         (["analyze", "--json"], ZERO_WEIGHT, 3, ZERO_WEIGHT_ERROR),
         (["tune", "--json"], ZERO_WEIGHT, 3, ZERO_WEIGHT_ERROR),
         (["simulate", "--json"], ZERO_WEIGHT, 3, ZERO_WEIGHT_ERROR),
+        (["analyze", "--json"], HUGE_X0_SCALE, 0, '"certified": true'),
+        (["tune", "--json"], HUGE_X0_SCALE, 0, '"alpha_min_exact": 1.1035533905932735'),
+        (["simulate", "--json"], HUGE_X0_SCALE, 4, X0_SCALE_RANGE),
+        (["analyze", "--json"], BOTH_X0, 3, BOTH_X0_ERROR),
+        (["tune", "--json"], BOTH_X0, 3, BOTH_X0_ERROR),
+        (["simulate", "--json"], BOTH_X0, 3, BOTH_X0_ERROR),
     ],
     ids=[
         "one-node-analyze", "one-node-tune", "one-node-simulate", "huge-gamma-analyze",
@@ -353,6 +366,8 @@ ZERO_WEIGHT_ERROR = "config error: graph: edge (1, 2) has nonpositive weight 0.0
         "overflowing-degree-analyze", "overflowing-degree-tune", "overflowing-degree-simulate",
         "overflowing-u-simulate", "zero-alpha-analyze", "zero-alpha-tune", "zero-alpha-simulate",
         "zero-weight-analyze", "zero-weight-tune", "zero-weight-simulate",
+        "huge-x0-scale-analyze", "huge-x0-scale-tune", "huge-x0-scale-simulate",
+        "x0-and-x0-scale-analyze", "x0-and-x0-scale-tune", "x0-and-x0-scale-simulate",
     ],
 )
 def test_exit_code_holes(tmp_path, capsys, argv, config, code, message):

@@ -250,6 +250,22 @@ def test_in_place_u_matches_the_expression(rng, monkeypatch, chains):
     assert np.array_equal(integrate(sys_, cfg).u, np.vstack(us))
 
 
+def test_chains_sized_by_the_propagator(rng, monkeypatch):
+    # m = 2N + 1 = 81 and a byte cap of one chain: m // 16 = 5 decides, so the
+    # blocks grow to B = 4 samples
+    inst = Instance.from_graph(ring(40, 1.0), rng.uniform(-3.0, -0.5, 40), rng.normal(0, 2, 40))
+    sys_ = assemble(inst, Gains(2.0, 1.0, 0.7))
+    monkeypatch.setattr(sim, "CHAIN_BYTES", 8 * 81)
+    dt, steps = 0.01, 31
+    x0 = rng.normal(0.0, 1.0, 40)
+    times, blocks = sim.propagate(sys_, SimConfig(t_end=0.305, dt=dt, x0=x0))
+    blocks = list(blocks)
+    assert [len(b.times) for b in blocks] == [1, 1, 2] + [4] * 7
+    _, ref = rk4_step_loop(sys_.A, sys_.affine, np.concatenate([x0, np.zeros(40)]), dt, steps, 1)
+    got = np.vstack([np.hstack([b.x, b.z]) for b in blocks])
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("chains", [None, 1, 3], ids=["default-chains", "1-chain", "3-chains"])
 @pytest.mark.parametrize("stride", [1, 7, 10])
 def test_streamed_csv_matches_collected_trace(tmp_path, rng, monkeypatch, stride, chains):
@@ -432,6 +448,13 @@ def test_csv_bytes_match_on_raw_bit_patterns(tmp_path_factory, sign, mantissa, r
         # the twelve digits carry into a thirteenth
         (0.99999999999995, "1.00000000000e+00"),
         (999999.9999999999, "1.00000000000e+06"),
+        # the ends of the power-of-ten table: numpy formats [1e-280, 1e301)
+        (1e300, "1.00000000000e+300"),
+        (9.99999999999e300, "9.99999999999e+300"),
+        (1e301, "1.00000000000e+301"),
+        (1e-280, "1.00000000000e-280"),
+        (float(np.nextafter(1e-280, 0.0)), "1.00000000000e-280"),
+        (9.99999999999e-281, "9.99999999999e-281"),
     ],
 )
 def test_csv_rounding_boundaries(tmp_path, value, text):
@@ -453,3 +476,17 @@ def test_csv_chunk_boundaries_change_no_byte(tmp_path, monkeypatch, rng, chunk_v
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     assert path.read_bytes() == csv_row_by_row(trace).encode()
+
+
+def test_e11_tables_match_their_text():
+    # the CSV writer's byte tables, built from the text each word holds
+    def words(texts):
+        return np.frombuffer("".join(texts).encode("latin-1"), dtype=np.uint32)
+
+    head, quads, triples, expo, pow10 = sim._e11_tables()
+    exponents = [0] + list(range(sim.E11_EMIN, sim.E11_EMAX + 1))
+    assert np.array_equal(head, words("," + sign + f"{k}." for sign in ("\0", "-") for k in range(10)))
+    assert np.array_equal(quads, words(f"{k:04d}" for k in range(10**4)))
+    assert np.array_equal(triples, words(f"{k:03d}e" for k in range(1000)))
+    assert np.array_equal(expo, words("+-"[e < 0] + f"{abs(e):02d}".rjust(3, "\0") for e in exponents))
+    assert np.array_equal(pow10, [float(f"1e{11 - e}") for e in exponents])
