@@ -22,9 +22,10 @@ the blocks into one Trace.
 
 write_trace() writes every value as "%.11e" would, byte for byte, but
 formats whole chunks in numpy: the 12 digits come from one scale by a
-power of ten and a rint, and table lookups place them in fixed byte slots.
-Values whose digits that scale cannot settle (near rounding ties, extreme
-exponents, non-finite values) are formatted by Python's "%.11e" instead.
+power of ten and a rint, table lookups place them in fixed byte slots, and
+bytearray.translate drops the slots' pad bytes. Values whose digits that
+scale cannot settle (near rounding ties, extreme exponents, non-finite
+values) are formatted by Python's "%.11e" instead.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ def _format_e11(block: np.ndarray) -> bytearray:
     pad, d0, "."], [d1..d4], [d5..d8], [d9, d10, d11, "e"], [exponent sign,
     hundreds or pad, tens, units]. The separator is "," inside a row, a
     newline at a row's start, and a pad for the block's first value; a
-    newline follows the last slot. Pad bytes are 0, and bytes.translate
+    newline follows the last slot. Pad bytes are 0, and bytearray.translate
     drops them once all slots are filled: neither the digits nor "%.11e"
     text holds a 0 byte.
 

@@ -258,7 +258,7 @@ def test_chains_sized_by_the_propagator(rng, monkeypatch):
     monkeypatch.setattr(sim, "CHAIN_BYTES", 8 * 81)
     dt, steps = 0.01, 31
     x0 = rng.normal(0.0, 1.0, 40)
-    times, blocks = sim.propagate(sys_, SimConfig(t_end=0.305, dt=dt, x0=x0))
+    _, blocks = sim.propagate(sys_, SimConfig(t_end=0.305, dt=dt, x0=x0))
     blocks = list(blocks)
     assert [len(b.times) for b in blocks] == [1, 1, 2] + [4] * 7
     _, ref = rk4_step_loop(sys_.A, sys_.affine, np.concatenate([x0, np.zeros(40)]), dt, steps, 1)
