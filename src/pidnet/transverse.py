@@ -52,12 +52,11 @@ real part is the root r next below the zero, found with N^2 work:
   and a Cholesky factor of the Schur complement of that entry, by
   Haynsworth's inertia additivity), and Q~(r(1 + 1e-10)) at least two (its
   compression on span(e_0, x) is negative definite). So the largest real
-  part lies within 1e-10 of r, relatively. An iteration that ends on a
-  lower root of a close pair fails the first check and restarts with that
-  root's vector projected out.
+  part lies within 1e-10 of r, relatively.
 Where the shift is not certified (beta = 0, complex modes, no gap, a failed
-Cholesky), no bracket is, or a value is not finite, the dense eigvals of
-A_tv decides.
+Cholesky), no bracket is (an iteration that ends on the lower root of a
+close pair fails the first check), or a value is not finite, the dense
+eigvals of A_tv decides.
 """
 
 from __future__ import annotations
@@ -198,17 +197,16 @@ def _hyperbolic_max_real_part(qep: DampedQEP) -> float | None:
         return _slowest_root(qep, mu)
 
 
-# Relative half-width of the bracket certified around the slowest root; the
-# Rayleigh functional steps allowed (they converge cubically), and the starts
-# (a start that ends on a lower root of a close pair is restarted without it).
+# Relative half-width of the bracket certified around the slowest root, and
+# the Rayleigh functional steps allowed (they converge cubically).
 BRACKET = 1e-10
 MAX_STEPS = 8
-STARTS = 3
 
 
 def _slowest_root(qep: DampedQEP, mu: float) -> float | None:
     """Largest nonzero root r of Q(s) = s^2 I + s C + diag(k) above the certified
-    mu, or None where no start ends on a certified bracket r (1 -+ BRACKET).
+    mu, or None where the iteration does not end on a certified bracket
+    r (1 -+ BRACKET).
 
     On (-c_00, 0) the Schur complement of q_00 in Q(s) is at least s S + K_2,
     so the estimate -1/theta lies at or above r wherever it exceeds -c_00,
@@ -227,9 +225,7 @@ def _slowest_root(qep: DampedQEP, mu: float) -> float | None:
     M *= w
     if not np.isfinite(M).all():
         return None
-    theta = float(np.linalg.eigvalsh(M)[-1])
-    if not theta > 0.0:
-        return None
+    theta = float(np.linalg.eigvalsh(M)[-1])  # > 0: C~ > |mu| I makes S > 0
     M[np.diag_indices(n - 1)] -= theta * (1.0 + 1e-8)  # just past theta: nonsingular
     try:
         y = np.linalg.solve(M, np.ones(n - 1))
@@ -238,24 +234,19 @@ def _slowest_root(qep: DampedQEP, mu: float) -> float | None:
     start = np.empty(n)
     start[1:] = w * y
     start[0] = -(col @ start[1:]) / (c00 - 1.0 / theta)
-    found = []
-    for _ in range(STARTS):
-        s, x = _refine(qep, -1.0 / theta, start, found)
-        if not s < 0.0:
-            return None
-        if (mu < s * (1.0 + BRACKET)
-                and _one_root_above(qep, s * (1.0 - BRACKET))
-                and _two_roots_above(qep, s * (1.0 + BRACKET), x)):
-            return s
-        found.append((s, x))
+    s, x = _refine(qep, -1.0 / theta, start)
+    if (s < 0.0 and mu < s * (1.0 + BRACKET)
+            and _one_root_above(qep, s * (1.0 - BRACKET))
+            and _two_roots_above(qep, s * (1.0 + BRACKET), x)):
+        return s
     return None
 
 
-def _refine(qep: DampedQEP, s: float, x: np.ndarray, found: list) -> tuple[float, np.ndarray]:
-    """Rayleigh functional iteration x <- Q(s)^-1 Q'(s) x, s <- p+(x) from (s, x),
-    with the vectors of the roots ``found`` projected out; returns s and unit x."""
+def _refine(qep: DampedQEP, s: float, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Rayleigh functional iteration x <- Q(s)^-1 Q'(s) x, s <- p+(x) from (s, x);
+    returns s and unit x."""
     C, k = qep.C, qep.k
-    x = _deflated(C, x, s, found)
+    x = x / norm2(x)
     for _ in range(MAX_STEPS):
         Q = qep.at(s)
         rhs = C @ x + 2.0 * s * x
@@ -263,33 +254,22 @@ def _refine(qep: DampedQEP, s: float, x: np.ndarray, found: list) -> tuple[float
             y = np.linalg.solve(Q, rhs / norm2(rhs))
         except np.linalg.LinAlgError:
             break  # Q(s) is singular to working precision: s is the root
-        x = _deflated(C, y, s, found)
+        x = y / norm2(y)
         prev, s = s, float(dominant_real_part(x @ (C @ x), k @ (x * x)))
         if not abs(s - prev) > 4.0 * EPS * abs(s):  # converged, or NaN
             break
     return s, x
 
 
-def _deflated(C: np.ndarray, v: np.ndarray, s: float, found: list) -> np.ndarray:
-    """v with each root's vector x_f projected out, normalised. Vectors of
-    distinct roots s, s_f are orthogonal in the metric (s + s_f) I + C."""
-    v = v.copy()
-    for s_f, x_f in found:
-        b = C @ x_f + (s + s_f) * x_f
-        v -= (b @ v) / (b @ x_f) * x_f
-    return v / norm2(v)
-
-
 def _one_root_above(qep: DampedQEP, s: float) -> bool:
-    """Q(s) has one negative eigenvalue, so 0 is its only root above s: e_0^T Q(s)
-    e_0 < 0 and the Schur complement of that entry is positive definite
-    (Haynsworth's inertia additivity)."""
+    """Q(s), s in (mu, 0), has one negative eigenvalue, so 0 is its only root above
+    s: the Schur complement of e_0^T Q(s) e_0 = s (s + c_00) < 0 (c_00 > |mu|) is
+    positive definite (Haynsworth's inertia additivity). A q_00 that rounds to 0
+    leaves the complement non-finite."""
     k = qep.k
     n = k.size
     Q = qep.at(s)
     q00, q = Q[0, 0], Q[1:, 0]
-    if not q00 < 0.0:
-        return False
     schur, u = Q[1:, 1:], q / q00
     for start in range(0, n - 1, BLOCK_ROWS):  # no (N-1)^2 outer product beside C and work
         schur[start:start + BLOCK_ROWS] -= np.outer(u[start:start + BLOCK_ROWS], q)

@@ -162,9 +162,7 @@ def convergence_rate(instance: Instance, gains: Gains) -> float:
     lam = instance.dec.lam[1:]
     with np.errstate(all="ignore"):
         denom = gains.gamma * lam + 1.0
-        b = np.where(np.isinf(gains.alpha * lam),  # b itself may still be finite
-                     gains.alpha * (lam / denom) + rho_star / denom,
-                     (gains.alpha * lam + rho_star) / denom)
+        b = gains.alpha * (lam / denom) + rho_star / denom  # finite where alpha*lam need not be
         c = gains.beta * lam / denom
     return float(abs(np.max(dominant_real_part(b, c))))  # np.max keeps a NaN
 

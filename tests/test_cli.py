@@ -305,6 +305,18 @@ X0_SCALE_RANGE = ("numeric failure: x0 leaves the float range at node 2 "
                   "(the default x0 is sim.x0_scale times the node number)")
 BOTH_X0 = README_CONFIG + "  x0_scale: 2.0\n"
 BOTH_X0_ERROR = "config error: sim: give x0 or x0_scale, not both"
+# one config error for each shape check of config.py, each naming its key path
+GAINS_LIST = README_CONFIG.replace("gains:\n  alpha: 2.0\n  beta: 1.0\n  gamma: 0.5",
+                                   "gains: [2.0, 1.0, 0.5]")
+NO_DELTA = README_CONFIG.replace("  delta: [1.0, 2.0, 3.0, 4.0]\n", "")
+DELTA_NUMBER = README_CONFIG.replace("delta: [1.0, 2.0, 3.0, 4.0]", "delta: 1.0")
+FLOAT_NODES = README_CONFIG.replace("nodes: 4", "nodes: 4.0")
+EDGES_MAPPING = README_CONFIG.replace("""  edges:
+    - {i: 0, j: 1, w: 1.0}
+    - {i: 1, j: 2, w: 1.0}
+    - {i: 2, j: 3, w: 1.0}""", "  edges: {i: 0, j: 1, w: 1.0}")
+EDGE_NAME = README_CONFIG.replace("{i: 1, j: 2, w: 1.0}", "{i: 1, j: two, w: 1.0}")
+FLOAT_STRIDE = README_CONFIG.replace("record_stride: 10", "record_stride: 1.5")
 
 
 @pytest.mark.parametrize(
@@ -353,6 +365,21 @@ BOTH_X0_ERROR = "config error: sim: give x0 or x0_scale, not both"
         (["analyze", "--json"], BOTH_X0, 3, BOTH_X0_ERROR),
         (["tune", "--json"], BOTH_X0, 3, BOTH_X0_ERROR),
         (["simulate", "--json"], BOTH_X0, 3, BOTH_X0_ERROR),
+        (["analyze", "--json"], GAINS_LIST, 3, "config error: gains: expected a mapping, got list"),
+        (["tune", "--json"], NO_DELTA, 3, "config error: ensemble.delta: missing required list"),
+        (["simulate", "--json"], DELTA_NUMBER, 3,
+         "config error: ensemble.delta: expected a list of numbers"),
+        (["analyze", "--json"], FLOAT_NODES, 3,
+         "config error: graph.nodes: expected a positive integer"),
+        (["tune", "--json"], EDGES_MAPPING, 3,
+         "config error: graph.edges: expected a list of {i, j, w} mappings"),
+        (["analyze", "--json"], EDGE_NAME, 3,
+         "config error: graph.edges[1].j: expected a 0-based node index"),
+        (["simulate", "--json"], FLOAT_STRIDE, 3,
+         "config error: sim.record_stride: expected a positive integer"),
+        # --out names the config file itself, so no directory can be made there
+        (["simulate", "--json", "--out", "hole.yaml"], README_CONFIG, 4,
+         "io error: [Errno 17] File exists: 'hole.yaml'"),
     ],
     ids=[
         "one-node-analyze", "one-node-tune", "one-node-simulate", "huge-gamma-analyze",
@@ -368,13 +395,18 @@ BOTH_X0_ERROR = "config error: sim: give x0 or x0_scale, not both"
         "zero-weight-analyze", "zero-weight-tune", "zero-weight-simulate",
         "huge-x0-scale-analyze", "huge-x0-scale-tune", "huge-x0-scale-simulate",
         "x0-and-x0-scale-analyze", "x0-and-x0-scale-tune", "x0-and-x0-scale-simulate",
+        "gains-list", "missing-delta", "delta-number", "float-nodes", "edges-mapping",
+        "edge-name", "float-stride", "out-names-a-file",
     ],
 )
-def test_exit_code_holes(tmp_path, capsys, argv, config, code, message):
+def test_exit_code_holes(tmp_path, monkeypatch, capsys, argv, config, code, message):
+    monkeypatch.chdir(tmp_path)
     p = tmp_path / "hole.yaml"
     p.write_text(config)
     out = tmp_path / "out"
-    argv = argv + ["--config", str(p)] + (["--out", str(out)] if argv[0] == "simulate" else [])
+    if argv[0] == "simulate" and "--out" not in argv:
+        argv = argv + ["--out", str(out)]
+    argv = argv + ["--config", str(p)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv) == code
@@ -386,6 +418,7 @@ def test_exit_code_holes(tmp_path, capsys, argv, config, code, message):
     assert message in shown
     assert quiet == ""
     assert out.exists() is (code == 0 and argv[0] == "simulate")
+    assert p.read_text() == config
 
 
 FUZZ_SPECIAL = (0.0, 1e-300, -1e-300, 1e300, -1e300, 1e150, 5e-324, 1e8, -1e8, 1e308, -1e308,
@@ -432,24 +465,22 @@ def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
-@settings(max_examples=60, deadline=None)
-@given(fuzz_configs())
-def test_fuzzed_configs_keep_exit_code_contract(text):
+def _exit_codes_keep_contract(text, commands) -> list[int]:
+    """Exit codes of the commands on a config text, each in {0, 2, 3, 4},
+    without a RuntimeWarning and, on success, without a non-finite output."""
+    codes = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.yaml"
         path.write_text(text)
-        runs = (
-            ["analyze", "--json"],
-            ["analyze"],
-            ["tune", "--json"],
-            ["simulate", "--json", "--out", str(Path(tmp) / "out")],
-        )
-        for argv in runs:
+        for argv in commands:
+            if argv[0] == "simulate":
+                argv = argv + ["--out", str(Path(tmp) / "out")]
             stdout = io.StringIO()
             with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(stdout),
                   contextlib.redirect_stderr(io.StringIO())):
                 warnings.simplefilter("always")
                 code = main(argv + ["--config", str(path)])
+            codes.append(code)
             assert code in (0, 2, 3, 4), (argv, text)
             # a CLI run would print these to stderr
             assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == [], (
@@ -464,6 +495,47 @@ def test_fuzzed_configs_keep_exit_code_contract(text):
             if argv[0] == "simulate":
                 trace = (Path(tmp) / "out" / "trace.csv").read_text()
                 assert "inf" not in trace and "nan" not in trace, text
+    return codes
+
+
+@settings(max_examples=60, deadline=None)
+@given(fuzz_configs())
+def test_fuzzed_configs_keep_exit_code_contract(text):
+    _exit_codes_keep_contract(text, (["analyze", "--json"], ["analyze"], ["tune", "--json"],
+                                     ["simulate", "--json"]))
+
+
+SIM_SPECIAL = (0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e300, -1e300, 1.7e308, -1.7e308, -1.0)
+
+
+@st.composite
+def fuzz_sim_sections(draw):
+    """The README config with a drawn sim section: t_end and dt from the
+    specials or 0.001 to 3, record_stride from 0, -1, 10^18 or 1 to 10, and
+    x0, x0_scale, both or neither; each key may be left out."""
+    time = st.one_of(st.sampled_from(SIM_SPECIAL), st.floats(0.001, 3.0))
+    num = st.one_of(st.sampled_from(FUZZ_SPECIAL), st.floats(-5.0, 5.0))
+    sim = {key: draw(time) for key in ("t_end", "dt") if draw(st.booleans())}
+    if draw(st.booleans()):
+        sim["record_stride"] = draw(st.one_of(st.sampled_from([0, -1, 10**18]),
+                                              st.integers(1, 10)))
+    start = draw(st.sampled_from(["default", "x0", "x0_scale", "both"]))
+    if start in ("x0", "both"):
+        sim["x0"] = [draw(num) for _ in range(4)]
+    if start in ("x0_scale", "both"):
+        sim["x0_scale"] = draw(num)
+    doc = yaml.safe_load(README_CONFIG)
+    doc["sim"] = sim
+    return yaml.safe_dump(doc), start == "both"
+
+
+@settings(max_examples=60, deadline=None)
+@given(fuzz_sim_sections())
+def test_fuzzed_sim_sections_keep_exit_code_contract(case):
+    text, both_x0 = case
+    codes = _exit_codes_keep_contract(text, (["analyze", "--json"], ["simulate", "--json"]))
+    if both_x0:
+        assert codes == [3, 3], text
 
 
 @pytest.mark.parametrize("argv", [["analyze", "--json"], ["analyze"]], ids=["json", "tree"])

@@ -382,9 +382,9 @@ def test_geometric_mean_shift_is_certified(graph, rho, gains):
     assert abs(tv.max_real_part - np.max(eigs.real)) <= 1e-10 * np.max(np.abs(eigs))
 
 
-def test_close_pair_restarts_without_the_lower_root(monkeypatch):
-    # the slow roots -0.54278 and -0.54396 lie 0.2% apart: the first start ends
-    # on the lower one, whose bracket fails, and the start without it finds r
+def test_close_pair_falls_back_to_eigvals(monkeypatch):
+    # the slow roots -0.54278 and -0.54396 lie 0.2% apart: the one start ends on
+    # the lower one, whose bracket fails, so the dense eigvals decides
     graph = Graph(3, ((2, 1, 2.398161142710754), (2, 0, 2.1264047444205714)))
     rho = [-0.5004310048439384, -0.5039754504718847, -2.5409049543605295]
     gains = Gains(alpha=4.24345408200326, beta=1.7113430954642705, gamma=1.97881009392322)
@@ -394,12 +394,93 @@ def test_close_pair_restarts_without_the_lower_root(monkeypatch):
                         lambda *args: starts.append(refine(*args)) or starts[-1])
     inst = Instance.from_graph(graph, rho, np.zeros(3))
     tv = transverse_system(inst, gains)
-    assert tv.spectrum == "hyperbolic"
-    assert [s for s, _ in starts] == pytest.approx([-0.5439598402833697, tv.max_real_part],
-                                                   rel=1e-12)
+    assert tv.spectrum == "dense" and tv.hyperbolic_max_real_part is None
+    assert [s for s, _ in starts] == pytest.approx([-0.5439598402833697], rel=1e-12)
+    eigvals = np.linalg.eigvals
+    expected = eigvals(tv.A_tv)
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+    assert tv.max_real_part == float(np.max(expected.real))
+    assert tv.max_real_part == pytest.approx(-0.54278, abs=1e-5)
+    assert tv.is_hurwitz()
+    assert calls == [(5, 5)]  # one dense eigvals, shared
+    assert negative_count(inst, gains, tv.max_real_part * (1 - 1e-10)) == 1
+
+
+PATH3 = Graph(3, ((0, 1, 1.0), (1, 2, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "graph, rho, gains, reached",
+    [
+        # mu = -1.2e153 lies in the diagonal gap, but mu * C~ (entries up to
+        # 3e156) overflows: -Q~(mu) is not finite, and no Cholesky of it is tried
+        (PATH3, [-1e155, -2e155, -1.5e155], Gains(alpha=1e156, beta=1e307, gamma=0.0),
+         ["eigvalsh", "at"]),
+        # alpha / beta = 1e309: K_2^-1/2 S K_2^-1/2 of the estimate is not
+        # finite, and no eigvalsh of it is tried
+        (ring(3, 0.25), [-1.0, -2.0, -1.5], Gains(alpha=10.0, beta=1e-308, gamma=0.0),
+         ["eigvalsh", "at", "cholesky"]),
+        # the slow root near -1e-308 times c_00 = 1.5e-17 underflows: q_00 is 0
+        # at the upper bracket, its Schur complement is not finite, and no
+        # Cholesky of it is tried
+        (ring(3, 0.25), [-1e-17, -2e-17, -1.5e-17], Gains(alpha=1.0, beta=1e-308, gamma=0.0),
+         ["eigvalsh", "at", "cholesky", "eigvalsh", "at", "one_root_above", "at"]),
+    ],
+    ids=["non-finite-shifted-pencil", "non-finite-estimate", "non-finite-schur-complement"],
+)
+def test_hyperbolic_guards_fall_back_to_eigvals(monkeypatch, graph, rho, gains, reached):
+    # each guard of the hyperbolic path hands the spectrum to the dense eigvals;
+    # the log holds the symmetric solves, the Q~(s) formed (repeats folded) and
+    # the lower bracket check, in order
+    log = []
+    for name in ("eigvalsh", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, lambda a, _name=name, _fn=getattr(np.linalg, name):
+                            log.append(_name) or _fn(a))
+    one_root_above, at = transverse._one_root_above, DampedQEP.at
+    monkeypatch.setattr(transverse, "_one_root_above",
+                        lambda qep, s: log.append("one_root_above") or one_root_above(qep, s))
+    monkeypatch.setattr(DampedQEP, "at", lambda self, s: log.append("at") or at(self, s))
+    inst = Instance.from_graph(graph, rho, np.zeros(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tv = transverse_system(inst, gains)
+    assert [e for i, e in enumerate(log) if i == 0 or e != log[i - 1]] == reached
+    assert tv.spectrum == "dense" and tv.hyperbolic_max_real_part is None
+    eigs = np.linalg.eigvals(tv.A_tv)
+    assert tv.max_real_part == float(np.max(eigs.real))
+    assert tv.is_hurwitz() is bool(np.all(eigs.real < 0))
+
+
+def test_overflowing_shifted_pencil_scales_down_to_a_certified_one():
+    # the dense value of the non-finite-shifted-pencil case is the certified
+    # slowest root of the same loop with time scaled by 1e-150
+    def scaled(scale):
+        inst = Instance.from_graph(PATH3, np.array([-1e5, -2e5, -1.5e5]) * scale, np.zeros(3))
+        return transverse_system(inst, Gains(alpha=1e6 * scale, beta=1e7 * scale**2, gamma=0.0))
+    dense, certified = scaled(1e150), scaled(1.0)
+    assert (dense.spectrum, certified.spectrum) == ("dense", "hyperbolic")
+    assert dense.max_real_part == pytest.approx(1e150 * certified.max_real_part, rel=1e-12)
+
+
+def test_singular_estimate_solve_starts_from_ones(monkeypatch):
+    # a singular estimate shift leaves the start at K_2^-1/2 ones; the iteration
+    # still ends on the slowest root
+    solve = np.linalg.solve
+    calls = []
+
+    def singular_first(a, b):
+        calls.append(a.shape)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_first)
+    inst, gains = pidbench_case(0)
+    tv = transverse_system(inst, gains)
+    assert calls[0] == (49, 49) and tv.spectrum == "hyperbolic"
     eigs = np.linalg.eigvals(tv.A_tv)
     assert abs(tv.max_real_part - np.max(eigs.real)) <= 1e-10 * np.max(np.abs(eigs))
-    assert negative_count(inst, gains, tv.max_real_part * (1 - 1e-10)) == 1
 
 
 def test_bracket_checks_tell_the_sides_of_the_root(monkeypatch):
@@ -419,9 +500,6 @@ def test_bracket_checks_tell_the_sides_of_the_root(monkeypatch):
     assert not transverse._one_root_above(qep, below)
     assert transverse._two_roots_above(qep, below, x)
     assert not transverse._two_roots_above(qep, above, x)
-
-
-PATH3 = Graph(3, ((0, 1, 1.0), (1, 2, 1.0)))
 
 
 @pytest.mark.parametrize(
