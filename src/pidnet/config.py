@@ -10,6 +10,7 @@ loudly instead of silently using defaults.
 from __future__ import annotations
 
 import re
+import reprlib
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,6 +36,11 @@ from .spectral import Graph
 # at N = 1200 (record_stride: 20); 270 bytes * N^2 fits both, so 1.1 GB here.
 MAX_NODES = 2048
 
+# Values in messages are shown to two levels of nesting, as YAML aliases can
+# fan one list out to billions of entries.
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel = 2
+
 # libyaml's parser builds the same document as the pure-Python one, faster.
 _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
@@ -48,7 +54,7 @@ def _require_mapping(obj, path: str) -> dict:
 def _check_keys(section: dict, allowed: set[str], path: str) -> None:
     unknown = set(section) - allowed
     if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)} (allowed: {sorted(allowed)})")
+        raise ConfigError(f"{path}: unknown keys {sorted(unknown, key=str)} (allowed: {sorted(allowed)})")
 
 
 def _finite(val) -> bool:
@@ -67,9 +73,9 @@ def _float_hint(val) -> str:
 
 def _as_number(val, where: str) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {val!r}{_float_hint(val)}")
+        raise ConfigError(f"{where}: expected a number, got {_SHORT.repr(val)}{_float_hint(val)}")
     if not _finite(val):
-        raise ConfigError(f"{where}: expected a finite number, got {val!r}")
+        raise ConfigError(f"{where}: expected a finite number, got {_SHORT.repr(val)}")
     return float(val)
 
 
@@ -148,7 +154,7 @@ class InstanceConfig:
 def parse_config(text: str) -> InstanceConfig:
     try:
         doc = yaml.load(text, Loader=_LOADER)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int beyond Python's digit limit
         raise ConfigError(f"invalid YAML: {exc}") from exc
     doc = _require_mapping(doc, "config")
     _check_keys(doc, {"graph", "ensemble", "microgrid", "gains", "sim"}, "config")
@@ -182,8 +188,8 @@ def parse_config(text: str) -> InstanceConfig:
     except ValueError as exc:
         raise ConfigError(f"gains: {exc}") from exc
 
-    sim_raw = doc.get("sim", {})
-    sim_raw = _require_mapping(sim_raw, "sim") if sim_raw else {}
+    sim_raw = doc.get("sim")
+    sim_raw = {} if sim_raw is None else _require_mapping(sim_raw, "sim")
     _check_keys(sim_raw, {"dt", "t_end", "x0", "x0_scale", "record_stride"}, "sim")
     dt = _number(sim_raw, "dt", "sim", required=False)
     t_end = _number(sim_raw, "t_end", "sim", required=False, default=30.0)

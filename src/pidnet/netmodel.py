@@ -258,5 +258,5 @@ def equilibrium(ensemble: NodeEnsemble, mod_lap: ModifiedLaplacian) -> Equilibri
         z_star = -np.ldexp(V @ w, exp)
     if not np.isfinite(z_star).all():
         raise NonFinite(f"consensus equilibrium: z* leaves the float range "
-                        f"(||ensemble.delta|| = {ensemble.delta_norm:.6g})")
+                        f"(max|ensemble.delta| = {np.max(np.abs(ensemble.delta)):.6g})")
     return Equilibrium(x_inf=x_inf, x_star=x_star, z_star=z_star)

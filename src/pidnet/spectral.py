@@ -296,8 +296,8 @@ def _pencil_top(g: np.ndarray, z: np.ndarray, shift: float) -> float:
     phi falls from its value at max D^2 to 0, so nu = max D^2 + tau with tau
     the root of phi = 1, or tau = 0 where phi <= 1 throughout. The pair sum is
     sum(p) times the p-weighted variance of g, which has no cancellation.
-    Newton steps on log(phi) against log(tau) are exact where one power of tau
-    dominates; a bracket turns any other step into bisection.
+    Bisection halves the bracket each step, so the loop ends within
+    log2((N-1)/EPS) steps, 63 at config.MAX_NODES.
     """
     n = g.size + 1
     top = float(np.max(g))
@@ -306,32 +306,18 @@ def _pencil_top(g: np.ndarray, z: np.ndarray, shift: float) -> float:
     z2 = z * z
     d2 = (shift + top) ** 2
     lo, hi = 0.0, (n - 1) * d2  # nu <= ||M||^2 ||M^-1||^2 max D^2 = N max D^2
-    tau = hi
-    for _ in range(200):
-        e = tau + gap
-        p = z2 / e
+    while hi - lo > EPS * (d2 + lo):
+        tau = 0.5 * (lo + hi)
+        p = z2 / (tau + gap)
         c = p.sum()
         dev = h - (p @ h) / c
-        dev2 = dev * dev
-        v = p @ dev2
-        phi = n * (d2 + tau) * c * v
+        phi = n * (d2 + tau) * c * (p @ (dev * dev))
         if phi == 0.0:  # one value of g_k wherever z_k != 0
             return d2
-        if phi == 1.0:
-            return d2 + tau
         if phi > 1.0:
             lo = tau
         else:
             hi = tau
-        q = p / e
-        slope = tau / (d2 + tau) - tau * ((q @ dev2) / v + q.sum() / c)  # d log(phi)/d log(tau) < 0
-        step = tau * math.exp(min(math.log(phi) / -slope, 700.0)) if slope < 0.0 else hi
-        if not lo < step < hi:
-            step = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
-        step = max(step, 0.25 * EPS * d2)  # below this d2 + tau rounds to d2
-        if abs(step - tau) <= EPS * (d2 + step):
-            return d2 + step
-        tau = step
     return d2 + hi
 
 

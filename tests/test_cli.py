@@ -465,22 +465,23 @@ def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
-def _exit_codes_keep_contract(text, commands) -> list[int]:
-    """Exit codes of the commands on a config text, each in {0, 2, 3, 4},
-    without a RuntimeWarning and, on success, without a non-finite output."""
-    codes = []
+def _exit_codes_keep_contract(text, commands) -> list[tuple[int, str]]:
+    """Exit codes and stderr of the commands on a config text, each code in
+    {0, 2, 3, 4}, without a RuntimeWarning and, on success, without a
+    non-finite output."""
+    runs = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.yaml"
         path.write_text(text)
         for argv in commands:
             if argv[0] == "simulate":
                 argv = argv + ["--out", str(Path(tmp) / "out")]
-            stdout = io.StringIO()
+            stdout, stderr = io.StringIO(), io.StringIO()
             with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(stdout),
-                  contextlib.redirect_stderr(io.StringIO())):
+                  contextlib.redirect_stderr(stderr)):
                 warnings.simplefilter("always")
                 code = main(argv + ["--config", str(path)])
-            codes.append(code)
+            runs.append((code, stderr.getvalue()))
             assert code in (0, 2, 3, 4), (argv, text)
             # a CLI run would print these to stderr
             assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == [], (
@@ -495,7 +496,7 @@ def _exit_codes_keep_contract(text, commands) -> list[int]:
             if argv[0] == "simulate":
                 trace = (Path(tmp) / "out" / "trace.csv").read_text()
                 assert "inf" not in trace and "nan" not in trace, text
-    return codes
+    return runs
 
 
 @settings(max_examples=60, deadline=None)
@@ -533,9 +534,124 @@ def fuzz_sim_sections(draw):
 @given(fuzz_sim_sections())
 def test_fuzzed_sim_sections_keep_exit_code_contract(case):
     text, both_x0 = case
-    codes = _exit_codes_keep_contract(text, (["analyze", "--json"], ["simulate", "--json"]))
+    runs = _exit_codes_keep_contract(text, (["analyze", "--json"], ["simulate", "--json"]))
     if both_x0:
-        assert codes == [3, 3], text
+        assert [code for code, _ in runs] == [3, 3], text
+
+
+DROP = object()
+
+
+def _readme_with(*edits) -> str:
+    """The README config with each (path, value) edit applied: the value at
+    the path of keys and list indices replaced, added, or removed by DROP."""
+    doc = yaml.safe_load(README_CONFIG)
+    for path, value in edits:
+        *head, last = path
+        node = doc
+        for key in head:
+            node = node[key]
+        if value is DROP:
+            del node[last]
+        else:
+            node[last] = value
+    return yaml.safe_dump(doc, sort_keys=False)
+
+
+README_RHO = "rho:   [-2.0, -2.0, -2.0, -2.0]"
+README_EDGES = """  edges:
+    - {i: 0, j: 1, w: 1.0}"""
+# each anchor lists the one before it ten times: 10^8 numbers from a few hundred bytes
+FAN_OUT = ", ".join(f"&l{k} [" + ", ".join([f"*l{k - 1}"] * 10) + "]" for k in range(1, 9))
+# libyaml composes nested nodes recursively; 1000 levels parse in milliseconds
+DEEP = 1000
+MICROGRID = {"k": [1.0] * 4, "p_star": [1.0] * 4}
+
+STRUCTURAL_MUTATIONS = [
+    ("config-list", "- " + README_CONFIG.strip().replace("\n", "\n  "), "config"),
+    ("config-number", "42\n", "config"),
+    ("config-empty", "", "config"),
+    ("config-extra-key", _readme_with((["solver"], "rk4")), "config"),
+    ("config-mixed-keys", _readme_with(([1], 1.0), (["solver"], "rk4")), "config"),
+    ("graph-missing", _readme_with((["graph"], DROP)), "graph"),
+    ("graph-list", _readme_with((["graph"], [4])), "graph"),
+    ("graph-extra-key", _readme_with((["graph", "directed"], False)), "graph"),
+    ("nodes-missing", _readme_with((["graph", "nodes"], DROP)), "graph.nodes"),
+    ("nodes-string", _readme_with((["graph", "nodes"], "four")), "graph.nodes"),
+    ("nodes-bool", _readme_with((["graph", "nodes"], True)), "graph.nodes"),
+    ("nodes-list", _readme_with((["graph", "nodes"], [4])), "graph.nodes"),
+    ("edges-missing", _readme_with((["graph", "edges"], DROP)), "graph.edges"),
+    ("edges-string", _readme_with((["graph", "edges"], "0-1-2-3")), "graph.edges"),
+    ("edge-list", _readme_with((["graph", "edges", 0], [0, 1, 1.0])), "graph.edges[0]"),
+    ("edge-extra-key", _readme_with((["graph", "edges", 1, "k"], 2)), "graph.edges[1]"),
+    ("edge-i-missing", _readme_with((["graph", "edges", 0, "i"], DROP)), "graph.edges[0].i"),
+    ("edge-i-bool", _readme_with((["graph", "edges", 2, "i"], True)), "graph.edges[2].i"),
+    ("edge-j-string", _readme_with((["graph", "edges", 1, "j"], "2")), "graph.edges[1].j"),
+    ("edge-w-missing", _readme_with((["graph", "edges", 2, "w"], DROP)), "graph.edges[2].w"),
+    ("edge-w-string", _readme_with((["graph", "edges", 1, "w"], "heavy")), "graph.edges[1].w"),
+    ("edge-w-bool", _readme_with((["graph", "edges", 0, "w"], True)), "graph.edges[0].w"),
+    ("edge-w-null", _readme_with((["graph", "edges", 0, "w"], None)), "graph.edges[0].w"),
+    ("edge-w-binary", README_CONFIG.replace("w: 1.0}", "w: !!binary AAAA}", 1), "graph.edges[0].w"),
+    ("edges-aliased", README_CONFIG.replace(README_EDGES, README_EDGES.replace(
+        "- {i", "- &e {i") + "\n    - *e"), "graph"),
+    ("agents-missing", _readme_with((["ensemble"], DROP)), "config"),
+    ("ensemble-and-microgrid", _readme_with((["microgrid"], MICROGRID)), "config"),
+    ("ensemble-list", _readme_with((["ensemble"], [[-2.0] * 4, [1.0] * 4])), "ensemble"),
+    ("ensemble-extra-key", _readme_with((["ensemble", "k"], [1.0] * 4)), "ensemble"),
+    ("rho-missing", _readme_with((["ensemble", "rho"], DROP)), "ensemble.rho"),
+    ("rho-number", _readme_with((["ensemble", "rho"], -2.0)), "ensemble.rho"),
+    ("rho-mapping", _readme_with((["ensemble", "rho"], {0: -2.0})), "ensemble.rho"),
+    ("rho-short", _readme_with((["ensemble", "rho"], [-2.0] * 3)), "ensemble.rho"),
+    ("rho-long", _readme_with((["ensemble", "rho"], [-2.0] * 5)), "ensemble.rho"),
+    ("rho-string-entry", _readme_with((["ensemble", "rho", 1], "-2")), "ensemble.rho[1]"),
+    ("rho-bool-entry", _readme_with((["ensemble", "rho", 2], False)), "ensemble.rho[2]"),
+    ("rho-list-entry", _readme_with((["ensemble", "rho", 0], [-2.0])), "ensemble.rho[0]"),
+    ("rho-deep", README_CONFIG.replace(README_RHO, "rho: " + "[" * DEEP + "]" * DEEP),
+     "ensemble.rho"),
+    ("rho-aliased", README_CONFIG.replace(README_RHO, f"rho: [[&l0 [-2.0], {FAN_OUT}], -2.0, -2.0, -2.0]"),
+     "ensemble.rho[0]"),
+    ("delta-null-entry", _readme_with((["ensemble", "delta", 3], None)), "ensemble.delta[3]"),
+    ("delta-empty", _readme_with((["ensemble", "delta"], [])), "ensemble.delta"),
+    ("microgrid-with-ensemble-keys", _readme_with((["microgrid"], {"rho": [-2.0] * 4}),
+                                                  (["ensemble"], DROP)), "microgrid"),
+    ("microgrid-k-short", _readme_with((["microgrid"], {**MICROGRID, "k": [1.0] * 3}),
+                                       (["ensemble"], DROP)), "microgrid.k"),
+    ("gains-missing", _readme_with((["gains"], DROP)), "gains"),
+    ("gains-number", _readme_with((["gains"], 2.0)), "gains"),
+    ("gains-extra-key", _readme_with((["gains", "kappa"], 1.0)), "gains"),
+    ("gains-null-key", _readme_with((["gains", None], 1.0), (["gains", "kappa"], 1.0)), "gains"),
+    ("alpha-missing", _readme_with((["gains", "alpha"], DROP)), "gains.alpha"),
+    ("alpha-string", _readme_with((["gains", "alpha"], "2.0e3")), "gains.alpha"),
+    ("alpha-bool", _readme_with((["gains", "alpha"], True)), "gains.alpha"),
+    ("alpha-deep", README_CONFIG.replace("alpha: 2.0", "alpha: " + "{a: " * DEEP + "1" + "}" * DEEP),
+     "gains.alpha"),
+    ("beta-list", _readme_with((["gains", "beta"], [1.0])), "gains.beta"),
+    ("gamma-null", _readme_with((["gains", "gamma"], None)), "gains.gamma"),
+    ("sim-list", _readme_with((["sim"], [])), "sim"),
+    ("sim-false", _readme_with((["sim"], False)), "sim"),
+    ("sim-string", _readme_with((["sim"], "fast")), "sim"),
+    ("sim-extra-key", _readme_with((["sim", "steps"], 100)), "sim"),
+    ("t-end-string", _readme_with((["sim", "t_end"], "30 s")), "sim.t_end"),
+    ("dt-bool", _readme_with((["sim", "dt"], True)), "sim.dt"),
+    ("x0-short", _readme_with((["sim", "x0"], [1.0, 2.0])), "sim.x0"),
+    ("x0-number", _readme_with((["sim", "x0"], 1.0)), "sim.x0"),
+    ("x0-string-entry", _readme_with((["sim", "x0", 0], "one")), "sim.x0[0]"),
+    ("x0-scale-list", _readme_with((["sim", "x0"], DROP), (["sim", "x0_scale"], [2.0])),
+     "sim.x0_scale"),
+    ("stride-bool", _readme_with((["sim", "record_stride"], True)), "sim.record_stride"),
+    ("stride-string", _readme_with((["sim", "record_stride"], "10")), "sim.record_stride"),
+]
+
+
+@pytest.mark.parametrize("text, path", [case[1:] for case in STRUCTURAL_MUTATIONS],
+                         ids=[case[0] for case in STRUCTURAL_MUTATIONS])
+def test_structural_mutations_name_their_key(text, path):
+    runs = _exit_codes_keep_contract(text, (["analyze", "--json"], ["tune", "--json"],
+                                            ["simulate", "--json"]))
+    for code, err in runs:
+        assert code == 3, err
+        assert err.startswith(f"config error: {path}: "), err
+        assert len(err) < 500, err[:500]
 
 
 @pytest.mark.parametrize("argv", [["analyze", "--json"], ["analyze"]], ids=["json", "tree"])
