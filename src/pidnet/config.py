@@ -36,8 +36,7 @@ from .spectral import Graph
 # at N = 1200 (record_stride: 20); 270 bytes * N^2 fits both, so 1.1 GB here.
 MAX_NODES = 2048
 
-# Values in messages are shown to two levels of nesting, as YAML aliases can
-# fan one list out to billions of entries.
+# Values in messages, to two levels of nesting: YAML aliases fan lists out.
 _SHORT = reprlib.Repr()
 _SHORT.maxlevel = 2
 

@@ -296,8 +296,7 @@ def _pencil_top(g: np.ndarray, z: np.ndarray, shift: float) -> float:
     phi falls from its value at max D^2 to 0, so nu = max D^2 + tau with tau
     the root of phi = 1, or tau = 0 where phi <= 1 throughout. The pair sum is
     sum(p) times the p-weighted variance of g, which has no cancellation.
-    Bisection halves the bracket each step, so the loop ends within
-    log2((N-1)/EPS) steps, 63 at config.MAX_NODES.
+    The bracket halves each step: at most log2((N-1)/EPS) steps, 63 at config.MAX_NODES.
     """
     n = g.size + 1
     top = float(np.max(g))
@@ -314,10 +313,7 @@ def _pencil_top(g: np.ndarray, z: np.ndarray, shift: float) -> float:
         phi = n * (d2 + tau) * c * (p @ (dev * dev))
         if phi == 0.0:  # one value of g_k wherever z_k != 0
             return d2
-        if phi > 1.0:
-            lo = tau
-        else:
-            hi = tau
+        lo, hi = (tau, hi) if phi > 1.0 else (lo, tau)
     return d2 + hi
 
 

@@ -318,6 +318,19 @@ EDGES_MAPPING = README_CONFIG.replace("""  edges:
 EDGE_NAME = README_CONFIG.replace("{i: 1, j: 2, w: 1.0}", "{i: 1, j: two, w: 1.0}")
 FLOAT_STRIDE = README_CONFIG.replace("record_stride: 10", "record_stride: 1.5")
 
+# rho - alpha*L = -1.5e308 - 2 * 5e307 on the diagonal of a 3-ring leaves the float range
+RHO_ALPHA_L_OVERFLOW = """
+graph: {nodes: 3, edges: [{i: 0, j: 1, w: 1.0}, {i: 1, j: 2, w: 1.0}, {i: 2, j: 0, w: 1.0}]}
+ensemble: {rho: [-1.5e+308, -1.5e+308, -1.5e+308], delta: [1.0, 2.0, 3.0]}
+gains: {alpha: 5.0e+307, beta: 1.0}
+"""
+# x_inf = -5.7e307 and P x* + delta stay finite, z* = -(rho x* + delta) does not
+Z_STAR_OVERFLOW = RHO_ALPHA_L_OVERFLOW.replace(
+    "[-1.5e+308, -1.5e+308, -1.5e+308], delta: [1.0, 2.0, 3.0]",
+    "[-1.0, -1.0, -1.0], delta: [1.7e+308, -1.7e+308, -1.7e+308]").replace(
+    "alpha: 5.0e+307, beta: 1.0", "alpha: 1.0")
+# an integer of 5001 digits, beyond Python's limit for int(str)
+LONG_INT = README_CONFIG.replace("alpha: 2.0", "alpha: 1" + "0" * 5000)
 
 @pytest.mark.parametrize(
     "argv, config, code, message",
@@ -377,6 +390,13 @@ FLOAT_STRIDE = README_CONFIG.replace("record_stride: 10", "record_stride: 1.5")
          "config error: graph.edges[1].j: expected a 0-based node index"),
         (["simulate", "--json"], FLOAT_STRIDE, 3,
          "config error: sim.record_stride: expected a positive integer"),
+        (["simulate", "--json"], RHO_ALPHA_L_OVERFLOW, 4,
+         "closed-loop assembly: ensemble.rho - gains.alpha * L leaves the float range "
+         "(max|ensemble.rho| = 1.5e+308, gains.alpha = 5e+307)"),
+        (["analyze", "--json"], Z_STAR_OVERFLOW, 4,
+         "consensus equilibrium: z* leaves the float range (max|ensemble.delta| = 1.7e+308)"),
+        (["tune", "--json"], LONG_INT, 3,
+         "config error: invalid YAML: Exceeds the limit (4300 digits)"),
         # --out names the config file itself, so no directory can be made there
         (["simulate", "--json", "--out", "hole.yaml"], README_CONFIG, 4,
          "io error: [Errno 17] File exists: 'hole.yaml'"),
@@ -396,7 +416,8 @@ FLOAT_STRIDE = README_CONFIG.replace("record_stride: 10", "record_stride: 1.5")
         "huge-x0-scale-analyze", "huge-x0-scale-tune", "huge-x0-scale-simulate",
         "x0-and-x0-scale-analyze", "x0-and-x0-scale-tune", "x0-and-x0-scale-simulate",
         "gains-list", "missing-delta", "delta-number", "float-nodes", "edges-mapping",
-        "edge-name", "float-stride", "out-names-a-file",
+        "edge-name", "float-stride", "overflowing-rho-minus-alpha-l", "overflowing-z-star",
+        "int-beyond-digit-limit", "out-names-a-file",
     ],
 )
 def test_exit_code_holes(tmp_path, monkeypatch, capsys, argv, config, code, message):
@@ -537,6 +558,20 @@ def test_fuzzed_sim_sections_keep_exit_code_contract(case):
     runs = _exit_codes_keep_contract(text, (["analyze", "--json"], ["simulate", "--json"]))
     if both_x0:
         assert [code for code, _ in runs] == [3, 3], text
+
+
+def test_perturbed_eigenbasis_exits_4(tmp_path, monkeypatch, capsys):
+    eigh = np.linalg.eigh
+
+    def perturbed(a):
+        w, V = eigh(a)
+        return w, V * 1.001
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    p = tmp_path / "c.yaml"
+    p.write_text(README_CONFIG)
+    assert main(["analyze", "--json", "--config", str(p)]) == 4
+    assert "numeric failure: reconstruction residual" in capsys.readouterr().err
 
 
 DROP = object()

@@ -1,6 +1,7 @@
 """Fixed-step integrator, trace metrics and the inverter-network builder."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from pidnet import sim
 from pidnet import (
+    DimensionMismatch,
     Gains,
     Graph,
     Instance,
@@ -248,6 +250,20 @@ def test_in_place_u_matches_the_expression(rng, monkeypatch, chains):
     sizes = [len(u) for u in us]
     assert sizes == ([1, 1, 2, 4, 8, 16, 19] if chains is None else [1, 1, 2] + [4] * 11 + [3])
     assert np.array_equal(integrate(sys_, cfg).u, np.vstack(us))
+
+
+def test_x0_of_the_wrong_length_is_rejected(rng):
+    sys_ = assemble(random_heterogeneous_instance(rng, 5), Gains(2.0, 1.0, 0.7))
+    with pytest.raises(DimensionMismatch, match=re.escape("x0 must have shape (5,)")):
+        sim.propagate(sys_, SimConfig(t_end=1.0, dt=0.01, x0=np.ones(4)))
+
+
+def test_metrics_of_an_empty_trace_are_rejected():
+    empty = np.zeros((0, 3))
+    trace = Trace(times=np.zeros(0), x=empty, z=empty, u=empty, disagreement=np.zeros(0),
+                  z_norm=np.zeros(0))
+    with pytest.raises(ValueError, match="empty trace"):
+        metrics(trace)
 
 
 def test_chains_sized_by_the_propagator(rng, monkeypatch):

@@ -1,5 +1,6 @@
 """Graph/Laplacian construction and the block spectral identities."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -18,6 +19,7 @@ from pidnet import (
     modified_laplacian,
     spectral_decompose,
 )
+from pidnet.errors import DegenerateDecomposition
 from conftest import (complete, random_graph, random_heterogeneous_instance, ring,
                       sign_fixed_column_by_column)
 
@@ -245,6 +247,26 @@ def test_ring6_h_norm_bound_benchmark():
 def test_h_norm_bound_at_gamma_zero(rng):
     dec = decompose(random_graph(rng, 9))
     assert h_norm_bound(dec, 0.0) == 9.0
+
+
+def test_h_norm_bound_needs_a_connected_spectrum():
+    # spectral_decompose never returns lambda_2 <= 0, so the decomposition is edited
+    dec = decompose(ring(4))
+    cut = dataclasses.replace(dec, lam=np.array([0.0, 0.0, 2.0, 4.0]))
+    with pytest.raises(DisconnectedGraph, match="bound requires lambda_2 > 0"):
+        h_norm_bound(cut, 1.0)
+
+
+def test_perturbed_eigenbasis_fails_the_reconstruction(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def perturbed(a):
+        w, V = eigh(a)
+        return w, V * 1.001  # no longer orthonormal: V diag(w) V^T misses L by 0.2%
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    with pytest.raises(DegenerateDecomposition, match="reconstruction residual"):
+        decompose(ring(5))
 
 
 def test_h_norm_bound_dominates_exact_norm(rng):

@@ -253,6 +253,13 @@ def test_heterogeneous_requires_negative_average(rng):
         min_alpha(inst, 1.0)
 
 
+def test_z_bound_needs_a_nonzero_average_pole():
+    # psi11 = mean(rho) = 0 while rho_bar != 0: the heterogeneous term divides by psi11
+    inst = Instance.from_graph(ring(3), [1.0, -1.0, 0.0], np.ones(3))
+    with pytest.raises(UnstableAverage, match="psi11 = 0: heterogeneous bound undefined"):
+        z_infinity_bound(inst, Gains(1, 1, 1))
+
+
 def test_heterogeneous_beta_zero_fails_condition(rng):
     inst = random_heterogeneous_instance(rng, 5)
     cert = certify_heterogeneous_pid(inst, Gains(50, 0, 1))
