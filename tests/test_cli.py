@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from pidnet import cli, netmodel, spectral, transverse
 from pidnet.cli import BENCHMARK_ALPHA_REFERENCE, main
 from pidnet.config import MAX_NODES, parse_config
+from pidnet.errors import DegenerateDecomposition
 from pidnet.spectral import modified_laplacian
 from conftest import load_pidbench
 
@@ -565,9 +566,11 @@ def test_perturbed_eigenbasis_exits_4(tmp_path, monkeypatch, capsys):
 
     def perturbed(a):
         w, V = eigh(a)
-        return w, V * 1.001
+        return w, V * 1.001  # no longer orthonormal: V diag(w) V^T misses L by 0.2%
 
     monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    with pytest.raises(DegenerateDecomposition, match="reconstruction residual"):
+        spectral.spectral_decompose(parse_config(README_CONFIG).graph)
     p = tmp_path / "c.yaml"
     p.write_text(README_CONFIG)
     assert main(["analyze", "--json", "--config", str(p)]) == 4
