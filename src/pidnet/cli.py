@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .errors import (
     UnstableAverage,
 )
 from .netmodel import ClosedLoopSystem, Gains, equilibrium, norm2
-from .sim import SimConfig, StreamedTrace, TraceMetrics, build_microgrid, metrics, propagate, write_trace
+from .sim import SimConfig, TraceMetrics, build_microgrid, metrics, propagate, write_trace
 from .spectral import h_norm_bound, modified_laplacian
 from .transverse import transverse_system
 from .tuning import certify, min_alpha
@@ -157,56 +158,24 @@ def cmd_analyze(args) -> int:
     return EXIT_OK if report["certificate"]["certified"] else EXIT_UNCERTIFIED
 
 
-def _run(
-    sys_: ClosedLoopSystem, sim_cfg: SimConfig, strict: bool, csv_path: str
-) -> tuple[StreamedTrace, float | None, TraceMetrics]:
+def _run(sys_: ClosedLoopSystem, sim_cfg: SimConfig, strict: bool, csv_path: str) -> TraceMetrics:
     """Integrate, writing the trace to csv_path as it is formed, then
     summarise it against the consensus value."""
     trace = write_trace(csv_path, *propagate(sys_, sim_cfg, strict=strict))
-    x_inf = sys_.ensemble.x_inf
-    return trace, x_inf, metrics(trace, x_inf=x_inf)
+    return metrics(trace, x_inf=sys_.ensemble.x_inf)
 
 
 def _simulate_once(cfg: InstanceConfig, strict: bool, csv_path: str) -> dict:
     cert_report = _certificate_report(cfg)
     if not cert_report["certified"]:
         warnings.warn("instance is not certified; simulating anyway", stacklevel=2)
-    trace, x_inf, summary = _run(cfg.system, cfg.sim, strict, csv_path)
-    report = {
-        "certificate": cert_report,
-        "simulation": {
-            "t_end": float(trace.times[-1]),
-            "samples": int(trace.times.size),
-            "x_inf": x_inf,
-            "final_state": [float(v) for v in trace.x_final],
-            "final_disagreement": summary.final_disagreement,
-            "final_offset": summary.final_offset,
-            "final_z_norm": summary.final_z_norm,
-            "steady_z_norm": summary.steady_z_norm,
-            "steady_disagreement": summary.steady_disagreement,
-            "empirical_rate": summary.empirical_rate,
-        },
-    }
-    comparisons = []
-    if cert_report.get("z_inf_bound") is not None:
-        comparisons.append(
-            {
-                "bound": "z_inf",
-                "value": cert_report["z_inf_bound"],
-                "observed": summary.steady_z_norm,
-                "holds": summary.steady_z_norm <= cert_report["z_inf_bound"],
-            }
-        )
-    if cert_report.get("epsilon_bound") is not None:
-        comparisons.append(
-            {
-                "bound": "epsilon",
-                "value": cert_report["epsilon_bound"],
-                "observed": summary.steady_disagreement,
-                "holds": summary.steady_disagreement <= cert_report["epsilon_bound"],
-            }
-        )
-    report["bound_comparisons"] = comparisons
+    summary = _run(cfg.system, cfg.sim, strict, csv_path)
+    report = {"certificate": cert_report, "simulation": asdict(summary), "bound_comparisons": []}
+    for name, key, observed in (("z_inf", "z_inf_bound", summary.steady_z_norm),
+                                ("epsilon", "epsilon_bound", summary.steady_disagreement)):
+        if cert_report[key] is not None:
+            report["bound_comparisons"].append({"bound": name, "value": cert_report[key],
+                                                "observed": observed, "holds": observed <= cert_report[key]})
     return report
 
 
@@ -270,12 +239,12 @@ def _reproduce_scenario(cfg: InstanceConfig, gains: Gains, path: str) -> dict:
     sys_ = build_microgrid(cfg.instance, gains)
     cert = certify(cfg.instance, sys_.gains)
     with _staged(path) as tmp:
-        trace, x_inf, summary = _run(sys_, cfg.sim, False, tmp)
+        summary = _run(sys_, cfg.sim, False, tmp)
     return {
-        "gains": {"alpha": gains.alpha, "beta": gains.beta, "gamma": gains.gamma},
+        "gains": asdict(gains),
         "certified": cert.certified,
-        "x_inf": x_inf,
-        "final_state": [float(v) for v in trace.x_final],
+        "x_inf": summary.x_inf,
+        "final_state": summary.final_state,
         "final_disagreement": summary.final_disagreement,
         "steady_disagreement": summary.steady_disagreement,
         "steady_z_norm": summary.steady_z_norm,

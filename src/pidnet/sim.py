@@ -427,6 +427,12 @@ def write_trace(path, times: np.ndarray, blocks: Iterator[Trace]) -> StreamedTra
 
 @dataclass(frozen=True)
 class TraceMetrics:
+    """What a run reports of its trace: in field order, ``simulate``'s ``simulation`` block."""
+
+    t_end: float                # time of the last sample
+    samples: int
+    x_inf: float | None         # the consensus value the offset is taken from
+    final_state: list[float]    # x at the last sample
     final_disagreement: float
     final_offset: float | None  # ||x(t_end) - x_inf * ones||
     final_z_norm: float
@@ -463,6 +469,10 @@ def metrics(trace: Trace | StreamedTrace, x_inf: float | None = None) -> TraceMe
                 if slope < 0:
                     rate = float(-slope)
     return TraceMetrics(
+        t_end=float(trace.times[-1]),
+        samples=int(trace.times.size),
+        x_inf=x_inf,
+        final_state=[float(v) for v in trace.x_final],
         final_disagreement=float(d[-1]),
         final_offset=(
             norm2(trace.x_final - x_inf) if x_inf is not None else None

@@ -11,7 +11,7 @@ free parameter is exposed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -52,18 +52,10 @@ class Certificate:
         return all(c.satisfied for c in self.conditions)
 
     def to_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "certified": self.certified,
-            "conditions": [
-                {"name": c.name, "satisfied": c.satisfied, "margin": c.margin}
-                for c in self.conditions
-            ],
-            "x_inf": self.x_inf,
-            "z_inf_bound": self.z_inf_bound,
-            "epsilon_bound": self.epsilon_bound,
-            "mu": self.mu,
-        }
+        """The fields in order, with ``certified`` second and the conditions a list."""
+        report = {"regime": self.regime, "certified": self.certified, **asdict(self)}
+        report["conditions"] = list(report["conditions"])
+        return report
 
 
 def _require_homogeneous(instance: Instance) -> float:

@@ -963,6 +963,37 @@ def test_simulate_writes_outputs(tmp_path, capsys, hom_config):
     assert report["certificate"]["certified"] is True
 
 
+def _tree_keys(tree: str, block: str) -> list[str]:
+    """The keys printed directly under a top-level block of a tree report."""
+    lines = tree.splitlines()
+    keys = []
+    for line in lines[lines.index(f"{block}:") + 1:]:
+        if line and not line.startswith(" "):
+            break
+        if line.startswith("  ") and line[2] != " ":
+            keys.append(line[2:].split(":")[0])
+    return keys
+
+
+def test_tree_printout_keeps_field_order(tmp_path, capsys):
+    # _dumps sorts the JSON keys; the tree prints each block in field order
+    p = tmp_path / "readme.yaml"
+    p.write_text(README_CONFIG)
+    assert main(["analyze", "--config", str(p)]) == 0
+    tree = capsys.readouterr().out
+    assert _tree_keys(tree, "certificate") == [
+        "regime", "certified", "conditions", "x_inf", "z_inf_bound", "epsilon_bound", "mu"]
+    _, report = run_json(capsys, ["analyze", "--config", str(p), "--json"])
+    # one entry per condition, not the conditions on one line
+    names = [line.split(": ", 1)[1] for line in tree.splitlines() if line.startswith("    name: ")]
+    assert names == [c["name"] for c in report["certificate"]["conditions"]]
+    assert len(names) == 4
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+    assert _tree_keys(capsys.readouterr().out, "simulation") == [
+        "t_end", "samples", "x_inf", "final_state", "final_disagreement", "final_offset",
+        "final_z_norm", "steady_z_norm", "steady_disagreement", "empirical_rate"]
+
+
 def test_simulate_idempotent_csv(tmp_path, capsys, hom_config):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     main(["simulate", "--config", hom_config, "--out", str(out1), "--json"])
