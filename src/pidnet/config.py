@@ -36,6 +36,11 @@ from .spectral import Graph
 # at N = 1200 (record_stride: 20); 270 bytes * N^2 fits both, so 1.1 GB here.
 MAX_NODES = 2048
 
+# Deepest nesting of YAML collections a config may have: libyaml composes
+# nested nodes recursively and overflows an 8 MB C stack at 20,000-40,000
+# levels. _check_nesting's count stays below it on pidbench configs to N = 800.
+MAX_NESTING = 10_000
+
 # Values in messages, to two levels of nesting: YAML aliases fan lists out.
 _SHORT = reprlib.Repr()
 _SHORT.maxlevel = 2
@@ -150,11 +155,34 @@ class InstanceConfig:
         return assemble(self.instance, self.effective_gains)
 
 
+def _check_nesting(text: str) -> None:
+    """Reject collections nested deeper than MAX_NESTING before they are composed.
+
+    Each collection needs an indicator of its own among "[{-:?", so their
+    count bounds the depth; only past that bound is the depth taken, from
+    the parser's events, which do not recurse.
+    """
+    if sum(map(text.count, "[{-:?")) <= MAX_NESTING:
+        return
+    depth = 0
+    for event in yaml.parse(text, Loader=_LOADER):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ConfigError(f"config: collections nest deeper than {MAX_NESTING} levels "
+                                  f"(line {event.start_mark.line + 1})")
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+
+
 def parse_config(text: str) -> InstanceConfig:
     try:
+        _check_nesting(text)
         doc = yaml.load(text, Loader=_LOADER)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int beyond Python's digit limit
         raise ConfigError(f"invalid YAML: {exc}") from exc
+    except RecursionError as exc:  # the pure-Python composer recurses once per level
+        raise ConfigError("config: collections nest too deep for the YAML parser") from exc
     doc = _require_mapping(doc, "config")
     _check_keys(doc, {"graph", "ensemble", "microgrid", "gains", "sim"}, "config")
 

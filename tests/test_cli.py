@@ -332,6 +332,14 @@ Z_STAR_OVERFLOW = RHO_ALPHA_L_OVERFLOW.replace(
     "alpha: 5.0e+307, beta: 1.0", "alpha: 1.0")
 # an integer of 5001 digits, beyond Python's limit for int(str)
 LONG_INT = README_CONFIG.replace("alpha: 2.0", "alpha: 1" + "0" * 5000)
+# 40,000 nested lists (80 KB), in flow and in block form: libyaml's recursive
+# composer overflows the C stack on them (SIGSEGV) unless the depth is
+# bounded first
+DEEP_FLOW = README_CONFIG.replace("rho:   [-2.0, -2.0, -2.0, -2.0]",
+                                  "rho: " + "[" * 40000 + "]" * 40000)
+DEEP_BLOCK = README_CONFIG.replace("rho:   [-2.0, -2.0, -2.0, -2.0]",
+                                   "rho:\n    " + "- " * 40000 + "-2.0")
+NESTING_ERROR = "config error: config: collections nest deeper than 10000 levels"
 
 @pytest.mark.parametrize(
     "argv, config, code, message",
@@ -398,6 +406,12 @@ LONG_INT = README_CONFIG.replace("alpha: 2.0", "alpha: 1" + "0" * 5000)
          "consensus equilibrium: z* leaves the float range (max|ensemble.delta| = 1.7e+308)"),
         (["tune", "--json"], LONG_INT, 3,
          "config error: invalid YAML: Exceeds the limit (4300 digits)"),
+        (["analyze", "--json"], DEEP_FLOW, 3, NESTING_ERROR),
+        (["tune", "--json"], DEEP_FLOW, 3, NESTING_ERROR),
+        (["simulate", "--json"], DEEP_FLOW, 3, NESTING_ERROR),
+        (["analyze", "--json"], DEEP_BLOCK, 3, NESTING_ERROR),
+        (["tune", "--json"], DEEP_BLOCK, 3, NESTING_ERROR),
+        (["simulate", "--json"], DEEP_BLOCK, 3, NESTING_ERROR),
         # --out names the config file itself, so no directory can be made there
         (["simulate", "--json", "--out", "hole.yaml"], README_CONFIG, 4,
          "io error: [Errno 17] File exists: 'hole.yaml'"),
@@ -418,7 +432,8 @@ LONG_INT = README_CONFIG.replace("alpha: 2.0", "alpha: 1" + "0" * 5000)
         "x0-and-x0-scale-analyze", "x0-and-x0-scale-tune", "x0-and-x0-scale-simulate",
         "gains-list", "missing-delta", "delta-number", "float-nodes", "edges-mapping",
         "edge-name", "float-stride", "overflowing-rho-minus-alpha-l", "overflowing-z-star",
-        "int-beyond-digit-limit", "out-names-a-file",
+        "int-beyond-digit-limit", "deep-flow-analyze", "deep-flow-tune", "deep-flow-simulate",
+        "deep-block-analyze", "deep-block-tune", "deep-block-simulate", "out-names-a-file",
     ],
 )
 def test_exit_code_holes(tmp_path, monkeypatch, capsys, argv, config, code, message):
@@ -690,6 +705,29 @@ def test_structural_mutations_name_their_key(text, path):
         assert code == 3, err
         assert err.startswith(f"config error: {path}: "), err
         assert len(err) < 500, err[:500]
+
+
+def test_deep_yaml_on_the_pure_python_parser(tmp_path, monkeypatch, capsys):
+    # without libyaml the composer is Python, and 1,000 levels pass the
+    # interpreter's recursion limit
+    monkeypatch.setattr("pidnet.config._LOADER", yaml.SafeLoader)
+    p = tmp_path / "deep.yaml"
+    p.write_text(README_CONFIG.replace(README_RHO, "rho: " + "[" * DEEP + "]" * DEEP))
+    assert main(["analyze", "--json", "--config", str(p)]) == 3
+    assert capsys.readouterr().err == "config error: config: collections nest too deep for the YAML parser\n"
+
+
+def test_workload_configs_are_parsed_once(monkeypatch):
+    # the indicator count bounds the nesting of the analyze-tune workload's
+    # N = 800 configs (the first of benchmark seeds 1-3), so none takes the
+    # second, event-by-event parse
+    def second_parse(*args, **kwargs):
+        raise AssertionError("yaml.parse called")
+
+    monkeypatch.setattr(yaml, "parse", second_parse)
+    for seed in (1, 2, 3):
+        inst = load_pidbench("inputs").random_instance(np.random.default_rng([seed, 2]), 800)
+        assert parse_config(inst.to_yaml()).graph.node_count == 800
 
 
 @pytest.mark.parametrize("argv", [["analyze", "--json"], ["analyze"]], ids=["json", "tree"])
@@ -1057,6 +1095,32 @@ def test_benchmark_trace_hooks_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), (module, attr)
+
+
+# Traced hooks that no command reaches: the transverse layer builds no Psi
+# blocks, and simulate and reproduce stream their traces instead of calling
+# integrate and Trace.to_csv. A refactor that bypasses another hook grows
+# this set and fails here; moving a hook onto the streamed path shrinks it.
+BLIND_HOOKS = {"transverse.psi_blocks", "sim.integrate", "sim.to_csv"}
+
+
+def test_benchmark_trace_hooks_are_reached(tmp_path):
+    traced = load_pidbench("traced")
+    config = tmp_path / "n20.yaml"
+    config.write_text(load_pidbench("inputs").random_instance(np.random.default_rng(1), 20).to_yaml())
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    reached = set()
+    for k, argv in enumerate((["reproduce", "--out", str(tmp_path / "repro"), "--json"],
+                              ["analyze", "--config", str(config), "--json"],
+                              ["tune", "--config", str(config), "--json"])):
+        spans = tmp_path / f"spans{k}.json"
+        run = subprocess.run([sys.executable, str(ROOT / "pidbench" / "traced.py"), str(spans), str(k),
+                              "20", "--", *argv], capture_output=True, text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert run.returncode == 0, run.stderr
+        reached |= {span["name"] for span in json.loads(spans.read_text())}
+    hooks = {traced.span_name(module, attr) for module, attr in traced.TRACED}
+    assert hooks - reached == BLIND_HOOKS
 
 
 def test_tune_benchmark(capsys):
