@@ -27,9 +27,9 @@ from .spectral import Graph
 # Largest graph.nodes a config may declare, checked before any matrix is
 # built. Every command holds dense N^2 matrices, and simulate and the dense
 # transverse fallback of analyze (2N)^2 ones. Where the hyperbolic
-# certificate holds, a fresh analyze process peaks at 65 MB at N = 800,
-# 97 MB at N = 1200 and 206 MB at this cap, and takes about 0.8 s, 1.4 s and
-# 5.5 s on a 2-CPU Xeon; where the dense eigvals decides (beta = 0) it peaks
+# certificate holds, a fresh analyze process peaks at 63 MB at N = 800,
+# 95 MB at N = 1200 and 203 MB at this cap (the graph's eigensolve, as in
+# tune), and takes about 0.8 s, 1.4 s and 5.5 s on a 2-CPU Xeon; where the dense eigvals decides (beta = 0) it peaks
 # at 99 MB and 175 MB and takes 1.9 s and 3.6 s at N = 800 and 1200, and
 # 366 MB and 12 s at this cap. A fresh simulate of the pidbench instance with
 # sim: {t_end: 0.001, record_stride: 10} peaks at 166 MiB at N = 800 and 366 MiB

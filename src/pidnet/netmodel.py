@@ -24,6 +24,10 @@ from .spectral import (
 )
 
 # Two poles are "identical" when their spread is below this relative level.
+# It has no absolute floor: poles that spread by at most HOMOGENEITY_RTOL *
+# max|rho| share one sign, so poles of mixed sign never count as identical,
+# and rescaling time (rho times 2^e) leaves the verdict as it is. All-zero
+# poles have spread 0 and stay homogeneous.
 HOMOGENEITY_RTOL = 1e-12
 
 
@@ -133,7 +137,7 @@ class NodeEnsemble:
     def is_homogeneous(self) -> bool:
         with np.errstate(over="ignore"):  # a spread beyond the float range is inf
             spread = float(np.max(self.rho) - np.min(self.rho))
-        return spread <= HOMOGENEITY_RTOL * max(1.0, float(np.max(np.abs(self.rho))))
+        return spread <= HOMOGENEITY_RTOL * float(np.max(np.abs(self.rho)))
 
 
 @dataclass(frozen=True)

@@ -186,17 +186,19 @@ def _format_e11(block: np.ndarray) -> bytearray:
     the exact product M: within 2.3e-4 for M < 1e12. If m is more than that
     inside (n - 0.5, n + 0.5), M rounds to n as well, and n is the digit
     string of the correctly rounded "%.11e"; E11_NEAR_TIE = 1e-3 leaves a
-    factor of four. (If m >= 1e11 > M, both print 1.00000000000e+<e>.)
+    factor of four. (If m >= 1e11 > M, both print 1.00000000000e+<e>.) Where
+    n = 1e12 the digits carry into a thirteenth place, and "%.11e" prints
+    1.00000000000e+<e + 1>: the digits become 1e11 and the exponent e + 1.
     e is clamped into [E11_EMIN - 1, E11_EMAX], and E11_EMIN - 1 stands for
     e = 0 (see _e11_tables). These values take Python's "%.11e" % v in their
     slot instead:
 
     - m within E11_NEAR_TIE of n + 0.5, exact ties included, so that only
       Python decides round-half-even;
-    - m outside [1e11, 1e12) or rounding to 1e12: log10 misjudged e, the
-      digits carry into a thirteenth place, or the clamp moved e. That takes
-      NaN, +-inf, subnormals and every |v| outside [1e-280, 1e301). Zeros
-      of either sign have m = 0 and are exact.
+    - m below 1e11 or rounding above 1e12, or a carry at e = E11_EMAX: log10
+      misjudged e, or the clamp moved it. That takes NaN, +-inf, subnormals
+      and every |v| outside [1e-280, 1e301). Zeros of either sign have m = 0
+      and are exact.
     """
     head, quads, triples, expo, pow10 = _e11_tables()
     v = block.ravel()
@@ -214,10 +216,14 @@ def _format_e11(block: np.ndarray) -> bytearray:
         d = np.rint(m, out=a)
         exact = m >= 1e11
         exact |= m == 0
-        exact &= d < 1e12
         m -= d
         np.abs(m, out=m)
         exact &= m < 0.5 - E11_NEAR_TIE
+        carry = d == 1e12
+        carry &= k < E11_EMAX - E11_EMIN + 1  # the table has no row above E11_EMAX
+        np.copyto(d, 1e11, where=carry)
+        k += carry
+        exact &= d < 1e12
     flagged = np.flatnonzero(~exact)
     d[flagged] = 0.0
     # d = [d0 d1..d4] * 10^7 + [d5..d8 d9..d11], split in the buffers of m and d

@@ -37,8 +37,8 @@ Every root then has real part <= 0, and real part 0 needs k(x) = 0, which
 holds only at the average direction, where the root is s = 0 and simple
 (c > 0 there). So the transverse system, spectrum(Q) less that zero, is
 Hurwitz. The one mu tried is -sqrt(lo hi), the geometric mean of the gap
-(lo, hi) that Q~(mu) < 0 needs on the diagonal, and a Cholesky factor
-certifies it. Q~(mu) < 0 also makes the QEP
+(lo, hi) that Q~(mu) < 0 needs on the diagonal, and a Cholesky factorisation
+of -Q~(mu), in place, certifies it. Q~(mu) < 0 also makes the QEP
 hyperbolic (Guo, Higham & Tisseur, SIAM J. Matrix Anal. Appl. 30(4), 2009):
 all 2N roots are real, N of them above mu, and for s > mu the number of
 negative eigenvalues of Q~(s) is the number of roots above s. The largest
@@ -49,7 +49,7 @@ real part is the root r next below the zero, found with N^2 work:
 - refine: Rayleigh functional iteration x <- Q~(s)^-1 Q~'(s) x, s <- p+(x),
   the larger root of s^2 + c(x) s + k(x); one N^2 solve a step;
 - bracket: Q~(r(1 - 1e-10)) has one negative eigenvalue (e_0^T Q~ e_0 < 0
-  and a Cholesky factor of the Schur complement of that entry, by
+  and an in-place Cholesky of the Schur complement of that entry, by
   Haynsworth's inertia additivity), and Q~(r(1 + 1e-10)) at least two (its
   compression on span(e_0, x) is negative definite). So the largest real
   part lies within 1e-10 of r, relatively.
@@ -126,7 +126,8 @@ class DampedQEP:
     matrix Pi = V^T diag(rho) V (the agents' poles in the graph's eigenbasis)
     until the shift search turns it into C~ in place; ``work`` is overwritten
     by each step: rho*V2 of the pole product, the energy block C2, -Q~(mu),
-    the estimate, each Q~(s) and the Schur complement.
+    the estimate, each Q~(s) and the Schur complement; both certificates
+    factor theirs in place there.
     """
 
     def __init__(self, instance: Instance, gains: Gains):
@@ -188,13 +189,41 @@ def _hyperbolic_max_real_part(qep: DampedQEP) -> float | None:
         # covers its rounding, and that of the off-diagonal entries, which
         # stays below the geometric mean of the two diagonal sizes
         negQ[diag] -= IDENTITY_TOL * (mu * mu - mu * c_size + k)
-        if not np.isfinite(negQ).all():
-            return None
-        try:
-            np.linalg.cholesky(negQ)
-        except np.linalg.LinAlgError:
+        if not (np.isfinite(negQ).all() and _positive_definite(negQ)):
             return None
         return _slowest_root(qep, mu)
+
+
+def _positive_definite(A: np.ndarray) -> bool:
+    """Whether the symmetric A is positive definite, by a blocked right-looking
+    Cholesky that overwrites A's lower triangle with the factor (and the
+    diagonal blocks' upper triangles with zeros): no N x N factor beside A.
+
+    Each diagonal block of BLOCK_ROWS is factored, each panel below it solved
+    against that factor, and the trailing triangle updated a row block at a
+    time. Higham's backward-error bound for Cholesky holds for this order of
+    the sums too, so the callers' rounding allowances stand. Later blocks are
+    computed values, so a block whose factor is not finite (numpy does not
+    raise on every one) fails as a raising one does.
+    """
+    n = A.shape[0]
+    with np.errstate(all="ignore"):  # each factor is checked before it decides
+        for j in range(0, n, BLOCK_ROWS):
+            e = min(j + BLOCK_ROWS, n)
+            panel = A[e:, j:e]
+            try:
+                factor = np.linalg.cholesky(A[j:e, j:e])
+                if not np.isfinite(factor).all():
+                    return False
+                A[j:e, j:e] = factor
+                if e < n:
+                    panel[...] = np.linalg.solve(factor, panel.T).T
+            except np.linalg.LinAlgError:  # or a factor singular to working precision
+                return False
+            for r in range(e, n, BLOCK_ROWS):
+                rows = slice(r, min(r + BLOCK_ROWS, n))
+                A[rows, e:rows.stop] -= panel[r - e:rows.stop - e] @ panel[:rows.stop - e].T
+    return True
 
 
 # Relative half-width of the bracket certified around the slowest root, and
@@ -277,13 +306,7 @@ def _one_root_above(qep: DampedQEP, s: float) -> bool:
     # the rounding of the entries and of the factor
     size = s * s - s * qep.c_size[1:] + k[1:] - q * (q / q00)
     schur[np.diag_indices(n - 1)] -= (n + 1) * EPS * size
-    if not np.isfinite(schur).all():
-        return False
-    try:
-        np.linalg.cholesky(schur)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return bool(np.isfinite(schur).all()) and _positive_definite(schur)
 
 
 def _two_roots_above(qep: DampedQEP, s: float, x: np.ndarray) -> bool:

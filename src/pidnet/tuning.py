@@ -59,12 +59,13 @@ class Certificate:
 
 
 def _require_homogeneous(instance: Instance) -> float:
-    """Return the common stability margin rho* (poles are -rho*)."""
+    """Return the common stability margin rho* = -max(rho), that of the least
+    stable pole: it does not depend on the node order."""
     if not instance.ensemble.is_homogeneous():
         raise NotHomogeneous(
             f"poles span [{instance.ensemble.rho.min()}, {instance.ensemble.rho.max()}]"
         )
-    return -float(instance.ensemble.rho[0])
+    return -float(np.max(instance.ensemble.rho))
 
 
 def certify_homogeneous_pid(instance: Instance, gains: Gains) -> Certificate:

@@ -340,6 +340,31 @@ DEEP_FLOW = README_CONFIG.replace("rho:   [-2.0, -2.0, -2.0, -2.0]",
 DEEP_BLOCK = README_CONFIG.replace("rho:   [-2.0, -2.0, -2.0, -2.0]",
                                    "rho:\n    " + "- " * 40000 + "-2.0")
 NESTING_ERROR = "config error: config: collections nest deeper than 10000 levels"
+# poles within 1e-12 of each other in absolute terms but of mixed sign: the loop
+# is homogeneous only relative to max|rho|, and the least stable pole decides
+# (the mirror labels the path's nodes 2, 1, 0)
+TINY_POLES = """
+graph: {nodes: 3, edges: [{i: 0, j: 1, w: 1.0}, {i: 1, j: 2, w: 1.0}]}
+ensemble: {rho: RHO, delta: DELTA}
+gains: {alpha: 1.0, beta: 1.0, gamma: 0.5}
+"""
+
+
+def tiny_poles(rho: str, mirror: bool = False, gamma: str = "0.5") -> str:
+    delta = "[0.0, 0.0, 1.0]" if mirror else "[1.0, 0.0, 0.0]"
+    return (TINY_POLES.replace("RHO", rho).replace("DELTA", delta)
+            .replace("gamma: 0.5", f"gamma: {gamma}"))
+
+
+UNSTABLE_TINY = "certification failure: average pole psi11 = 3e-13 is nonnegative"
+# the condition that a report fails, as the JSON printout indents it
+FAILS = '"name": "{}",\n        "satisfied": false'
+# one edge of weight 0.5 gives lambda_N = 1, so alpha*lambda_N + rho* = 1 - 1 = 0
+PD_ZERO_DENOMINATOR = """
+graph: {nodes: 2, edges: [{i: 0, j: 1, w: 0.5}]}
+ensemble: {rho: [1.0, 1.0], delta: [1.0, 2.0]}
+gains: {alpha: 1.0, beta: 0.0, gamma: 0.5}
+"""
 
 @pytest.mark.parametrize(
     "argv, config, code, message",
@@ -415,6 +440,29 @@ NESTING_ERROR = "config error: config: collections nest deeper than 10000 levels
         # --out names the config file itself, so no directory can be made there
         (["simulate", "--json", "--out", "hole.yaml"], README_CONFIG, 4,
          "io error: [Errno 17] File exists: 'hole.yaml'"),
+        (["analyze", "--json"], tiny_poles("[-1.0e-13, 5.0e-13, 5.0e-13]"), 2, UNSTABLE_TINY),
+        (["analyze", "--json"], tiny_poles("[5.0e-13, 5.0e-13, -1.0e-13]", mirror=True), 2,
+         UNSTABLE_TINY),
+        (["analyze", "--json"], tiny_poles("[1.0e-13, -2.0e-13, -2.0e-13]"), 0,
+         '"regime": "HeterogeneousPID"'),
+        (["analyze", "--json"], tiny_poles("[-2.0e-13, -2.0e-13, 1.0e-13]", mirror=True), 0,
+         '"regime": "HeterogeneousPID"'),
+        (["analyze", "--json"], tiny_poles("[0.0, 0.0, 0.0]"), 2, '"regime": "HomogeneousPID"'),
+        (["tune", "--json", "--gamma", "0"], README_CONFIG, 0, '"gamma": 0.0'),
+        (["simulate", "--json"], README_CONFIG.replace("t_end: 30.0\n  dt: 0.001", "t_end: 0.0"),
+         3, "config error: sim: t_end must be at least one step, got 0.0"),
+        (["simulate", "--json"], README_CONFIG.replace("t_end: 30.0", "t_end: 1.0").replace(
+            "dt: 0.001", "dt: 0.0"), 3, "config error: sim: dt must be positive, got 0.0"),
+        (["analyze", "--json"], README_CONFIG.replace("[-2.0, -2.0, -2.0, -2.0]",
+                                                      "[1.0, -1.0, -0.5, 0.5]"), 2,
+         "certification failure: average pole psi11 = 0 is nonnegative"),
+        (["analyze", "--json"], PD_ZERO_DENOMINATOR, 2, FAILS.format("feedback_dominates_pole")),
+        (["analyze", "--json"], tiny_poles("[0.0, 0.0, 0.0]", gamma="0.0"), 2,
+         FAILS.format("stable_poles")),
+        (["analyze", "--json"], README_CONFIG.replace("beta: 1.0", "beta: 0.0"), 0,
+         '"hurwitz_sub_block": false'),
+        (["analyze", "--json"], README_CONFIG.replace("{i: 2, j: 3, w: 1.0}", "{i: 4, j: 3, w: 1.0}"),
+         3, "config error: graph: edge (4, 3) out of range for N=4"),
     ],
     ids=[
         "one-node-analyze", "one-node-tune", "one-node-simulate", "huge-gamma-analyze",
@@ -434,6 +482,10 @@ NESTING_ERROR = "config error: config: collections nest deeper than 10000 levels
         "edge-name", "float-stride", "overflowing-rho-minus-alpha-l", "overflowing-z-star",
         "int-beyond-digit-limit", "deep-flow-analyze", "deep-flow-tune", "deep-flow-simulate",
         "deep-block-analyze", "deep-block-tune", "deep-block-simulate", "out-names-a-file",
+        "tiny-mixed-poles-unstable", "tiny-mixed-poles-unstable-mirror",
+        "tiny-mixed-poles-stable", "tiny-mixed-poles-stable-mirror", "zero-poles-pid",
+        "tune-gamma-zero", "t-end-zero", "dt-zero", "pole-sum-zero", "pd-zero-denominator",
+        "zero-poles-pi", "no-integral-sub-block", "edge-first-index-n",
     ],
 )
 def test_exit_code_holes(tmp_path, monkeypatch, capsys, argv, config, code, message):
@@ -450,8 +502,11 @@ def test_exit_code_holes(tmp_path, monkeypatch, capsys, argv, config, code, mess
     # a CLI run would print these to stderr
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     captured = capsys.readouterr()
-    # a failure is one stderr message; a success prints its report alone
+    # a failure is one stderr message; a success prints its report alone, and so
+    # does an uncertified analysis (exit 2 without a message)
     shown, quiet = (captured.err, captured.out) if code else (captured.out, captured.err)
+    if code == 2 and not shown:
+        shown, quiet = quiet, shown
     assert message in shown
     assert quiet == ""
     assert out.exists() is (code == 0 and argv[0] == "simulate")
@@ -928,9 +983,11 @@ def traced_peak(tmp_path, capsys, command: str, n: int = 200) -> float:
 
 
 def test_analyze_traced_peak_in_dense_matrices(tmp_path, capsys):
-    # 4.3: V, the transverse layer's two buffers (C~ and work) and the factor
-    # that cholesky returns (5.6 while the Laplacian, a second scaled copy of
-    # V and the energy block were held beside them)
+    # 4.3: V, the transverse layer's two buffers (C~ and work) and a block of
+    # BLOCK_ROWS rows of the Schur complement's rank-one update, 0.64 N^2 at
+    # N = 200 (the N x N factor that cholesky returned peaked as high until
+    # both certificates factored in place; 5.6 while the Laplacian, a second
+    # scaled copy of V and the energy block were held beside them)
     assert traced_peak(tmp_path, capsys, "analyze") < 4.5
 
 

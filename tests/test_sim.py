@@ -494,6 +494,21 @@ def test_csv_chunk_boundaries_change_no_byte(tmp_path, monkeypatch, rng, chunk_v
     assert path.read_bytes() == csv_row_by_row(trace).encode()
 
 
+def test_e11_carries_match_python():
+    # either side of 9.999999999995 * 10^k the twelve digits round down to
+    # 9.99999999999e+k or carry to 1.00000000000e+(k + 1), for every k of the
+    # power-of-ten table; near-ties and the carry at E11_EMAX go to Python
+    rows = []
+    for k in range(sim.E11_EMIN, sim.E11_EMAX + 1):
+        tie = float(f"9.999999999995e{k}")
+        near = [float(f"9.99999999999{tail}e{k}") for tail in ("4", "49", "51", "6", "9999")]
+        row = [tie, np.nextafter(tie, 0.0), np.nextafter(tie, np.inf)] + near
+        rows.append(row + [-v for v in row])
+    block = np.array(rows)
+    expected = "".join(",".join("%.11e" % v for v in row) + "\n" for row in block.tolist())
+    assert sim._format_e11(block).decode() == expected
+
+
 def test_e11_tables_match_their_text():
     # the CSV writer's byte tables, built from the text each word holds
     def words(texts):

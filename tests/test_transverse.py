@@ -1,5 +1,6 @@
 """Psi blocks and the transverse system."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from pidnet import (
 )
 from pidnet import transverse
 from pidnet.errors import NonFinite
+from pidnet.spectral import BLOCK_ROWS
 from pidnet.transverse import DampedQEP
 from conftest import complete, load_pidbench, random_graph, random_heterogeneous_instance, ring
 
@@ -500,6 +502,66 @@ def test_bracket_checks_tell_the_sides_of_the_root(monkeypatch):
     assert not transverse._one_root_above(qep, below)
     assert transverse._two_roots_above(qep, below, x)
     assert not transverse._two_roots_above(qep, above, x)
+
+
+def _cholesky_succeeds(A):
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(A)).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
+@pytest.mark.parametrize("low, definite", [(1.0, True), (-1e-3, False), (1e-10, True),
+                                           (-1e-10, False)],
+                         ids=["spd", "indefinite", "nearly-singular", "nearly-singular-below"])
+def test_positive_definite_agrees_with_cholesky(rng, n, low, definite):
+    # eigenvalues in [1, 2] but one of low, in a random basis; where A is
+    # definite, the check leaves a factor of it in A's lower triangle
+    basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    w = np.linspace(1.0, 2.0, n)
+    w[rng.integers(n)] = low
+    A = (basis * w) @ basis.T
+    A = (A + A.T) / 2
+    work = A.copy()
+    assert transverse._positive_definite(work) is definite
+    assert _cholesky_succeeds(A) is definite
+    if definite:
+        factor = np.tril(work)
+        np.testing.assert_allclose(factor @ factor.T, A, rtol=0, atol=1e-12)
+
+
+def test_positive_definite_rejects_a_non_finite_later_block():
+    # a finite input: the first block's factor is 1e-150 I, so the last row's
+    # panel entry 1e200 / 1e-150 overflows, and the trailing update's 0 * inf
+    # leaves NaN in the second block, which numpy factors without raising (as
+    # it does the whole matrix)
+    n = BLOCK_ROWS + 2
+    A = np.eye(n)
+    A[:BLOCK_ROWS, :BLOCK_ROWS] *= 1e-300
+    A[-1, 0] = A[0, -1] = 1e200
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(np.linalg.cholesky(A)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not transverse._positive_definite(A)
+
+
+def test_transverse_traced_peak_holds_no_factor():
+    # beside V, formed before tracing starts: C~, work and blocks of BLOCK_ROWS
+    # rows (2.46 N^2 floats at N = 400; 3.03 while each certificate's Cholesky
+    # returned an N x N factor)
+    case = load_pidbench("inputs").random_instance(np.random.default_rng(1), 400)
+    inst = Instance.from_graph(Graph(case.n, tuple(case.edges)), case.rho, case.delta)
+    gains = Gains(case.alpha, case.beta, case.gamma)
+    tracemalloc.start()
+    try:
+        tv = transverse_system(inst, gains)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tv.spectrum == "hyperbolic"
+    assert peak < 2.75 * 8 * 400**2
 
 
 @pytest.mark.parametrize(
