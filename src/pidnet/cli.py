@@ -18,17 +18,7 @@ import numpy as np
 
 from . import __version__
 from .config import InstanceConfig, load_config
-from .errors import (
-    ConfigError,
-    DegenerateDecomposition,
-    GraphTooLarge,
-    NonFinite,
-    PidnetError,
-    SingularEnsemble,
-    StepTooLarge,
-    TraceTooLarge,
-    UnstableAverage,
-)
+from .errors import ConfigError, NonFinite, PidnetError, SingularEnsemble
 from .netmodel import ClosedLoopSystem, Gains, equilibrium, norm2
 from .sim import SimConfig, TraceMetrics, build_microgrid, metrics, propagate, write_trace
 from .spectral import h_norm_bound, modified_laplacian
@@ -37,7 +27,6 @@ from .tuning import certify, min_alpha
 
 EXIT_OK = 0
 EXIT_UNCERTIFIED = 2
-EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
 
 # Reference proportional-gain threshold reported for the six-inverter
@@ -325,19 +314,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except UnstableAverage as exc:
-        print(f"certification failure: {exc}", file=sys.stderr)
-        return EXIT_UNCERTIFIED
-    except (NonFinite, StepTooLarge, TraceTooLarge, GraphTooLarge, DegenerateDecomposition,
-            SingularEnsemble, np.linalg.LinAlgError) as exc:
+    except PidnetError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except np.linalg.LinAlgError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except PidnetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
