@@ -53,6 +53,9 @@ real part is the root r next below the zero, found with N^2 work:
   Haynsworth's inertia additivity), and Q~(r(1 + 1e-10)) at least two (its
   compression on span(e_0, x) is negative definite). So the largest real
   part lies within 1e-10 of r, relatively.
+The shift and all three run on the time scale s = 2^e s', e the mean of the
+binary exponents of hi and of the largest damping, so the roots lie near 1
+(exactly, where nothing underflows) and a loop's scale alone overflows nothing.
 Where the shift is not certified (beta = 0, complex modes, no gap, a failed
 Cholesky), no bracket is (an iteration that ends on the lower root of a
 close pair fails the first check), or a value is not finite, the dense
@@ -168,7 +171,8 @@ class DampedQEP:
 
 def _hyperbolic_max_real_part(qep: DampedQEP) -> float | None:
     """Largest nonzero root of a hyperbolic Q, or None where the shift mu is not
-    certified or no bracket around the root is. Turns ``qep.C`` into C~."""
+    certified or no bracket around the root is. Turns ``qep.C`` into C~, and
+    then ``qep`` into the same problem on a power-of-two time scale."""
     C, k, c_size = qep.C, qep.k, qep.c_size
     diag = np.diag_indices(k.size)
     with np.errstate(all="ignore"):  # each value is checked before it decides
@@ -183,6 +187,12 @@ def _hyperbolic_max_real_part(qep: DampedQEP) -> float | None:
         hi, lo = float(np.min(slow[1:])), float(np.max(-c - slow))
         if not (np.isfinite(C).all() and np.isfinite(k).all() and np.all(c > 0) and lo < hi < 0):
             return None
+        # the time scale 2^e above: C~/2^e, k/4^e, and the roots near 1
+        e = (math.frexp(hi)[1] + math.frexp(float(np.max(c)))[1]) // 2
+        np.ldexp(C, -e, out=C)
+        np.ldexp(k, -2 * e, out=k)
+        np.ldexp(c_size, -e, out=c_size)
+        lo, hi = math.ldexp(lo, -e), math.ldexp(hi, -e)
         mu = -math.sqrt(-lo) * math.sqrt(-hi)  # inside the gap; lo * hi is never formed
         negQ = np.negative(qep.at(mu), out=qep.work)
         # IDENTITY_TOL times the size of the terms of each diagonal entry
@@ -191,7 +201,8 @@ def _hyperbolic_max_real_part(qep: DampedQEP) -> float | None:
         negQ[diag] -= IDENTITY_TOL * (mu * mu - mu * c_size + k)
         if not (np.isfinite(negQ).all() and _positive_definite(negQ)):
             return None
-        return _slowest_root(qep, mu)
+        root = _slowest_root(qep, mu)
+        return None if root is None else math.ldexp(root, e)
 
 
 def _positive_definite(A: np.ndarray) -> bool:
@@ -424,5 +435,5 @@ def transverse_system(instance: Instance, gains: Gains) -> TransverseSystem:
         gains=gains,
         energy_margin=margin if math.isfinite(margin) else None,
         energy_certified=certified,
-        hyperbolic_max_real_part=_hyperbolic_max_real_part(qep) if gains.beta > 0 else None,
+        hyperbolic_max_real_part=_hyperbolic_max_real_part(qep),
     )

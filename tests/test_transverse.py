@@ -386,7 +386,8 @@ def test_geometric_mean_shift_is_certified(graph, rho, gains):
 
 def test_close_pair_falls_back_to_eigvals(monkeypatch):
     # the slow roots -0.54278 and -0.54396 lie 0.2% apart: the one start ends on
-    # the lower one, whose bracket fails, so the dense eigvals decides
+    # the lower one, whose bracket fails, so the dense eigvals decides. The
+    # iteration runs on the time scale 2^e, e = 1 here, so it reads s / 2
     graph = Graph(3, ((2, 1, 2.398161142710754), (2, 0, 2.1264047444205714)))
     rho = [-0.5004310048439384, -0.5039754504718847, -2.5409049543605295]
     gains = Gains(alpha=4.24345408200326, beta=1.7113430954642705, gamma=1.97881009392322)
@@ -397,7 +398,7 @@ def test_close_pair_falls_back_to_eigvals(monkeypatch):
     inst = Instance.from_graph(graph, rho, np.zeros(3))
     tv = transverse_system(inst, gains)
     assert tv.spectrum == "dense" and tv.hyperbolic_max_real_part is None
-    assert [s for s, _ in starts] == pytest.approx([-0.5439598402833697], rel=1e-12)
+    assert [s for s, _ in starts] == pytest.approx([-0.5439598402833697 / 2], rel=1e-12)
     eigvals = np.linalg.eigvals
     expected = eigvals(tv.A_tv)
     calls = []
@@ -415,18 +416,19 @@ PATH3 = Graph(3, ((0, 1, 1.0), (1, 2, 1.0)))
 @pytest.mark.parametrize(
     "graph, rho, gains, reached",
     [
-        # mu = -1.2e153 lies in the diagonal gap, but mu * C~ (entries up to
-        # 3e156) overflows: -Q~(mu) is not finite, and no Cholesky of it is tried
-        (PATH3, [-1e155, -2e155, -1.5e155], Gains(alpha=1e156, beta=1e307, gamma=0.0),
+        # the roots run from -1e-320 to -3e300, which no power-of-two time scale
+        # holds: on the scale 2^-32 (centred between them) C~ overflows, so
+        # -Q~(mu) is not finite, and no Cholesky of it is tried
+        (PATH3, [-1.0, -2.0, -1.5], Gains(alpha=1e300, beta=1e-20, gamma=0.0),
          ["eigvalsh", "at"]),
-        # alpha / beta = 1e309: K_2^-1/2 S K_2^-1/2 of the estimate is not
-        # finite, and no eigvalsh of it is tried
-        (ring(3, 0.25), [-1.0, -2.0, -1.5], Gains(alpha=10.0, beta=1e-308, gamma=0.0),
-         ["eigvalsh", "at", "cholesky"]),
-        # the slow root near -1e-308 times c_00 = 1.5e-17 underflows: q_00 is 0
-        # at the upper bracket, its Schur complement is not finite, and no
-        # Cholesky of it is tried
-        (ring(3, 0.25), [-1e-17, -2e-17, -1.5e-17], Gains(alpha=1.0, beta=1e-308, gamma=0.0),
+        # beta * lambda_2 = 1e-324 underflows to 0: K_2^-1/2 of the estimate
+        # is not finite, and no eigvalsh of it is tried
+        (Graph(3, ((0, 1, 1e-3), (1, 2, 1.0))), [-1.0, -2.0, -1.5],
+         Gains(alpha=1.0, beta=1e-321, gamma=0.0), ["eigvalsh", "at", "cholesky"]),
+        # on the time scale 2^-266 the slow root near -1.2e-200 times c_00 =
+        # 1.8e-140 underflows: q_00 is 0 at the upper bracket, its Schur
+        # complement is not finite, and no Cholesky of it is tried
+        (ring(3, 0.25), [-1e-220, -2e-220, -1.5e-220], Gains(alpha=1e120, beta=1e-160, gamma=0.0),
          ["eigvalsh", "at", "cholesky", "eigvalsh", "at", "one_root_above", "at"]),
     ],
     ids=["non-finite-shifted-pencil", "non-finite-estimate", "non-finite-schur-complement"],
@@ -455,14 +457,33 @@ def test_hyperbolic_guards_fall_back_to_eigvals(monkeypatch, graph, rho, gains, 
 
 
 def test_overflowing_shifted_pencil_scales_down_to_a_certified_one():
-    # the dense value of the non-finite-shifted-pencil case is the certified
-    # slowest root of the same loop with time scaled by 1e-150
+    # mu * C~ of this loop overflows on its own time scale; on a power-of-two
+    # scale it is certified, at 1e150 times the slowest root of the same loop
+    # with time scaled by 1e-150
     def scaled(scale):
         inst = Instance.from_graph(PATH3, np.array([-1e5, -2e5, -1.5e5]) * scale, np.zeros(3))
         return transverse_system(inst, Gains(alpha=1e6 * scale, beta=1e7 * scale**2, gamma=0.0))
-    dense, certified = scaled(1e150), scaled(1.0)
-    assert (dense.spectrum, certified.spectrum) == ("dense", "hyperbolic")
-    assert dense.max_real_part == pytest.approx(1e150 * certified.max_real_part, rel=1e-12)
+    large, small = scaled(1e150), scaled(1.0)
+    assert (large.spectrum, small.spectrum) == ("hyperbolic", "hyperbolic")
+    assert large.is_hurwitz()
+    assert large.max_real_part == pytest.approx(1e150 * small.max_real_part, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "weight, rho, gains, expected",
+    [
+        (1.0, [-1e150, -2e150, -1.5e150], Gains(alpha=1e201, beta=1e300, gamma=0.0), -1e99),
+        # q_00 underflowed on the unscaled bracket, and the dense eigvals read +8e-292
+        (0.25, [-1e-17, -2e-17, -1.5e-17], Gains(alpha=1.0, beta=1e-308, gamma=0.0), -1e-308),
+    ],
+    ids=["roots-near-1e99", "roots-near-1e-308"],
+)
+def test_power_of_two_time_scale_certifies_roots_far_from_one(weight, rho, gains, expected):
+    # the same loops with time scaled to put their roots near 1 are certified
+    # hyperbolic, so these are too, at the scaled-back slowest root
+    tv = transverse_system(Instance.from_graph(ring(3, weight), rho, np.zeros(3)), gains)
+    assert tv.spectrum == "hyperbolic" and tv.is_hurwitz()
+    assert tv.max_real_part == pytest.approx(expected, rel=1e-12)
 
 
 def test_singular_estimate_solve_starts_from_ones(monkeypatch):
