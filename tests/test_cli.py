@@ -19,7 +19,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pidnet import cli, netmodel, spectral, transverse
+from pidnet import cli, errors, netmodel, spectral, transverse
 from pidnet.cli import BENCHMARK_ALPHA_REFERENCE, main
 from pidnet.config import MAX_NODES, parse_config
 from pidnet.errors import DegenerateDecomposition
@@ -511,6 +511,38 @@ def test_exit_code_holes(tmp_path, monkeypatch, capsys, argv, config, code, mess
     assert quiet == ""
     assert out.exists() is (code == 0 and argv[0] == "simulate")
     assert p.read_text() == config
+
+
+def _error_classes(cls=errors.PidnetError) -> list:
+    return [cls, *(sub for child in cls.__subclasses__() for sub in _error_classes(child))]
+
+
+ERROR_CLASSES = _error_classes()
+
+
+def test_error_classes_declare_the_readme_exit_codes():
+    # the README's contract: 2 certification failure, 3 config error, 4 numeric failure
+    assert {(c.exit_code, c.label) for c in ERROR_CLASSES} == {
+        (2, "certification failure"), (3, "config error"), (3, "error"), (4, "numeric failure")}
+
+
+@pytest.mark.parametrize(
+    "exc, expected",
+    [(c, None) for c in ERROR_CLASSES]
+    + [(np.linalg.LinAlgError, (4, "numeric failure")), (OSError, (4, "io error"))],
+    ids=[c.__name__ for c in ERROR_CLASSES] + ["LinAlgError", "OSError"],
+)
+def test_each_error_class_ends_in_its_exit_code(monkeypatch, capsys, exc, expected):
+    # main ends every run that raises through one handler: the class's code,
+    # and one stderr line with its label
+    def boom(path):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli, "load_config", boom)
+    code, label = expected or (exc.exit_code, exc.label)
+    assert main(["analyze", "--config", "unused.yaml"]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"{label}: boom\n")
 
 
 FUZZ_SPECIAL = (0.0, 1e-300, -1e-300, 1e300, -1e300, 1e150, 5e-324, 1e8, -1e8, 1e308, -1e308,
