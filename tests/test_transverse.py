@@ -14,13 +14,14 @@ from pidnet import (
     Instance,
     NodeEnsemble,
     assemble,
+    certify,
     modified_laplacian,
     psi_blocks,
     spectral_decompose,
     transverse_system,
 )
 from pidnet import transverse
-from pidnet.errors import NonFinite
+from pidnet.errors import NonFinite, PidnetError
 from pidnet.spectral import BLOCK_ROWS
 from pidnet.transverse import DampedQEP
 from conftest import complete, load_pidbench, random_graph, random_heterogeneous_instance, ring
@@ -627,3 +628,94 @@ def test_overflowing_gamma_names_the_gain():
         warnings.simplefilter("error")
         with pytest.raises(NonFinite, match=r"gains.gamma \* L leaves the float range"):
             transverse_system(inst, Gains(alpha=1.0, beta=1.0, gamma=1e308))
+
+
+# ----------------------------------------------- relabelling and rescaling
+# Three changes that leave the loop the same, so they need no oracle: the
+# nodes relabelled; time scaled by 2^e (rho, delta and alpha times 2^e, beta
+# times 4^e: every root times 2^e); the weights times 2^j with the gains over
+# 2^j. Node 1 stays in place where the paper's heterogeneous condition reads
+# it (rho_bar and ||I + H_hat|| are taken against node 1).
+
+# certificate values and the power of 2^e each scales by with time
+SCALED_VALUES = {"x_inf": 0, "z_inf_bound": 1, "epsilon_bound": 0, "mu": 1}
+
+
+def loop_facts(n, edges, rho, delta, gains):
+    inst = Instance.from_graph(Graph(n, tuple(edges)), rho, delta)
+    tv = transverse_system(inst, gains)
+    try:
+        cert = certify(inst, gains)
+        verdict = (cert.regime, cert.certified)
+        values = {key: getattr(cert, key) for key in SCALED_VALUES}
+    except PidnetError as exc:
+        verdict, values = type(exc).__name__, {}
+    size = float(np.max(np.abs(tv.A_tv)))
+    floor = n * np.finfo(float).eps * size  # below it the dense eigvals cannot tell a sign
+    sub = float(np.max(tv.sub_block_eigenvalues().real))
+    return {
+        "verdict": verdict,
+        "spectrum": tv.spectrum,
+        "max_real_part": tv.max_real_part,
+        "size": size,
+        "hurwitz": tv.is_hurwitz() if abs(tv.max_real_part) > floor else None,
+        "hurwitz_sub_block": tv.is_hurwitz(include_average_mode=False) if abs(sub) > floor else None,
+        "values": values,
+    }
+
+
+@st.composite
+def invariance_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["homogeneous", "heterogeneous", "tiny"]))
+    if kind == "homogeneous":
+        rho = -float(rng.uniform(0.2, 3.0)) * np.ones(n)
+    elif kind == "heterogeneous":
+        rho = rng.uniform(-3.0, 0.5, n)
+    else:  # poles of either sign within rounding of zero, or all equal
+        rho = rng.uniform(-1e-13, 1e-13, n) if rng.random() < 0.7 else np.full(n, -1e-13)
+    gains = Gains(alpha=float(10 ** rng.uniform(-1, 2)),
+                  beta=draw(st.sampled_from([0.0, float(rng.uniform(0.1, 5.0))])),
+                  gamma=draw(st.sampled_from([0.0, float(rng.uniform(0.1, 3.0))])))
+    edges = random_graph(rng, n).edges
+    return n, edges, rho, rng.normal(0.0, 2.0, n), gains, draw(st.permutations(range(n))), \
+        draw(st.integers(min_value=-400, max_value=400)), draw(st.integers(min_value=-20, max_value=20))
+
+
+def assert_same_loop(base, other, scale):
+    assert other["verdict"] == base["verdict"]
+    assert other["spectrum"] == base["spectrum"]
+    for flag in ("hurwitz", "hurwitz_sub_block"):
+        if base[flag] is not None and other[flag] is not None:
+            assert other[flag] == base[flag]
+    if base["spectrum"] == "hyperbolic":
+        assert other["max_real_part"] == pytest.approx(base["max_real_part"] * scale, rel=1e-12)
+    else:  # a dense value is good to a small multiple of eps max|A_tv|
+        assert other["max_real_part"] == pytest.approx(
+            base["max_real_part"] * scale, rel=0, abs=1e-12 * max(base["size"] * scale, other["size"]))
+    for key, power in SCALED_VALUES.items():
+        if base["values"].get(key) is not None:
+            assert other["values"][key] == pytest.approx(base["values"][key] * scale**power,
+                                                         rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(invariance_cases())
+def test_property_relabelling_and_rescaling_keep_the_verdicts(case):
+    n, edges, rho, delta, gains, perm, e, j = case
+    base = loop_facts(n, edges, rho, delta, gains)
+    if not NodeEnsemble(rho=rho, delta=delta).is_homogeneous():
+        perm = [0] + [p for p in perm if p != 0]  # node 1 stays node 1
+    relabelled = np.empty(n)
+    relabelled[perm] = rho
+    moved = np.empty(n)
+    moved[perm] = delta
+    assert_same_loop(base, loop_facts(n, [(perm[a], perm[b], w) for a, b, w in edges],
+                                      relabelled, moved, gains), 1.0)
+    t = 2.0**e
+    assert_same_loop(base, loop_facts(n, edges, rho * t, delta * t,
+                                      Gains(gains.alpha * t, gains.beta * t * t, gains.gamma)), t)
+    c = 2.0**j
+    assert_same_loop(base, loop_facts(n, [(a, b, w * c) for a, b, w in edges], rho, delta,
+                                      Gains(gains.alpha / c, gains.beta / c, gains.gamma / c)), 1.0)
