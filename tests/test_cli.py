@@ -463,6 +463,14 @@ gains: {alpha: 1.0, beta: 0.0, gamma: 0.5}
          '"hurwitz_sub_block": false'),
         (["analyze", "--json"], README_CONFIG.replace("{i: 2, j: 3, w: 1.0}", "{i: 4, j: 3, w: 1.0}"),
          3, "config error: graph: edge (4, 3) out of range for N=4"),
+        # the largest finite float is a number: --gamma and the config accept it
+        (["tune", "--json", "--gamma", "1.7976931348623157e308"], README_CONFIG, 4,
+         "numeric failure: modified Laplacian: gains.gamma * L leaves the float range"),
+        (["analyze", "--json"], README_CONFIG.replace("x0: [1.0,", "x0: [1.7976931348623157e+308,"),
+         0, '"certified": true'),
+        # t_end equal to dt is one step
+        (["simulate", "--json"], README_CONFIG.replace("t_end: 30.0", "t_end: 0.5").replace(
+            "dt: 0.001", "dt: 0.5"), 0, '"samples": 2'),
     ],
     ids=[
         "one-node-analyze", "one-node-tune", "one-node-simulate", "huge-gamma-analyze",
@@ -485,7 +493,8 @@ gains: {alpha: 1.0, beta: 0.0, gamma: 0.5}
         "tiny-mixed-poles-unstable", "tiny-mixed-poles-unstable-mirror",
         "tiny-mixed-poles-stable", "tiny-mixed-poles-stable-mirror", "zero-poles-pid",
         "tune-gamma-zero", "t-end-zero", "dt-zero", "pole-sum-zero", "pd-zero-denominator",
-        "zero-poles-pi", "no-integral-sub-block", "edge-first-index-n",
+        "zero-poles-pi", "no-integral-sub-block", "edge-first-index-n", "tune-gamma-float-max",
+        "x0-float-max", "t-end-equals-dt",
     ],
 )
 def test_exit_code_holes(tmp_path, monkeypatch, capsys, argv, config, code, message):
