@@ -468,6 +468,9 @@ gains: {alpha: 1.0, beta: 0.0, gamma: 0.5}
          "numeric failure: modified Laplacian: gains.gamma * L leaves the float range"),
         (["analyze", "--json"], README_CONFIG.replace("x0: [1.0,", "x0: [1.7976931348623157e+308,"),
          0, '"certified": true'),
+        # the rate mu needs stable poles
+        (["analyze", "--json"], tiny_poles("[0.0, 0.0, 0.0]"), 2, '"mu": null'),
+        (["analyze", "--json"], tiny_poles("[0.0, 0.0, 0.0]", gamma="0.0"), 2, '"mu": null'),
         # t_end equal to dt is one step
         (["simulate", "--json"], README_CONFIG.replace("t_end: 30.0", "t_end: 0.5").replace(
             "dt: 0.001", "dt: 0.5"), 0, '"samples": 2'),
@@ -494,7 +497,7 @@ gains: {alpha: 1.0, beta: 0.0, gamma: 0.5}
         "tiny-mixed-poles-stable", "tiny-mixed-poles-stable-mirror", "zero-poles-pid",
         "tune-gamma-zero", "t-end-zero", "dt-zero", "pole-sum-zero", "pd-zero-denominator",
         "zero-poles-pi", "no-integral-sub-block", "edge-first-index-n", "tune-gamma-float-max",
-        "x0-float-max", "t-end-equals-dt",
+        "x0-float-max", "zero-poles-pid-mu", "zero-poles-pi-mu", "t-end-equals-dt",
     ],
 )
 def test_exit_code_holes(tmp_path, monkeypatch, capsys, argv, config, code, message):
