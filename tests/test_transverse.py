@@ -679,8 +679,9 @@ def invariance_cases(draw):
                   beta=draw(st.sampled_from([0.0, float(rng.uniform(0.1, 5.0))])),
                   gamma=draw(st.sampled_from([0.0, float(rng.uniform(0.1, 3.0))])))
     edges = random_graph(rng, n).edges
-    return n, edges, rho, rng.normal(0.0, 2.0, n), gains, draw(st.permutations(range(n))), \
-        draw(st.integers(min_value=-400, max_value=400)), draw(st.integers(min_value=-20, max_value=20))
+    return (n, edges, rho, rng.normal(0.0, 2.0, n), gains, draw(st.permutations(range(n))),
+            draw(st.integers(min_value=-400, max_value=400)),
+            draw(st.integers(min_value=-20, max_value=20)))
 
 
 def assert_same_loop(base, other, scale):
