@@ -187,13 +187,14 @@ def _hyperbolic_max_real_part(qep: DampedQEP) -> float | None:
         hi, lo = float(np.min(slow[1:])), float(np.max(-c - slow))
         if not (np.isfinite(C).all() and np.isfinite(k).all() and np.all(c > 0) and lo < hi < 0):
             return None
-        # the time scale 2^e above: C~/2^e, k/4^e, and the roots near 1
+        mu = -math.sqrt(-lo) * math.sqrt(-hi)  # inside the gap; lo * hi is never formed
+        # the time scale 2^e above: C~/2^e, k/4^e, and the roots near 1; mu/2^e
+        # stays near 1 too, where lo/2^e can leave the float range
         e = (math.frexp(hi)[1] + math.frexp(float(np.max(c)))[1]) // 2
         np.ldexp(C, -e, out=C)
         np.ldexp(k, -2 * e, out=k)
         np.ldexp(c_size, -e, out=c_size)
-        lo, hi = math.ldexp(lo, -e), math.ldexp(hi, -e)
-        mu = -math.sqrt(-lo) * math.sqrt(-hi)  # inside the gap; lo * hi is never formed
+        mu = math.ldexp(mu, -e)
         negQ = np.negative(qep.at(mu), out=qep.work)
         # IDENTITY_TOL times the size of the terms of each diagonal entry
         # covers its rounding, and that of the off-diagonal entries, which

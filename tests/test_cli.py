@@ -474,6 +474,12 @@ gains: {alpha: 1.0, beta: 0.0, gamma: 0.5}
         # t_end equal to dt is one step
         (["simulate", "--json"], README_CONFIG.replace("t_end: 30.0", "t_end: 0.5").replace(
             "dt: 0.001", "dt: 0.5"), 0, '"samples": 2'),
+        # slow roots near -1e-320, fast ones at -1.5e300: on the time scale 2^-32
+        # the fast ones leave the float range, so the shift is formed before it
+        (["analyze", "--json"], README_CONFIG.replace(
+            "[-2.0, -2.0, -2.0, -2.0]", "[-1.5e+300, -1.5e+300, -1.5e+300, -1.5e+300]").replace(
+            "alpha: 2.0\n  beta: 1.0\n  gamma: 0.5", "alpha: 1.0\n  beta: 1.0e-20\n  gamma: 0.0"),
+         0, '"spectrum": "dense"'),
     ],
     ids=[
         "one-node-analyze", "one-node-tune", "one-node-simulate", "huge-gamma-analyze",
@@ -498,6 +504,7 @@ gains: {alpha: 1.0, beta: 0.0, gamma: 0.5}
         "tune-gamma-zero", "t-end-zero", "dt-zero", "pole-sum-zero", "pd-zero-denominator",
         "zero-poles-pi", "no-integral-sub-block", "edge-first-index-n", "tune-gamma-float-max",
         "x0-float-max", "zero-poles-pid-mu", "zero-poles-pi-mu", "t-end-equals-dt",
+        "poles-past-the-time-scale",
     ],
 )
 def test_exit_code_holes(tmp_path, monkeypatch, capsys, argv, config, code, message):
@@ -538,20 +545,31 @@ def test_error_classes_declare_the_readme_exit_codes():
         (2, "certification failure"), (3, "config error"), (3, "error"), (4, "numeric failure")}
 
 
+# each class's exit code and stderr label; a new class without an entry fails below
+NUMERIC = (4, "numeric failure")
+EXIT_CODES = {
+    "PidnetError": (3, "error"), "InvalidWeight": (3, "error"), "InvalidGraph": (3, "error"),
+    "DisconnectedGraph": (3, "error"), "DimensionMismatch": (3, "error"),
+    "NotHomogeneous": (3, "error"), "ConfigError": (3, "config error"),
+    "UnstableAverage": (2, "certification failure"), "NonFinite": NUMERIC,
+    "StepTooLarge": NUMERIC, "TraceTooLarge": NUMERIC, "GraphTooLarge": NUMERIC,
+    "DegenerateDecomposition": NUMERIC, "SingularEnsemble": NUMERIC,
+    "LinAlgError": NUMERIC, "OSError": (4, "io error"),
+}
+
+
 @pytest.mark.parametrize(
-    "exc, expected",
-    [(c, None) for c in ERROR_CLASSES]
-    + [(np.linalg.LinAlgError, (4, "numeric failure")), (OSError, (4, "io error"))],
-    ids=[c.__name__ for c in ERROR_CLASSES] + ["LinAlgError", "OSError"],
-)
-def test_each_error_class_ends_in_its_exit_code(monkeypatch, capsys, exc, expected):
+    "exc", ERROR_CLASSES + [np.linalg.LinAlgError, OSError], ids=lambda c: c.__name__)
+def test_each_error_class_ends_in_its_exit_code(monkeypatch, capsys, exc):
     # main ends every run that raises through one handler: the class's code,
     # and one stderr line with its label
     def boom(path):
         raise exc("boom")
 
     monkeypatch.setattr(cli, "load_config", boom)
-    code, label = expected or (exc.exit_code, exc.label)
+    code, label = EXIT_CODES[exc.__name__]
+    if issubclass(exc, errors.PidnetError):  # declared where the class is defined
+        assert (exc.exit_code, exc.label) == (code, label)
     assert main(["analyze", "--config", "unused.yaml"]) == code
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"{label}: boom\n")
