@@ -2,6 +2,8 @@
 
 Exit codes are a stable contract for scripting:
 0 success, 2 certification failure, 3 config error, 4 numeric failure.
+``simulate`` and ``reproduce`` stage their files as ``<name>.tmp`` and move
+them into place together, report last, so a failed run leaves ``--out`` as it was.
 """
 
 from __future__ import annotations
@@ -102,22 +104,33 @@ def _fmt(val) -> str:
 
 
 @contextlib.contextmanager
-def _staged(path: str):
-    """A temporary path that replaces ``path`` when the block succeeds and is
-    removed when it fails, so no partial file is left behind."""
-    tmp = path + ".tmp"
+def _outputs(out: str):
+    """Stage a command's files in the directory ``out``, all or nothing:
+    ``stage(name)`` returns ``<out>/<name>.tmp``. If the block succeeds the
+    staged files replace their targets in the order staged; if it fails they
+    and the directories the run made are removed. Only a failure of a move
+    itself leaves the files already moved in place."""
+    made, parent = [], os.path.abspath(out)  # the directories makedirs creates, deepest first
+    while not os.path.exists(parent):
+        made.append(parent)
+        parent = os.path.dirname(parent)
+    staged = []
+
+    def stage(name: str) -> str:
+        staged.append(os.path.join(out, name))
+        return staged[-1] + ".tmp"
+
     try:
-        yield tmp
+        os.makedirs(out, exist_ok=True)
+        yield stage
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        undo = [(os.remove, path + ".tmp") for path in staged] + [(os.rmdir, path) for path in made]
+        for remove, path in undo:
+            with contextlib.suppress(OSError):
+                remove(path)
         raise
-    os.replace(tmp, path)
-
-
-def _atomic_write(path: str, text: str) -> None:
-    with _staged(path) as tmp, open(tmp, "w") as fh:
-        fh.write(text)
+    for path in staged:
+        os.replace(path + ".tmp", path)
 
 
 def cmd_analyze(args) -> int:
@@ -170,23 +183,11 @@ def _simulate_once(cfg: InstanceConfig, strict: bool, csv_path: str) -> dict:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    # the directories os.makedirs creates, deepest first: a failed run removes them
-    made, parent = [], os.path.abspath(args.out)
-    while not os.path.exists(parent):
-        made.append(parent)
-        parent = os.path.dirname(parent)
-    os.makedirs(args.out, exist_ok=True)
-    try:
-        # trace.csv appears only once the report is known to be finite
-        with _staged(os.path.join(args.out, "trace.csv")) as tmp:
-            report = _simulate_once(cfg, args.strict, tmp)
-            summary = _dumps(report) + "\n"
-    except BaseException:
-        for path in made:
-            with contextlib.suppress(OSError):
-                os.rmdir(path)
-        raise
-    _atomic_write(os.path.join(args.out, "summary.json"), summary)
+    # trace.csv appears only once the report is known to be finite
+    with _outputs(args.out) as stage:
+        report = _simulate_once(cfg, args.strict, stage("trace.csv"))
+        with open(stage("summary.json"), "w") as fh:
+            fh.write(_dumps(report) + "\n")
     _print_report(report, args.json)
     return EXIT_OK
 
@@ -227,8 +228,7 @@ def _reproduce_scenario(cfg: InstanceConfig, gains: Gains, path: str) -> dict:
     """Run one scenario, writing its trace to path as it is formed."""
     sys_ = build_microgrid(cfg.instance, gains)
     cert = certify(cfg.instance, sys_.gains)
-    with _staged(path) as tmp:
-        summary = _run(sys_, cfg.sim, False, tmp)
+    summary = _run(sys_, cfg.sim, False, path)
     return {
         "gains": asdict(gains),
         "certified": cert.certified,
@@ -242,37 +242,35 @@ def _reproduce_scenario(cfg: InstanceConfig, gains: Gains, path: str) -> dict:
 
 
 def cmd_reproduce(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     cfg = load_config(BENCHMARK_CONFIG)
-    instance = cfg.instance
-    results = {
-        name: _reproduce_scenario(cfg, gains, os.path.join(args.out, f"{name}.csv"))
-        for name, gains in REPRODUCE_SCENARIOS
-    }
-
-    gamma = cfg.gains.gamma
-    report = {
-        "scenarios": results,
-        "comparison": {
-            "pid_vs_pi_steady_z": {
-                "pid": results["pid"]["steady_z_norm"],
-                "pi": results["pi"]["steady_z_norm"],
-                "pid_smaller": results["pid"]["steady_z_norm"] < results["pi"]["steady_z_norm"],
+    with _outputs(args.out) as stage:
+        results = {
+            name: _reproduce_scenario(cfg, gains, stage(f"{name}.csv"))
+            for name, gains in REPRODUCE_SCENARIOS
+        }
+        report = {
+            "scenarios": results,
+            "comparison": {
+                "pid_vs_pi_steady_z": {
+                    "pid": results["pid"]["steady_z_norm"],
+                    "pi": results["pi"]["steady_z_norm"],
+                    "pid_smaller": results["pid"]["steady_z_norm"] < results["pi"]["steady_z_norm"],
+                },
+                "proportional_residual": {
+                    "alpha_10": results["proportional_a10"]["steady_disagreement"],
+                    "alpha_30": results["proportional_a30"]["steady_disagreement"],
+                    "decreases_with_alpha": results["proportional_a30"]["steady_disagreement"]
+                    < results["proportional_a10"]["steady_disagreement"],
+                },
+                "alpha_threshold": {
+                    "exact": min_alpha(cfg.instance, cfg.gains.gamma),
+                    "conservative": min_alpha(cfg.instance, cfg.gains.gamma, conservative=True),
+                    "reference": BENCHMARK_ALPHA_REFERENCE,
+                },
             },
-            "proportional_residual": {
-                "alpha_10": results["proportional_a10"]["steady_disagreement"],
-                "alpha_30": results["proportional_a30"]["steady_disagreement"],
-                "decreases_with_alpha": results["proportional_a30"]["steady_disagreement"]
-                < results["proportional_a10"]["steady_disagreement"],
-            },
-            "alpha_threshold": {
-                "exact": min_alpha(instance, gamma),
-                "conservative": min_alpha(instance, gamma, conservative=True),
-                "reference": BENCHMARK_ALPHA_REFERENCE,
-            },
-        },
-    }
-    _atomic_write(os.path.join(args.out, "report.json"), _dumps(report) + "\n")
+        }
+        with open(stage("report.json"), "w") as fh:
+            fh.write(_dumps(report) + "\n")
     _print_report(report, args.json)
     return EXIT_OK
 

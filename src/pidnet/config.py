@@ -244,8 +244,8 @@ def parse_config(text: str) -> InstanceConfig:
 
 def load_config(path) -> InstanceConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     return parse_config(text)

@@ -44,9 +44,10 @@ from .netmodel import ClosedLoopSystem, Gains, Instance, assemble, mean, norm2, 
 # dt * spectral_radius(A) must stay below this for RK4 stability.
 STEP_GUARD = 2.5
 
-# Largest trace propagate() records, counted in values (samples x 2N). It
-# bounds the CSV size and the run time; a streamed run holds only t, d and
-# ||z|| of each sample.
+# Budget of the trace propagate() records, in values (samples x 2N); it bounds
+# the CSV size and the run time. The check counts steps per stride, not the
+# t = 0 or remainder sample, so a trace may pass it by under two samples (4N
+# values). A streamed run holds only t, d and ||z|| of each sample.
 MAX_RECORDED_VALUES = 2**25
 
 # Bytes of the block of chained augmented states propagate() advances at once

@@ -1111,7 +1111,7 @@ def test_simulate_writes_outputs(tmp_path, capsys, hom_config):
         capsys, ["simulate", "--config", hom_config, "--out", str(out), "--json"]
     )
     assert code == 0
-    assert (out / "trace.csv").exists()
+    assert sorted(os.listdir(out)) == ["summary.json", "trace.csv"]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["simulation"]["final_disagreement"] < 1e-6
     assert summary["simulation"]["x_inf"] == pytest.approx(1.25)
@@ -1260,6 +1260,9 @@ def test_tune_homogeneous_closed_form(capsys, hom_config):
     assert report["alpha_min_exact"] == pytest.approx(2.0 * (0.5 * 2 + 1) / (4 * 2), rel=1e-9)
 
 
+REPRODUCE_FILES = ("proportional_a10.csv", "proportional_a30.csv", "pid.csv", "pi.csv", "report.json")
+
+
 def test_reproduce_outputs(tmp_path, capsys, linalg_calls):
     out = tmp_path / "repro"
     code, report = run_json(capsys, ["reproduce", "--out", str(out), "--json"])
@@ -1268,8 +1271,7 @@ def test_reproduce_outputs(tmp_path, capsys, linalg_calls):
     # no command builds the Psi blocks
     assert linalg_calls["eigh"] == 1
     assert linalg_calls["psi"] == 0
-    for name in ("proportional_a10", "proportional_a30", "pid", "pi"):
-        assert (out / f"{name}.csv").exists()
+    assert sorted(os.listdir(out)) == sorted(REPRODUCE_FILES)
     report_file = json.loads((out / "report.json").read_text())
     assert report_file == report
     scen = report["scenarios"]
@@ -1282,6 +1284,51 @@ def test_reproduce_outputs(tmp_path, capsys, linalg_calls):
     assert comp["proportional_residual"]["alpha_30"] > 0
     assert comp["alpha_threshold"]["exact"] <= comp["alpha_threshold"]["conservative"]
     assert comp["alpha_threshold"]["reference"] == BENCHMARK_ALPHA_REFERENCE
+
+
+def test_failed_reproduce_keeps_the_previous_run(tmp_path, capsys):
+    # the report cannot be staged: no CSV of the failed run replaces one of the first
+    out = tmp_path / "repro"
+    assert main(["reproduce", "--out", str(out)]) == 0
+    before = {name: ((out / name).read_bytes(), (out / name).stat().st_ino) for name in REPRODUCE_FILES}
+    (out / "report.json.tmp").mkdir()
+    capsys.readouterr()
+    assert main(["reproduce", "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("io error: ")
+    assert sorted(os.listdir(out)) == sorted([*REPRODUCE_FILES, "report.json.tmp"])
+    assert {name: ((out / name).read_bytes(), (out / name).stat().st_ino) for name in REPRODUCE_FILES} == before
+
+
+def test_failed_simulate_commits_no_trace(tmp_path, capsys, hom_config):
+    out = tmp_path / "out"
+    (out / "summary.json.tmp").mkdir(parents=True)
+    assert main(["simulate", "--config", hom_config, "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("io error: ")
+    assert os.listdir(out) == ["summary.json.tmp"]
+
+
+def test_failed_reproduce_removes_the_directories_it_made(tmp_path, monkeypatch, capsys):
+    config = tmp_path / "long.yaml"
+    config.write_text(BENCH_CONFIG.read_text().replace("t_end: 30.0", "t_end: 1.0e+9"))
+    monkeypatch.setattr(cli, "BENCHMARK_CONFIG", str(config))
+    assert main(["reproduce", "--out", str(tmp_path / "fresh" / "a" / "b")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and "sim.record_stride" in err
+    assert sorted(os.listdir(tmp_path)) == ["long.yaml"]
+
+
+def test_config_not_utf8_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"# \xff\xfe\n" + HOMOGENEOUS.encode())
+    bom = tmp_path / "bom.yaml"
+    bom.write_bytes(b"\xef\xbb\xbf" + HOMOGENEOUS.encode())
+    for command in ("analyze", "tune", "simulate"):
+        argv = [command, "--config"]
+        out = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+        assert main([*argv, str(bad), *out]) == 3
+        assert capsys.readouterr().err.startswith(f"config error: cannot read {bad}: 'utf-8' codec")
+        assert main([*argv, str(bom), *out]) == 0
+        capsys.readouterr()
 
 
 def test_version_flag(capsys):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pidnet import sim
+from pidnet.errors import TraceTooLarge
 from pidnet import (
     DimensionMismatch,
     Gains,
@@ -204,6 +205,17 @@ def test_overflowing_propagator_names_its_first_sample(monkeypatch, chains):
     # M^2000 = g^2000 (10^347) forms the first sample at t = 20 by itself
     with pytest.raises(NonFinite, match=r"^propagator overflowed at t = 20$"):
         integrate(growing, SimConfig(t_end=30.0, dt=0.01, x0=np.ones(2), record_stride=2000))
+
+
+def test_sample_budget_admits_its_tie(monkeypatch):
+    # 10 steps x 2N = 40 values is the tie and is accepted; the check leaves
+    # out the t = 0 sample, so the run records 11 samples (44 values)
+    monkeypatch.setattr(sim, "MAX_RECORDED_VALUES", 40)
+    sys_ = assemble(Instance.from_graph(Graph(2, ((0, 1, 1.0),)), -np.ones(2), np.zeros(2)), Gains(1.0))
+    trace = integrate(sys_, SimConfig(t_end=1.25, dt=0.125, record_stride=1))
+    assert trace.times.size == 11
+    with pytest.raises(TraceTooLarge, match=r"^11 steps of dt = 0\.125, .* more than 40 values"):
+        integrate(sys_, SimConfig(t_end=1.375, dt=0.125, record_stride=1))
 
 
 def test_record_stride_and_final_sample(rng):
