@@ -2,8 +2,9 @@
 
 Exit codes are a stable contract for scripting:
 0 success, 2 certification failure, 3 config error, 4 numeric failure.
-``simulate`` and ``reproduce`` stage their files as ``<name>.tmp`` and move
-them into place together, report last, so a failed run leaves ``--out`` as it was.
+``simulate`` and ``reproduce`` stage their files under names unique to the run
+and move them into place together, report last, so a failed run leaves
+``--out`` as it was.
 """
 
 from __future__ import annotations
@@ -106,31 +107,35 @@ def _fmt(val) -> str:
 @contextlib.contextmanager
 def _outputs(out: str):
     """Stage a command's files in the directory ``out``, all or nothing:
-    ``stage(name)`` returns ``<out>/<name>.tmp``. If the block succeeds the
-    staged files replace their targets in the order staged; if it fails they
-    and the directories the run made are removed. Only a failure of a move
-    itself leaves the files already moved in place."""
+    ``stage(name)`` creates and returns ``<out>/.<name>.<random hex>.tmp``, a
+    file no other run or user holds. If the block succeeds the staged files
+    replace their targets in the order staged; if it fails they and the
+    directories the run made are removed, and nothing else. Only a failure of
+    a move itself leaves the files already moved in place."""
     made, parent = [], os.path.abspath(out)  # the directories makedirs creates, deepest first
     while not os.path.exists(parent):
         made.append(parent)
         parent = os.path.dirname(parent)
-    staged = []
+    staged = []  # (staged file, target) pairs
 
     def stage(name: str) -> str:
-        staged.append(os.path.join(out, name))
-        return staged[-1] + ".tmp"
+        path = os.path.join(out, f".{name}.{os.urandom(8).hex()}.tmp")
+        # exclusive, and with the mode open() gives (mkstemp's is 0600)
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        staged.append((path, os.path.join(out, name)))
+        return path
 
     try:
         os.makedirs(out, exist_ok=True)
         yield stage
     except BaseException:
-        undo = [(os.remove, path + ".tmp") for path in staged] + [(os.rmdir, path) for path in made]
+        undo = [(os.remove, path) for path, _ in staged] + [(os.rmdir, path) for path in made]
         for remove, path in undo:
             with contextlib.suppress(OSError):
                 remove(path)
         raise
-    for path in staged:
-        os.replace(path + ".tmp", path)
+    for path, target in staged:
+        os.replace(path, target)
 
 
 def cmd_analyze(args) -> int:

@@ -19,11 +19,6 @@ class DisconnectedGraph(PidnetError):
     """Graph is not connected (algebraic connectivity is zero)."""
 
 
-class DegenerateDecomposition(PidnetError):
-    """Eigendecomposition failed to reconstruct the Laplacian."""
-    exit_code, label = 4, "numeric failure"
-
-
 class DimensionMismatch(PidnetError):
     """Inconsistent dimensions between graph, ensemble or state vectors."""
 

@@ -36,16 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DegenerateDecomposition,
-    DisconnectedGraph,
-    InvalidGraph,
-    InvalidWeight,
-    NonFinite,
-)
-
-# Absolute residual accepted on algebraic identities.
-IDENTITY_TOL = 1e-9
+from .errors import DisconnectedGraph, InvalidGraph, InvalidWeight, NonFinite
 
 # Connectivity is declared when lambda_2 > CONNECTIVITY_RTOL * lambda_N.
 CONNECTIVITY_RTOL = 1e-8
@@ -181,11 +172,6 @@ class SpectralDecomposition:
         return self.U_inv[1:, 1:]
 
 
-# Rows of an N x N product formed at a time: the reconstruction V diag(lambda) V^T
-# here, and the rank-one update of the transverse layer's Schur complement.
-BLOCK_ROWS = 128
-
-
 def spectral_decompose(graph: Graph) -> SpectralDecomposition:
     """Compute the block-normalized spectral decomposition of a graph's Laplacian.
 
@@ -193,11 +179,13 @@ def spectral_decompose(graph: Graph) -> SpectralDecomposition:
     eigenvalue is fixed to +ones/sqrt(N) exactly; the sign of every other
     eigenvector is fixed so its first entry above the noise floor is
     positive. Within a repeated eigenvalue any orthonormal basis is accepted.
+    LAPACK's ``eigh`` is backward stable (L - V diag(lambda) V^T and V^T V - I
+    within a small multiple of N eps ||L||), so the result is not re-checked.
     """
     L = build_laplacian(graph)
     n = L.shape[0]
     eigs, V = np.linalg.eigh(L)
-    if n > 1 and eigs[1] <= CONNECTIVITY_RTOL * max(float(eigs[-1]), 1.0):
+    if eigs[1] <= CONNECTIVITY_RTOL * max(float(eigs[-1]), 1.0):
         raise DisconnectedGraph(
             f"lambda_2 = {eigs[1]:.3e} is not above {CONNECTIVITY_RTOL:g} * max(lambda_N, 1) "
             f"with lambda_N = {eigs[-1]:.3e}: numerically disconnected"
@@ -206,19 +194,10 @@ def spectral_decompose(graph: Graph) -> SpectralDecomposition:
     # lambda_1 is simple for connected graphs, so the remaining columns are
     # already orthogonal to ones; replace column 0 exactly.
     V[:, 0] = 1.0 / np.sqrt(n)
-    above = np.abs(V[:, 1:]) > 1e-12
-    lead = V[np.argmax(above, axis=0), np.arange(1, n)]  # first entry above the floor
-    flip = 1 + np.flatnonzero(above.any(axis=0) & (lead < 0))
+    # a unit column has an entry of at least 1/sqrt(N), far above the floor
+    lead = V[np.argmax(np.abs(V[:, 1:]) > 1e-12, axis=0), np.arange(1, n)]
+    flip = 1 + np.flatnonzero(lead < 0)
     V[:, flip] = -V[:, flip]
-    scale = max(1.0, float(eigs[-1]))
-    residual = 0.0
-    for start in range(0, n, BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        rebuilt = (V[rows] * eigs) @ V.T
-        rebuilt -= L[rows]
-        residual = max(residual, float(np.max(np.abs(rebuilt, out=rebuilt))))
-    if residual > IDENTITY_TOL * scale:
-        raise DegenerateDecomposition(f"reconstruction residual {residual:.3e}")
     return SpectralDecomposition(graph=graph, degree=np.diagonal(L).copy(), lam=eigs, V=V)
 
 

@@ -72,7 +72,14 @@ import numpy as np
 
 from .errors import NonFinite
 from .netmodel import Gains, Instance, norm2
-from .spectral import BLOCK_ROWS, EPS, IDENTITY_TOL, check_gamma, modified_laplacian
+from .spectral import EPS, check_gamma, modified_laplacian
+
+# Rounding allowance of both certificates, relative to the size of the terms.
+IDENTITY_TOL = 1e-9
+
+# Rows of an N x N product formed at a time: the blocked Cholesky and the
+# rank-one update of the Schur complement.
+BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -181,11 +188,12 @@ def _hyperbolic_max_real_part(qep: DampedQEP) -> float | None:
         C[diag] += qep.c_alpha
         # Q(mu) < 0 needs each diagonal s^2 + c s + k negative at mu: real roots,
         # mu below every slow root and above every fast one (complex roots give
-        # slow = fast = -c/2, so lo >= hi)
+        # slow = fast = -c/2, so lo >= hi); the gap also needs every c > 0 (else
+        # lo >= 0 or NaN) and every k finite (k = inf gives slow = fast = -c/2)
         c = C.diagonal()
         slow = dominant_real_part(c, k)
         hi, lo = float(np.min(slow[1:])), float(np.max(-c - slow))
-        if not (np.isfinite(C).all() and np.isfinite(k).all() and np.all(c > 0) and lo < hi < 0):
+        if not (np.isfinite(C).all() and lo < hi < 0):
             return None
         mu = -math.sqrt(-lo) * math.sqrt(-hi)  # inside the gap; lo * hi is never formed
         # the time scale 2^e above: C~/2^e, k/4^e, and the roots near 1; mu/2^e

@@ -19,7 +19,7 @@ from pidnet import (
     modified_laplacian,
     spectral_decompose,
 )
-from conftest import (complete, random_graph, random_heterogeneous_instance, ring,
+from conftest import (complete, load_pidbench, random_graph, random_heterogeneous_instance, ring,
                       sign_fixed_column_by_column)
 
 TOL = 1e-9
@@ -123,6 +123,15 @@ def test_decomposition_reconstructs_laplacian(rng):
         n = dec.node_count
         assert np.max(np.abs(dec.U @ dec.U_inv - np.eye(n))) < 1e-10
         assert np.max(np.abs(dec.U @ np.diag(dec.lam) @ dec.U_inv - dec.laplacian)) < 1e-10
+    # spectral_decompose trusts LAPACK's backward-stable eigh: hold the
+    # installed one to that at the benchmark's sizes, and on a ring, whose
+    # eigenvalues come in pairs
+    inputs = load_pidbench("inputs")
+    graphs = [Graph(n, inputs.random_instance(np.random.default_rng(1), n).edges) for n in (200, 800)]
+    for dec in map(decompose, graphs + [ring(400, 1.5)]):
+        V, n = dec.V, dec.node_count
+        assert np.max(np.abs((V * dec.lam) @ V.T - dec.laplacian)) <= 1e-9 * max(1.0, dec.lambda_max)
+        assert np.max(np.abs(V.T @ V - np.eye(n))) <= 1e-11
 
 
 @pytest.mark.parametrize("graph", ["random", "ring"])

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pidnet import (
@@ -22,8 +22,7 @@ from pidnet import (
 )
 from pidnet import transverse
 from pidnet.errors import NonFinite, PidnetError
-from pidnet.spectral import BLOCK_ROWS
-from pidnet.transverse import DampedQEP
+from pidnet.transverse import BLOCK_ROWS, DampedQEP
 from conftest import complete, load_pidbench, random_graph, random_heterogeneous_instance, ring
 
 TOL = 1e-9
@@ -455,6 +454,35 @@ def test_hyperbolic_guards_fall_back_to_eigvals(monkeypatch, graph, rho, gains, 
     eigs = np.linalg.eigvals(tv.A_tv)
     assert tv.max_real_part == float(np.max(eigs.real))
     assert tv.is_hurwitz() is bool(np.all(eigs.real < 0))
+
+
+GUARD_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, np.inf, -np.inf, np.nan, 1e300, -1e300)
+
+
+@st.composite
+def damping_and_stiffness(draw):
+    """Diagonals c of C~ and k (k_0 = 0, the average mode) of any float, and k >= 0."""
+    n = draw(st.integers(2, 6))
+    # ordinary sizes too, where most gaps are
+    value = st.one_of(st.sampled_from(GUARD_SPECIALS), st.floats(), st.floats(0.1, 10.0))
+    stiffness = st.one_of(st.sampled_from([v for v in GUARD_SPECIALS if not v < 0]),
+                          st.floats(min_value=0.0), st.floats(0.0, 1.0))
+    return (draw(st.lists(value, min_size=n, max_size=n)),
+            [0.0] + draw(st.lists(stiffness, min_size=n - 1, max_size=n - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(damping_and_stiffness())
+@example(([2.0, 3.0], [0.0, 1.0]))  # a gap: lo = -2 < hi = -0.38 < 0
+def test_property_gap_needs_positive_damping_and_finite_stiffness(case):
+    # _hyperbolic_max_real_part tests only lo < hi < 0: some c_i <= 0 or NaN
+    # gives lo >= 0 or NaN, and an infinite k_i gives slow_i = fast_i = -c_i/2
+    c, k = map(np.array, case)
+    with np.errstate(all="ignore"):
+        slow = transverse.dominant_real_part(c, k)
+        hi, lo = float(np.min(slow[1:])), float(np.max(-c - slow))
+    if lo < hi < 0:
+        assert np.all(c > 0) and np.isfinite(k).all()
 
 
 def test_overflowing_shifted_pencil_scales_down_to_a_certified_one():
