@@ -170,7 +170,8 @@ def _gain_threshold_rhs(instance: Instance, h1_norm: float) -> float:
     if ens.psi11 >= 0:
         raise UnstableAverage(f"average pole psi11 = {ens.psi11:.6g} is nonnegative")
     rr = ens.rho_bar_sq
-    return (np.max(np.abs(ens.rho)) + rr / (4.0 * abs(ens.psi11)) * h1_norm**2) / ens.node_count
+    # in Python floats: an overflow gives inf, and inf - inf (the margin) NaN, not warnings
+    return (float(np.max(np.abs(ens.rho))) + rr / (4.0 * abs(ens.psi11)) * h1_norm**2) / ens.node_count
 
 
 def min_alpha(instance: Instance, gamma: float, conservative: bool = False) -> float:
@@ -183,7 +184,7 @@ def min_alpha(instance: Instance, gamma: float, conservative: bool = False) -> f
     h1_norm = 1.0 + h_norm_bound(instance.dec, gamma) if conservative else mod_lap.h1_norm
     lam2 = instance.dec.lambda_2
     rhs = _gain_threshold_rhs(instance, h1_norm)
-    return float(rhs) * (gamma * lam2 + 1.0) / lam2  # Python floats: inf, not a warning
+    return rhs * (gamma * lam2 + 1.0) / lam2  # Python floats: inf, not a warning
 
 
 def z_infinity_bound(instance: Instance, gains: Gains) -> float:

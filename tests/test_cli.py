@@ -479,6 +479,12 @@ gains: {alpha: 1.0, beta: 0.0, gamma: 0.5}
             "[-2.0, -2.0, -2.0, -2.0]", "[-1.5e+300, -1.5e+300, -1.5e+300, -1.5e+300]").replace(
             "alpha: 2.0\n  beta: 1.0\n  gamma: 0.5", "alpha: 1.0\n  beta: 1.0e-20\n  gamma: 0.0"),
          0, '"spectrum": "dense"'),
+        # alpha*lambda_2 and the gain threshold both overflow: their margin is
+        # inf - inf, NaN without a warning, and the z bound ends the run
+        (["analyze", "--json"], README_CONFIG.replace("w: 1.0}", "w: 1.0e+8}").replace(
+            "[-2.0, -2.0, -2.0, -2.0]", "[1.0e+8, -1.0e+8, -1.0e-300, 0.0]").replace(
+            "alpha: 2.0\n  beta: 1.0\n  gamma: 0.5", "alpha: 1.0e+308\n  beta: 0.0\n  gamma: 0.0"),
+         4, "numeric failure: z_inf_bound leaves the float range"),
     ],
     ids=[
         "one-node-analyze", "one-node-tune", "one-node-simulate", "huge-gamma-analyze",
@@ -503,7 +509,7 @@ gains: {alpha: 1.0, beta: 0.0, gamma: 0.5}
         "tune-gamma-zero", "t-end-zero", "dt-zero", "pole-sum-zero", "pd-zero-denominator",
         "zero-poles-pi", "no-integral-sub-block", "edge-first-index-n", "tune-gamma-float-max",
         "x0-float-max", "zero-poles-pid-mu", "zero-poles-pi-mu", "t-end-equals-dt",
-        "poles-past-the-time-scale",
+        "poles-past-the-time-scale", "overflowing-gain-margin",
     ],
 )
 def test_exit_code_holes(tmp_path, monkeypatch, capsys, argv, config, code, message):

@@ -461,7 +461,7 @@ GUARD_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, np.inf, -np.inf, np.nan, 1
 
 @st.composite
 def damping_and_stiffness(draw):
-    """Diagonals c of C~ and k (k_0 = 0, the average mode) of any float, and k >= 0."""
+    """The diagonal c of C~, any float, and k >= 0 or NaN with k_0 = 0 (the average mode)."""
     n = draw(st.integers(2, 6))
     # ordinary sizes too, where most gaps are
     value = st.one_of(st.sampled_from(GUARD_SPECIALS), st.floats(), st.floats(0.1, 10.0))
