@@ -8,10 +8,15 @@ as a statement, a comment line if it holds only a comment, and blank
 otherwise. A line with code and a comment is code, so deleting comments
 does not reduce the code count.
 
+With ``--base BASE``, a second table gives the change from the modules in
+BASE to those in DIR, by module and kind: the delta a change to the package
+reports.
+
 Usage:
-    python scripts/src_lines.py [DIR]    (default: src/pidnet)
+    python scripts/src_lines.py [DIR] [--base BASE]    (DIR default: src/pidnet)
 """
 
+import argparse
 import io
 import sys
 import tokenize
@@ -48,16 +53,35 @@ def classify(text: str) -> dict:
     return {name: kind.count(name) for name in KINDS}
 
 
-def main(argv: list[str]) -> None:
-    root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "pidnet"
-    total = dict.fromkeys(KINDS, 0)
+def count_dir(root: Path) -> dict[str, dict]:
+    """Line counts by kind of each module in root, by file name."""
+    return {path.name: classify(path.read_text(encoding="utf-8")) for path in sorted(root.glob("*.py"))}
+
+
+def print_table(rows: dict[str, dict], sign: str = "") -> None:
+    """One row per module, its lines and the count of each kind, then the totals;
+    ``sign="+"`` prints every number signed."""
+    rows = {**rows, "total": {name: sum(counts[name] for counts in rows.values()) for name in KINDS}}
     print(f"{'module':<16}{'lines':>7}" + "".join(f"{name:>11}" for name in KINDS))
-    for path in sorted(root.glob("*.py")):
-        counts = classify(path.read_text(encoding="utf-8"))
-        for name in KINDS:
-            total[name] += counts[name]
-        print(f"{path.name:<16}{sum(counts.values()):>7}" + "".join(f"{counts[name]:>11}" for name in KINDS))
-    print(f"{'total':<16}{sum(total.values()):>7}" + "".join(f"{total[name]:>11}" for name in KINDS))
+    for module, counts in rows.items():
+        print(f"{module:<16}{sum(counts.values()):>{sign}7}"
+              + "".join(f"{counts[name]:>{sign}11}" for name in KINDS))
+
+
+def main(argv: list[str]) -> None:
+    parser = argparse.ArgumentParser(description="Line counts of a package's modules by kind.")
+    parser.add_argument("dir", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parent.parent / "src" / "pidnet")
+    parser.add_argument("--base", type=Path, help="also print the change from the modules in BASE")
+    args = parser.parse_args(argv)
+    rows = count_dir(args.dir)
+    print_table(rows)
+    if args.base is not None:
+        base, zero = count_dir(args.base), dict.fromkeys(KINDS, 0)
+        print(f"\nchange from {args.base}")
+        print_table({module: {name: rows.get(module, zero)[name] - base.get(module, zero)[name]
+                              for name in KINDS}
+                     for module in sorted(rows.keys() | base.keys())}, sign="+")
 
 
 if __name__ == "__main__":

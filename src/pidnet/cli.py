@@ -24,41 +24,21 @@ from .config import InstanceConfig, load_config
 from .errors import ConfigError, NonFinite, PidnetError, SingularEnsemble
 from .netmodel import ClosedLoopSystem, Gains, equilibrium, norm2
 from .sim import SimConfig, TraceMetrics, build_microgrid, metrics, propagate, write_trace
-from .spectral import h_norm_bound, modified_laplacian
+from .spectral import modified_laplacian
 from .transverse import transverse_system
-from .tuning import certify, min_alpha
+from .tuning import BENCHMARK_ALPHA_REFERENCE, analysis, certify, min_alpha, tune
 
 EXIT_OK = 0
 EXIT_UNCERTIFIED = 2
 EXIT_NUMERIC = 4
 
-# Reference proportional-gain threshold reported for the six-inverter
-# benchmark in the literature; echoed for comparison, never asserted.
-BENCHMARK_ALPHA_REFERENCE = 5.92
-
 # The six-inverter benchmark that ``reproduce`` runs, shipped with the package.
 BENCHMARK_CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), "microgrid6.yaml")
 
 
-def _analysis_values(cfg: InstanceConfig, gamma: float) -> dict:
-    instance = cfg.instance
-    dec = instance.dec
-    mod_lap = modified_laplacian(dec, gamma)
-    return {
-        "nodes": dec.node_count,
-        "lambda_2": dec.lambda_2,
-        "lambda_max": dec.lambda_max,
-        "psi11": instance.ensemble.psi11,
-        "rho_bar_sq": instance.ensemble.rho_bar_sq,
-        "h_norm_exact": mod_lap.h_norm,
-        "h_norm_bound": h_norm_bound(dec, gamma),
-    }
-
-
 def _certificate_report(cfg: InstanceConfig) -> dict:
     gains = cfg.effective_gains
-    cert = certify(cfg.instance, gains)
-    report = cert.to_dict()
+    report = asdict(certify(cfg.instance, gains))
     if cfg.microgrid:
         report["distributed_alpha"] = cfg.gains.alpha
         report["effective_alpha"] = gains.alpha
@@ -84,14 +64,14 @@ def _print_tree(obj, indent: int = 0) -> None:
     pad = "  " * indent
     if isinstance(obj, dict):
         for key, val in obj.items():
-            if isinstance(val, (dict, list)):
+            if isinstance(val, (dict, list, tuple)):
                 print(f"{pad}{key}:")
                 _print_tree(val, indent + 1)
             else:
                 print(f"{pad}{key}: {_fmt(val)}")
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         for val in obj:
-            if isinstance(val, (dict, list)):
+            if isinstance(val, (dict, list, tuple)):
                 _print_tree(val, indent)
                 print()
             else:
@@ -140,11 +120,9 @@ def _outputs(out: str):
 
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
-    report = {
-        "analysis": _analysis_values(cfg, cfg.gains.gamma),
-        "certificate": _certificate_report(cfg),
-    }
     instance = cfg.instance
+    report = {"analysis": asdict(analysis(instance, cfg.gains.gamma)),
+              "certificate": _certificate_report(cfg)}
     try:
         eq = equilibrium(instance.ensemble, modified_laplacian(instance.dec, cfg.gains.gamma))
         report["equilibrium"] = {
@@ -153,14 +131,7 @@ def cmd_analyze(args) -> int:
         }
     except SingularEnsemble as exc:
         report["equilibrium"] = {"error": str(exc)}
-    tv = transverse_system(instance, cfg.effective_gains)
-    report["transverse"] = {
-        "hurwitz": tv.is_hurwitz(),
-        "hurwitz_sub_block": tv.is_hurwitz(include_average_mode=False),
-        "max_real_part": tv.max_real_part,
-        "energy_margin": tv.energy_margin,
-        "spectrum": tv.spectrum,
-    }
+    report["transverse"] = asdict(transverse_system(instance, cfg.effective_gains).verdict())
     _print_report(report, args.json)
     return EXIT_OK if report["certificate"]["certified"] else EXIT_UNCERTIFIED
 
@@ -203,21 +174,7 @@ def cmd_tune(args) -> int:
     gamma = cfg.gains.gamma if args.gamma is None else args.gamma
     if not 0.0 <= gamma <= sys.float_info.max:
         raise ConfigError(f"--gamma: expected a finite number >= 0, got {gamma}")
-    alpha_exact = min_alpha(instance, gamma)
-    alpha_cons = min_alpha(instance, gamma, conservative=True)
-    report = {
-        "gamma": gamma,
-        "alpha_min_exact": alpha_exact,
-        "alpha_min_conservative": alpha_cons,
-        "reference_alpha_threshold": BENCHMARK_ALPHA_REFERENCE,
-        "suggested_gains": {
-            "alpha": 1.01 * alpha_exact,
-            "beta": max(cfg.gains.beta, 1.0),
-            "gamma": gamma,
-        },
-        "analysis": _analysis_values(cfg, gamma),
-    }
-    _print_report(report, args.json)
+    _print_report(asdict(tune(instance, gamma, cfg.gains.beta)), args.json)
     return EXIT_OK
 
 

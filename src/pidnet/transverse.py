@@ -380,14 +380,11 @@ class TransverseSystem:
         return A
 
     @cached_property
-    def _eigenvalues(self) -> np.ndarray:
-        eigs = np.linalg.eigvals(self.A_tv)
-        eigs.flags.writeable = False  # shared by every caller
-        return eigs
-
     def eigenvalues(self) -> np.ndarray:
-        """The dense spectrum of A_tv."""
-        return self._eigenvalues
+        """The dense spectrum of A_tv, read-only: shared by every caller."""
+        eigs = np.linalg.eigvals(self.A_tv)
+        eigs.flags.writeable = False
+        return eigs
 
     def sub_block_eigenvalues(self) -> np.ndarray:
         """Spectrum of the (x_hat, z_hat) dynamics, excluding the average mode."""
@@ -402,7 +399,7 @@ class TransverseSystem:
     def max_real_part(self) -> float:
         if self.hyperbolic_max_real_part is not None:
             return self.hyperbolic_max_real_part
-        return float(np.max(self.eigenvalues().real))
+        return float(np.max(self.eigenvalues.real))
 
     def is_hurwitz(self, include_average_mode: bool = True) -> bool:
         """Every eigenvalue in the open left half-plane.
@@ -414,12 +411,28 @@ class TransverseSystem:
         if include_average_mode:
             if self.hyperbolic_max_real_part is not None:
                 return True
-            eigs = self.eigenvalues()
+            eigs = self.eigenvalues
         elif self.energy_certified:
             return True
         else:
             eigs = self.sub_block_eigenvalues()
         return bool(np.all(eigs.real < 0))
+
+    def verdict(self) -> TransverseVerdict:
+        return TransverseVerdict(self.is_hurwitz(), self.is_hurwitz(include_average_mode=False),
+                                 self.max_real_part, self.energy_margin, self.spectrum)
+
+
+@dataclass(frozen=True)
+class TransverseVerdict:
+    """What ``analyze`` reports of a TransverseSystem: in field order, its
+    ``transverse`` block, which ``TransverseSystem.verdict`` forms in that order."""
+
+    hurwitz: bool
+    hurwitz_sub_block: bool
+    max_real_part: float
+    energy_margin: float | None
+    spectrum: str
 
 
 def transverse_system(instance: Instance, gains: Gains) -> TransverseSystem:

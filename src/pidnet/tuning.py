@@ -11,7 +11,7 @@ free parameter is exposed.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +24,10 @@ REGIME_HOMOGENEOUS_PID = "HomogeneousPID"
 REGIME_HOMOGENEOUS_PI = "HomogeneousPI"
 REGIME_HOMOGENEOUS_PD = "HomogeneousPD"
 REGIME_HETEROGENEOUS_PID = "HeterogeneousPID"
+
+# Reference proportional-gain threshold reported for the six-inverter
+# benchmark in the literature; echoed for comparison, never asserted.
+BENCHMARK_ALPHA_REFERENCE = 5.92
 
 
 @dataclass(frozen=True)
@@ -40,22 +44,18 @@ class Condition:
 
 @dataclass(frozen=True)
 class Certificate:
+    """In field order, the ``certificate`` block; ``certified`` is whether every condition holds."""
+
     regime: str
+    certified: bool = field(init=False)
     conditions: tuple[Condition, ...]
     x_inf: float | None = None
     z_inf_bound: float | None = None
     epsilon_bound: float | None = None
     mu: float | None = None
 
-    @property
-    def certified(self) -> bool:
-        return all(c.satisfied for c in self.conditions)
-
-    def to_dict(self) -> dict:
-        """The fields in order, with ``certified`` second and the conditions a list."""
-        report = {"regime": self.regime, "certified": self.certified, **asdict(self)}
-        report["conditions"] = list(report["conditions"])
-        return report
+    def __post_init__(self):
+        object.__setattr__(self, "certified", all(c.satisfied for c in self.conditions))
 
 
 def _require_homogeneous(instance: Instance) -> float:
@@ -238,3 +238,47 @@ def certify(instance: Instance, gains: Gains) -> Certificate:
             return certify_homogeneous_pi(instance, gains)
         return certify_homogeneous_pid(instance, gains)
     return certify_heterogeneous_pid(instance, gains)
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """The graph and ensemble quantities the thresholds read: in field order, the
+    ``analysis`` block of ``analyze`` and ``tune``."""
+
+    nodes: int
+    lambda_2: float
+    lambda_max: float
+    psi11: float
+    rho_bar_sq: float
+    h_norm_exact: float  # ||H_hat||
+    h_norm_bound: float
+
+
+def analysis(instance: Instance, gamma: float) -> Analysis:
+    """The quantities at gamma, formed in field order after the modified Laplacian."""
+    dec, ens = instance.dec, instance.ensemble
+    mod_lap = modified_laplacian(dec, gamma)
+    return Analysis(dec.node_count, dec.lambda_2, dec.lambda_max, ens.psi11, ens.rho_bar_sq,
+                    mod_lap.h_norm, h_norm_bound(dec, gamma))
+
+
+@dataclass(frozen=True)
+class Tuning:
+    """``tune``'s report, in field order."""
+
+    gamma: float
+    alpha_min_exact: float
+    alpha_min_conservative: float
+    reference_alpha_threshold: float
+    suggested_gains: dict  # not a Gains, which rejects the infinite or zero alpha a report can hold
+    analysis: Analysis
+
+
+def tune(instance: Instance, gamma: float, beta: float) -> Tuning:
+    """Both thresholds at gamma, a gain triple 1% above the exact one (beta at
+    least 1), and the analysis at gamma, formed in that order."""
+    alpha_exact = min_alpha(instance, gamma)
+    return Tuning(gamma, alpha_exact, min_alpha(instance, gamma, conservative=True),
+                  BENCHMARK_ALPHA_REFERENCE,
+                  {"alpha": 1.01 * alpha_exact, "beta": max(beta, 1.0), "gamma": gamma},
+                  analysis(instance, gamma))

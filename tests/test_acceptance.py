@@ -223,7 +223,7 @@ def test_criterion_5a_integral_state_bound():
         observed = float(np.linalg.norm(equilibrium(sys_.ensemble, sys_.mod_lap).z_star))
         if k < 12:  # simulate a subset to steady state; check the rest algebraically
             tv = transverse_system(inst, gains)
-            rate = float(-np.max(tv.eigenvalues().real))
+            rate = float(-np.max(tv.eigenvalues.real))
             trace = integrate(sys_, SimConfig(t_end=min(14.0 / rate, 300.0)))
             observed = max(observed, metrics(trace).steady_z_norm)
             sims += 1

@@ -48,3 +48,22 @@ def test_each_kind_on_a_small_module():
         "            y)\n"
     )
     assert load_src_lines().classify(text) == {"code": 7, "docstring": 3, "comment": 1, "blank": 4}
+
+
+def test_change_from_a_base_by_module_and_kind(tmp_path, capsys):
+    new, base = tmp_path / "new", tmp_path / "base"
+    new.mkdir()
+    base.mkdir()
+    (base / "a.py").write_text("x = 1\n")
+    (new / "a.py").write_text('"""Doc."""\n\nx = 1  # one\n')
+    (new / "b.py").write_text("y = 2\n")
+    (base / "c.py").write_text("# gone\nz = 3\n")
+    load_src_lines().main([str(new), "--base", str(base)])
+    rows = capsys.readouterr().out.split("\n\n")[1].splitlines()
+    assert rows[0] == f"change from {base}"
+    assert [row.split() for row in rows[2:]] == [
+        ["a.py", "+2", "+0", "+1", "+0", "+1"],
+        ["b.py", "+1", "+1", "+0", "+0", "+0"],
+        ["c.py", "-2", "-1", "+0", "-1", "+0"],
+        ["total", "+1", "+0", "+1", "-1", "+1"],
+    ]

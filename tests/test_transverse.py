@@ -106,7 +106,7 @@ def test_transverse_spectrum_matches_full_loop(rng):
         sys_ = assemble(inst, gains)
         tv = transverse_system(inst, gains)
         full = np.linalg.eigvals(sys_.A)
-        for ev in tv.eigenvalues():
+        for ev in tv.eigenvalues:
             assert np.min(np.abs(full - ev)) < 1e-7
         assert np.min(np.abs(full)) < 1e-9  # the dropped trivial mode
 
@@ -282,7 +282,7 @@ def test_transverse_spectrum_is_q_less_one_zero(rng):
         spectra.add(tv.spectrum)
         roots = list(qep_roots(inst, gains))
         roots.pop(int(np.argmin(np.abs(roots))))
-        eigs = tv.eigenvalues()
+        eigs = tv.eigenvalues
         tol = 1e-10 * float(np.max(np.abs(eigs)))
         for ev in np.sort_complex(eigs):
             nearest = int(np.argmin(np.abs(np.array(roots) - ev)))
@@ -306,7 +306,7 @@ def test_property_hyperbolic_certificate_has_no_false_positive(n, seed, alpha, b
     inst = Instance.from_graph(random_graph(g, n), g.uniform(-3, 2, n), np.zeros(n))
     tv = transverse_system(inst, Gains(alpha=alpha, beta=beta, gamma=gamma))
     if tv.spectrum == "hyperbolic":
-        eigs = tv.eigenvalues()
+        eigs = tv.eigenvalues
         assert tv.is_hurwitz() and np.all(eigs.real < 0)
         assert np.all(np.abs(eigs.imag) <= 1e-9 * np.max(np.abs(eigs)))  # hyperbolic: all real
         assert abs(tv.max_real_part - np.max(eigs.real)) <= 1e-10 * np.max(np.abs(eigs))
@@ -355,7 +355,7 @@ def test_every_certified_shift_gives_the_slowest_root(monkeypatch, rng):
             continue
         certified += 1
         assert results[-1] is not None and tv.spectrum == "hyperbolic"
-        eigs = tv.eigenvalues()
+        eigs = tv.eigenvalues
         assert abs(tv.max_real_part - np.max(eigs.real)) <= 1e-10 * np.max(np.abs(eigs))
     assert certified >= 150
 
