@@ -3,14 +3,16 @@
 
 The default output set is, each command run once with ``--json`` and once
 with the tree output:
-- ``analyze`` and ``tune`` on ``microgrid6.yaml`` and on the 12 pidbench
+- ``analyze`` and ``tune`` on ``microgrid6.yaml``, on the 12 pidbench
   configs ``random_instance(default_rng([s, k]), (50, 200, 800, 200)[k])``,
-  s = 1-3, k = 0-3;
+  s = 1-3, k = 0-3, and on the ``variants``: the homogeneous PID, PI and PD
+  regimes, the dense spectrum and each agent-data section's config errors;
 - ``simulate`` on ``microgrid6.yaml``;
 - ``reproduce``.
 
-Both sides read the same config files: the bundled ``microgrid6.yaml`` of
-PARENT_SRC and the pidbench configs this checkout's ``pidbench/inputs.py``
+Both sides read the same config files: the bundled ``microgrid6.yaml`` and
+the README's Configuration example of PARENT_SRC, the variants built from
+them, and the pidbench configs this checkout's ``pidbench/inputs.py``
 writes. Each side runs under ``OPENBLAS_NUM_THREADS=1`` in a scratch
 directory of its own, and each run's exit code, stdout, stderr and the files
 under its ``--out`` are compared byte for byte.
@@ -24,6 +26,7 @@ when every output is the same, 1 otherwise.
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -35,19 +38,75 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = (50, 200, 800, 200)
 
 
+# The path of 3 whose slow roots, near -1e-320, the dense eigvals reads as 0:
+# certified beside a dense hurwitz: false.
+PATH3_DENSE = """
+graph: {nodes: 3, edges: [{i: 0, j: 1, w: 1.0}, {i: 1, j: 2, w: 1.0}]}
+ensemble: {rho: [-1.0, -2.0, -1.5], delta: [1.0, 2.0, 3.0]}
+gains: {alpha: 1.0e+300, beta: 1.0e-20, gamma: 0.0}
+"""
+# A path of 8 whose certified slowest root rounds to -0.0 on the time scale of
+# the loop: hyperbolic, and Hurwitz by the certificate.
+PATH8_ZERO_ROOT = """
+graph:
+  nodes: 8
+  edges: [{i: 0, j: 1, w: 1.0}, {i: 1, j: 2, w: 1.0}, {i: 2, j: 3, w: 1.0}, {i: 3, j: 4, w: 1.0},
+          {i: 4, j: 5, w: 1.0}, {i: 5, j: 6, w: 1.0}, {i: 6, j: 7, w: 1.0}]
+ensemble:
+  rho: [-2.0, -2.0, -2.0, -2.0, -2.0, -2.0, -2.0, -2.0]
+  delta: [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+gains: {alpha: 2.0, beta: 2.5e-323, gamma: 0.0}
+"""
+
+
+def readme_config(checkout: Path) -> str:
+    """The Configuration example of the checkout's README.md."""
+    readme = (checkout / "README.md").read_text(encoding="utf-8")
+    return re.search(r"## Configuration\n.*?```yaml\n(.*?)```", readme, re.S).group(1)
+
+
+def replaced(text: str, old: str, new: str) -> str:
+    if old not in text:
+        raise ValueError(f"{old!r} is not in the config it is to be replaced in")
+    return text.replace(old, new)
+
+
+def variants(readme: str, microgrid: str) -> dict[str, str]:
+    """Configs by file name, from the README example (homogeneous PID) and the
+    bundled microgrid config."""
+    poles, injections = "[-2.0, -2.0, -2.0, -2.0]", "[150.0, 80.0, 120.0, 100.0, 100.0, 50.0]"
+    section = microgrid[microgrid.index("microgrid:"):microgrid.index("gains:")]
+    return {
+        "readme-pid.yaml": readme,
+        "readme-pi.yaml": replaced(readme, "gamma: 0.5", "gamma: 0.0"),
+        "readme-pd.yaml": replaced(readme, "beta: 1.0", "beta: 0.0"),
+        "readme-heterogeneous-no-integral.yaml": replaced(
+            replaced(readme, poles, "[-1.0, -2.0, -1.5, -3.0]"), "beta: 1.0", "beta: 0.0"),
+        "path3-dense.yaml": PATH3_DENSE,
+        "path8-zero-root.yaml": PATH8_ZERO_ROOT,
+        "both-sections.yaml": replaced(microgrid, "gains:", "ensemble:\n  rho: [-1.0, -1.0, -1.0, "
+                                       "-1.0, -1.0, -1.0]\n  delta: " + injections + "\ngains:"),
+        "no-agent-section.yaml": replaced(microgrid, section, ""),
+        "microgrid-unknown-key.yaml": replaced(microgrid, "  p_star:", "  droop: 1.0\n  p_star:"),
+        "short-p-star.yaml": replaced(microgrid, injections, "[150.0, 80.0]"),
+    }
+
+
 def write_configs(parent: Path, where: Path) -> list[Path]:
     """The configs of the default set, written to ``where``."""
     spec = importlib.util.spec_from_file_location("pidbench_inputs", ROOT / "pidbench" / "inputs.py")
     inputs = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = inputs  # dataclasses resolve annotations through it
     spec.loader.exec_module(inputs)
-    paths = [where / "microgrid6.yaml"]
-    paths[0].write_bytes((parent / "src" / "pidnet" / "microgrid6.yaml").read_bytes())
+    microgrid = (parent / "src" / "pidnet" / "microgrid6.yaml").read_text(encoding="utf-8")
+    texts = {"microgrid6.yaml": microgrid, **variants(readme_config(parent), microgrid)}
     for s in (1, 2, 3):
         for k, n in enumerate(SIZES):
-            path = where / f"s{s}k{k}n{n}.yaml"
-            path.write_text(inputs.random_instance(np.random.default_rng([s, k]), n).to_yaml())
-            paths.append(path)
+            texts[f"s{s}k{k}n{n}.yaml"] = inputs.random_instance(np.random.default_rng([s, k]), n).to_yaml()
+    paths = []
+    for name, text in texts.items():
+        paths.append(where / name)
+        paths[-1].write_text(text, encoding="utf-8")
     return paths
 
 

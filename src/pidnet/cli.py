@@ -53,11 +53,16 @@ def _dumps(report: dict) -> str:
 
 
 def _print_report(report: dict, as_json: bool) -> None:
+    """Print the report; a reader that closes stdout early ends the printing, not the run."""
     text = _dumps(report)
-    if as_json:
-        print(text)
-        return
-    _print_tree(report)
+    try:
+        if as_json:
+            print(text)
+        else:
+            _print_tree(report)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the interpreter's final flush would fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _print_tree(obj, indent: int = 0) -> None:

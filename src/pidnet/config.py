@@ -189,20 +189,14 @@ def parse_config(text: str) -> InstanceConfig:
     graph = _parse_graph(_require_mapping(doc.get("graph"), "graph"))
     n = graph.node_count
 
-    has_ensemble = "ensemble" in doc
     has_microgrid = "microgrid" in doc
-    if has_ensemble == has_microgrid:
+    if ("ensemble" in doc) == has_microgrid:
         raise ConfigError("config: exactly one of 'ensemble' or 'microgrid' is required")
-    if has_ensemble:
-        section = _require_mapping(doc["ensemble"], "ensemble")
-        _check_keys(section, {"rho", "delta"}, "ensemble")
-        rho = _vector(section, "rho", "ensemble", n)
-        delta = _vector(section, "delta", "ensemble", n)
-    else:
-        section = _require_mapping(doc["microgrid"], "microgrid")
-        _check_keys(section, {"k", "p_star"}, "microgrid")
-        rho = _vector(section, "k", "microgrid", n)
-        delta = _vector(section, "p_star", "microgrid", n)
+    # the agent data: poles and disturbances, or local gains and injections
+    name, keys = ("microgrid", ("k", "p_star")) if has_microgrid else ("ensemble", ("rho", "delta"))
+    section = _require_mapping(doc[name], name)
+    _check_keys(section, set(keys), name)
+    rho, delta = (_vector(section, key, name, n) for key in keys)
 
     gains_raw = _require_mapping(doc.get("gains"), "gains")
     _check_keys(gains_raw, {"alpha", "beta", "gamma"}, "gains")

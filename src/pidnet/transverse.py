@@ -404,19 +404,14 @@ class TransverseSystem:
     def is_hurwitz(self, include_average_mode: bool = True) -> bool:
         """Every eigenvalue in the open left half-plane.
 
-        With the average mode the hyperbolic certificate decides where it
-        holds; without it the energy certificate does. Otherwise the dense
-        eigvals of the full matrix or of the sub-block does.
+        A certificate decides where it holds, the hyperbolic one with the
+        average mode and the energy one without it; else the sign of the
+        dense spectrum does. A certified root can round to -0.0 (a subnormal
+        beta), so the hyperbolic certificate is not read from its sign.
         """
         if include_average_mode:
-            if self.hyperbolic_max_real_part is not None:
-                return True
-            eigs = self.eigenvalues
-        elif self.energy_certified:
-            return True
-        else:
-            eigs = self.sub_block_eigenvalues()
-        return bool(np.all(eigs.real < 0))
+            return self.hyperbolic_max_real_part is not None or self.max_real_part < 0
+        return self.energy_certified or bool(np.all(self.sub_block_eigenvalues().real < 0))
 
     def verdict(self) -> TransverseVerdict:
         return TransverseVerdict(self.is_hurwitz(), self.is_hurwitz(include_average_mode=False),

@@ -68,6 +68,27 @@ def _require_homogeneous(instance: Instance) -> float:
     return -float(np.max(instance.ensemble.rho))
 
 
+def _certify_homogeneous_integral(instance: Instance, gains: Gains, regime: str,
+                                  gamma_condition: Condition, factor: float) -> Certificate:
+    """The PID and PI theorems' shared body: their four conditions, the consensus
+    value, the integral-state bound factor * ||delta|| and, for stable poles, mu."""
+    rho_star = _require_homogeneous(instance)
+    conditions = (
+        Condition("alpha_positive", gains.alpha > 0, gains.alpha),
+        Condition("beta_positive", gains.beta > 0, gains.beta),
+        gamma_condition,
+        Condition("stable_poles", rho_star > 0, rho_star),
+    )
+    mu = convergence_rate(instance, gains) if rho_star > 0 else None
+    return Certificate(
+        regime=regime,
+        conditions=conditions,
+        x_inf=instance.ensemble.x_inf,
+        z_inf_bound=_finite_z_bound(factor * instance.ensemble.delta_norm, instance),
+        mu=mu,
+    )
+
+
 def certify_homogeneous_pid(instance: Instance, gains: Gains) -> Certificate:
     """Full PID on identical agents: certified for any positive gains.
 
@@ -75,45 +96,19 @@ def certify_homogeneous_pid(instance: Instance, gains: Gains) -> Certificate:
     flagged since the common trajectory then diverges (consensus is still
     reached in the disagreement sense).
     """
-    rho_star = _require_homogeneous(instance)
     n = instance.node_count
-    lam2 = instance.dec.lambda_2
-    conditions = (
-        Condition("alpha_positive", gains.alpha > 0, gains.alpha),
-        Condition("beta_positive", gains.beta > 0, gains.beta),
-        Condition("gamma_positive", gains.gamma > 0, gains.gamma),
-        Condition("stable_poles", rho_star > 0, rho_star),
-    )
-    z_bound = math.sqrt(n**3 * (n - 1)) / (gains.gamma * lam2 + 1.0) * instance.ensemble.delta_norm
-    mu = convergence_rate(instance, gains) if rho_star > 0 else None
-    return Certificate(
-        regime=REGIME_HOMOGENEOUS_PID,
-        conditions=conditions,
-        x_inf=instance.ensemble.x_inf,
-        z_inf_bound=_finite_z_bound(z_bound, instance),
-        mu=mu,
-    )
+    factor = math.sqrt(n**3 * (n - 1)) / (gains.gamma * instance.dec.lambda_2 + 1.0)
+    return _certify_homogeneous_integral(
+        instance, gains, REGIME_HOMOGENEOUS_PID,
+        Condition("gamma_positive", gains.gamma > 0, gains.gamma), factor)
 
 
 def certify_homogeneous_pi(instance: Instance, gains: Gains) -> Certificate:
     """PI protocol (gamma = 0) on identical agents."""
-    rho_star = _require_homogeneous(instance)
     n = instance.node_count
-    conditions = (
-        Condition("alpha_positive", gains.alpha > 0, gains.alpha),
-        Condition("beta_positive", gains.beta > 0, gains.beta),
-        Condition("gamma_zero", gains.gamma == 0, -abs(gains.gamma)),
-        Condition("stable_poles", rho_star > 0, rho_star),
-    )
-    z_bound = math.sqrt(n * (n - 1)) * instance.ensemble.delta_norm
-    mu = convergence_rate(instance, gains) if rho_star > 0 else None
-    return Certificate(
-        regime=REGIME_HOMOGENEOUS_PI,
-        conditions=conditions,
-        x_inf=instance.ensemble.x_inf,
-        z_inf_bound=_finite_z_bound(z_bound, instance),
-        mu=mu,
-    )
+    return _certify_homogeneous_integral(
+        instance, gains, REGIME_HOMOGENEOUS_PI,
+        Condition("gamma_zero", gains.gamma == 0, -abs(gains.gamma)), math.sqrt(n * (n - 1)))
 
 
 def certify_homogeneous_pd(instance: Instance, gains: Gains) -> Certificate:

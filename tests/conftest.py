@@ -8,7 +8,8 @@ RK4 loop and the row-by-row CSV writer are the plain forms of what
 ``pidnet.sim`` computes with a precomputed propagator and chunked
 formatting, and the column-by-column sign rule is the plain form of the
 one ``spectral_decompose`` applies to all columns at once; tests compare
-the two.
+the two. The six-inverter benchmark's data is read here, once, from the
+bundled ``microgrid6.yaml``.
 """
 
 import importlib.util
@@ -20,6 +21,15 @@ import pytest
 from scipy.linalg import expm
 
 from pidnet import Graph, Instance
+from pidnet.config import load_config
+from pidnet.tuning import BENCHMARK_ALPHA_REFERENCE  # noqa: F401 (the tests import it from here)
+
+# The bundled six-inverter benchmark: its config, and its poles (microgrid k)
+# and disturbances (microgrid p_star), read-only since every module shares them.
+BENCH_CONFIG = Path(__file__).resolve().parent.parent / "src" / "pidnet" / "microgrid6.yaml"
+_BENCH = load_config(BENCH_CONFIG)
+BENCH_RHO, BENCH_DELTA = _BENCH.rho, _BENCH.delta
+BENCH_RHO.flags.writeable = BENCH_DELTA.flags.writeable = False
 
 
 def load_pidbench(name: str):

@@ -32,10 +32,9 @@ from pidnet import (
     spectral_decompose,
     transverse_system,
 )
-from conftest import complete, exact_affine_solution, random_graph, ring
+from conftest import (BENCH_DELTA, BENCH_RHO, BENCHMARK_ALPHA_REFERENCE, complete,
+                      exact_affine_solution, random_graph, ring)
 
-BENCH_K = np.array([-2.0, 0.0, 0.0, -4.0, 0.0, -6.0])
-BENCH_P = np.array([150.0, 80.0, 120.0, 100.0, 100.0, 50.0])
 BENCH_GAINS = Gains(alpha=6.0, beta=5.0, gamma=1.0)
 
 
@@ -45,7 +44,7 @@ def verdict(criterion: str, ok: bool, detail: str) -> None:
 
 
 def bench_instance() -> Instance:
-    return Instance.from_graph(ring(6, 5.0), BENCH_K, BENCH_P)
+    return Instance.from_graph(ring(6, 5.0), BENCH_RHO, BENCH_DELTA)
 
 
 def test_criterion_1_benchmark_reproduction():
@@ -80,14 +79,14 @@ def test_criterion_2_benchmark_analysis_values():
     a_exact = min_alpha(inst, 1.0)
     a_cons = min_alpha(inst, 1.0, conservative=True)
     certifies_six = certify_heterogeneous_pid(inst, BENCH_GAINS).certified and a_exact < 6.0
-    bracketed = a_exact <= 5.92 <= a_cons
+    bracketed = a_exact <= BENCHMARK_ALPHA_REFERENCE <= a_cons
     ok = lam2_ok and psi_ok and rr_ok and (certifies_six or bracketed)
     verdict(
         "2",
         ok,
         f"lambda_2 = {inst.dec.lambda_2:.12g}, psi11 = {psi.psi11}, "
         f"rho_bar.rho_bar = {rr}; alpha threshold exact {a_exact:.3f} / "
-        f"conservative {a_cons:.3f} vs reference 5.92 (reported, not asserted); "
+        f"conservative {a_cons:.3f} vs reference {BENCHMARK_ALPHA_REFERENCE} (reported, not asserted); "
         f"alpha = 6 certified: {certifies_six}",
     )
 

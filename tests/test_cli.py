@@ -23,10 +23,9 @@ from pidnet import cli, errors, netmodel, spectral, transverse
 from pidnet.cli import BENCHMARK_ALPHA_REFERENCE, main
 from pidnet.config import MAX_NODES, parse_config
 from pidnet.spectral import modified_laplacian
-from conftest import load_pidbench
+from conftest import BENCH_CONFIG, load_pidbench
 
 ROOT = Path(__file__).resolve().parent.parent
-BENCH_CONFIG = ROOT / "src" / "pidnet" / "microgrid6.yaml"
 
 HOMOGENEOUS = """
 graph:
@@ -261,6 +260,9 @@ X_INF_OVERFLOW = X_INF_SUM_OVERFLOW.replace("-1.0, -1.0, -1.0", "-0.5, -0.5, -0.
     "-1.0e+308]", "1.0e+308]")
 X_INF_RANGE = ("consensus value -sum(delta)/sum(rho) leaves the float range "
                "(||ensemble.delta|| = 1.73205e+308)")
+# the PI form: its z bound sqrt(6) * 1.73e308 leaves the float range too, and
+# the consensus value, formed first, names the failure
+X_INF_OVERFLOW_PI = X_INF_OVERFLOW.replace("gamma: 1000.0", "gamma: 0.0")
 # rho_bar = [-1e200, 2e200]: its squares leave the float range
 RHO_BAR_OVERFLOW = X_INF_SUM_OVERFLOW.replace("-1.0, -1.0, -1.0", "-1.0e+200, -2.0e+200, 1.0e+200")
 RHO_BAR_RANGE = "rho_bar_sq leaves the float range (max|ensemble.rho| = 2e+200)"
@@ -390,6 +392,7 @@ gains: {alpha: 1.0, beta: 0.0, gamma: 0.5}
          "z_inf_bound leaves the float range (||ensemble.delta|| = 1.73205e+308)"),
         (["analyze", "--json"], X_INF_SUM_OVERFLOW, 0, '"x_inf": 3.333333333333333e+307'),
         (["analyze", "--json"], X_INF_OVERFLOW, 4, X_INF_RANGE),
+        (["analyze", "--json"], X_INF_OVERFLOW_PI, 4, X_INF_RANGE),
         (["analyze", "--json"], RHO_BAR_OVERFLOW, 4, RHO_BAR_RANGE),
         (["tune", "--json"], RHO_BAR_OVERFLOW, 4, RHO_BAR_RANGE),
         (["simulate", "--json"], X_INF_SUM_OVERFLOW, 0, STEADY_MEAN),
@@ -492,8 +495,9 @@ gains: {alpha: 1.0, beta: 0.0, gamma: 0.5}
         "heavy-alpha-simulate", "heavy-alpha-analyze", "heavy-alpha-no-derivative-analyze",
         "huge-delta-analyze", "huge-delta-simulate", "overflowing-gamma-analyze",
         "overflowing-gamma-tune", "overflowing-z-bound", "overflowing-z-bound-homogeneous",
-        "overflowing-delta-sum", "overflowing-x-inf", "overflowing-rho-bar-sq-analyze",
-        "overflowing-rho-bar-sq-tune", "overflowing-steady-mean-simulate",
+        "overflowing-delta-sum", "overflowing-x-inf", "overflowing-x-inf-pi",
+        "overflowing-rho-bar-sq-analyze", "overflowing-rho-bar-sq-tune",
+        "overflowing-steady-mean-simulate",
         "overflowing-psi11-sum-analyze", "overflowing-psi11-sum-tune",
         "overflowing-degree-analyze", "overflowing-degree-tune", "overflowing-degree-simulate",
         "overflowing-u-simulate", "zero-alpha-analyze", "zero-alpha-tune", "zero-alpha-simulate",
@@ -1340,6 +1344,39 @@ def test_failed_reproduce_removes_the_directories_it_made(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ") and "sim.record_stride" in err
     assert sorted(os.listdir(tmp_path)) == ["long.yaml"]
+
+
+@pytest.mark.parametrize(
+    "argv, config, code, files",
+    [
+        (["reproduce"], None, 0, REPRODUCE_FILES),
+        (["simulate", "--json"], HOMOGENEOUS, 0, ("summary.json", "trace.csv")),
+        (["analyze"], BENCH_CONFIG.read_text(), 0, ()),
+        (["analyze", "--json"], UNSTABLE_AVERAGE, 2, ()),
+        (["tune"], BENCH_CONFIG.read_text(), 0, ()),
+    ],
+    ids=["reproduce", "simulate-json", "analyze", "analyze-uncertified-json", "tune"],
+)
+def test_closed_stdout_ends_the_printing_not_the_run(tmp_path, argv, config, code, files):
+    # stdout is a pipe whose read end is closed, as under `| head -1` once head
+    # has exited: the run keeps its exit code and files, and stderr stays empty
+    out = tmp_path / "out"
+    if config is not None:
+        (tmp_path / "run.yaml").write_text(config)
+        argv = argv + ["--config", str(tmp_path / "run.yaml")]
+    if files:
+        argv = argv + ["--out", str(out)]
+    read, write = os.pipe()
+    os.close(read)
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    try:
+        run = subprocess.run([sys.executable, "-m", "pidnet.cli", *argv], stdout=write,
+                             stderr=subprocess.PIPE, text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": path})
+    finally:
+        os.close(write)
+    assert (run.returncode, run.stderr) == (code, "")
+    assert sorted(os.listdir(out)) == sorted(files) if files else not out.exists()
 
 
 def test_config_not_utf8_exit_code(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from pidnet.config import load_config, parse_config
 from pidnet.errors import ConfigError, DisconnectedGraph
+from conftest import BENCH_CONFIG
 
 VALID = """
 graph:
@@ -135,9 +136,7 @@ def test_load_config_missing_file(tmp_path):
 
 
 def test_bundled_benchmark_config():
-    from pathlib import Path
-
-    cfg = load_config(Path(__file__).resolve().parent.parent / "src" / "pidnet" / "microgrid6.yaml")
+    cfg = load_config(BENCH_CONFIG)
     assert cfg.microgrid
     assert cfg.graph.node_count == 6
     assert np.array_equal(cfg.rho, [-2.0, 0.0, 0.0, -4.0, 0.0, -6.0])

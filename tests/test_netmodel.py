@@ -19,12 +19,9 @@ from pidnet import (
     modified_laplacian,
 )
 from pidnet import netmodel
-from conftest import random_graph, random_heterogeneous_instance, ring
+from conftest import BENCH_DELTA, BENCH_RHO, random_graph, random_heterogeneous_instance, ring
 
 TOL = 1e-9
-
-BENCH_RHO = np.array([-2.0, 0.0, 0.0, -4.0, 0.0, -6.0])
-BENCH_DELTA = np.array([150.0, 80.0, 120.0, 100.0, 100.0, 50.0])
 
 
 def test_gains_validation():

@@ -1,15 +1,25 @@
 """scripts/same_outputs.py: the comparison of two sides' outputs."""
 
 import importlib.util
+import itertools
 from pathlib import Path
+
+from pidnet import certify, transverse_system
+from pidnet.config import parse_config
+from pidnet.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_compare_names_each_difference():
+def load_same_outputs():
     spec = importlib.util.spec_from_file_location("same_outputs", ROOT / "scripts" / "same_outputs.py")
     same_outputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(same_outputs)
+    return same_outputs
+
+
+def test_compare_names_each_difference():
+    same_outputs = load_same_outputs()
     run = {"exit": 0, "stdout": b"a: 1\n", "stderr": b"", "files": {"trace.csv": b"0,1\n"}}
     parent = {"analyze": run, "reproduce": run, "tune": run}
     change = {
@@ -26,3 +36,38 @@ def test_compare_names_each_difference():
         "simulate: only in change",
         "tune: stderr differs from byte 0 (0 and 8 bytes)",
     ]
+
+
+def test_variants_reach_each_regime_spectrum_and_section_error(tmp_path):
+    # the default set holds the homogeneous certificates, the dense spectrum,
+    # a certified root that rounds to -0.0 and the agent-data sections' errors
+    exactly_one = "config: exactly one of 'ensemble' or 'microgrid' is required"
+    expected = {
+        "readme-pid.yaml": ("HomogeneousPID", True, "hyperbolic"),
+        "readme-pi.yaml": ("HomogeneousPI", True, "hyperbolic"),
+        "readme-pd.yaml": ("HomogeneousPD", False, "dense"),
+        "readme-heterogeneous-no-integral.yaml": ("HeterogeneousPID", False, "dense"),
+        "path3-dense.yaml": ("HeterogeneousPID", False, "dense"),
+        "path8-zero-root.yaml": ("HomogeneousPI", True, "hyperbolic"),
+        "both-sections.yaml": exactly_one,
+        "no-agent-section.yaml": exactly_one,
+        "microgrid-unknown-key.yaml": "microgrid: unknown keys ['droop'] (allowed: ['k', 'p_star'])",
+        "short-p-star.yaml": "microgrid.p_star: expected 6 entries, got 2",
+    }
+    same_outputs = load_same_outputs()
+    paths = same_outputs.write_configs(ROOT, tmp_path)
+    runs = same_outputs.commands(paths)
+    reached = {}
+    for name in expected:
+        assert tmp_path / name in paths
+        for command, flag in itertools.product(("analyze", "tune"), ("", "--json")):
+            assert f"{command}{flag} {name}" in runs
+        try:
+            cfg = parse_config((tmp_path / name).read_text())
+        except ConfigError as exc:
+            reached[name] = str(exc)
+            continue
+        verdict = transverse_system(cfg.instance, cfg.effective_gains).verdict()
+        reached[name] = (certify(cfg.instance, cfg.effective_gains).regime, verdict.hurwitz,
+                         verdict.spectrum)
+    assert reached == expected

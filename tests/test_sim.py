@@ -29,6 +29,8 @@ from pidnet import (
     metrics,
 )
 from conftest import (
+    BENCH_DELTA,
+    BENCH_RHO,
     complete,
     csv_row_by_row,
     exact_affine_solution,
@@ -38,12 +40,8 @@ from conftest import (
     ring,
 )
 
-BENCH_K = np.array([-2.0, 0.0, 0.0, -4.0, 0.0, -6.0])
-BENCH_P = np.array([150.0, 80.0, 120.0, 100.0, 100.0, 50.0])
-
-
 def bench_system(gains: Gains):
-    return build_microgrid(Instance.from_graph(ring(6, 5.0), BENCH_K, BENCH_P), gains)
+    return build_microgrid(Instance.from_graph(ring(6, 5.0), BENCH_RHO, BENCH_DELTA), gains)
 
 
 def replace_dynamics(sys_, A, b):
@@ -362,8 +360,8 @@ def test_microgrid_effective_alpha():
     sys_ = bench_system(Gains(6.0, 5.0, 1.0))
     assert sys_.gains.alpha == 7.0
     assert sys_.gains.beta == 5.0 and sys_.gains.gamma == 1.0
-    assert np.array_equal(sys_.ensemble.rho, BENCH_K)
-    assert np.array_equal(sys_.ensemble.delta, BENCH_P)
+    assert np.array_equal(sys_.ensemble.rho, BENCH_RHO)
+    assert np.array_equal(sys_.ensemble.delta, BENCH_DELTA)
 
 
 def test_microgrid_zero_gains_singular():

@@ -23,11 +23,10 @@ from pidnet import (
 from pidnet import transverse
 from pidnet.errors import NonFinite, PidnetError
 from pidnet.transverse import BLOCK_ROWS, DampedQEP
-from conftest import complete, load_pidbench, random_graph, random_heterogeneous_instance, ring
+from conftest import (BENCH_RHO, complete, load_pidbench, random_graph,
+                      random_heterogeneous_instance, ring)
 
 TOL = 1e-9
-
-BENCH_RHO = np.array([-2.0, 0.0, 0.0, -4.0, 0.0, -6.0])
 
 
 def make(rng, n, gamma):
@@ -513,6 +512,17 @@ def test_power_of_two_time_scale_certifies_roots_far_from_one(weight, rho, gains
     tv = transverse_system(Instance.from_graph(ring(3, weight), rho, np.zeros(3)), gains)
     assert tv.spectrum == "hyperbolic" and tv.is_hurwitz()
     assert tv.max_real_part == pytest.approx(expected, rel=1e-12)
+
+
+def test_certified_root_that_rounds_to_zero_is_hurwitz():
+    # beta = 2.5e-323 on a path of 8: the slowest root, certified on the time
+    # scale 2^e, scales back below the smallest subnormal to -0.0; the
+    # certificate, not the sign of max_real_part, decides hurwitz
+    path = Graph(8, tuple((k, k + 1, 1.0) for k in range(7)))
+    tv = transverse_system(Instance.from_graph(path, -2.0 * np.ones(8), np.zeros(8)),
+                           Gains(alpha=2.0, beta=2.5e-323, gamma=0.0))
+    assert (tv.spectrum, tv.max_real_part) == ("hyperbolic", 0.0)
+    assert tv.is_hurwitz() and tv.is_hurwitz(include_average_mode=False)
 
 
 def test_singular_estimate_solve_starts_from_ones(monkeypatch):

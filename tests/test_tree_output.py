@@ -2,13 +2,11 @@
 each block's field order."""
 
 import re
-from pathlib import Path
 
 import pytest
 
 from pidnet.cli import main
-
-BENCH_CONFIG = Path(__file__).resolve().parent.parent / "src" / "pidnet" / "microgrid6.yaml"
+from conftest import BENCH_CONFIG
 
 ANALYSIS = """\
 analysis:
