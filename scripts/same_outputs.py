@@ -7,7 +7,8 @@ with the tree output:
   configs ``random_instance(default_rng([s, k]), (50, 200, 800, 200)[k])``,
   s = 1-3, k = 0-3, and on the ``variants``: the homogeneous PID, PI and PD
   regimes, the dense spectrum and each agent-data section's config errors;
-- ``simulate`` on ``microgrid6.yaml``;
+- ``simulate`` on ``microgrid6.yaml`` and on ``SIMULATE_CONFIG``, the N = 200
+  config of seed 1 with a short ``sim`` section;
 - ``reproduce``.
 
 Both sides read the same config files: the bundled ``microgrid6.yaml`` and
@@ -36,6 +37,12 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (50, 200, 800, 200)
+
+# simulate also runs on s1k1n200.yaml with this sim section: 1,486 samples and
+# 16.4 MB of trace.csv, propagated by 401 x 401 BLAS products (the microgrid's
+# are 13 x 13).
+SIMULATE_CONFIG = "s1k1n200-simulate.yaml"
+SIMULATE_SIM = "sim: {t_end: 0.002, record_stride: 10}\n"
 
 
 # The path of 3 whose slow roots, near -1e-320, the dense eigvals reads as 0:
@@ -103,6 +110,7 @@ def write_configs(parent: Path, where: Path) -> list[Path]:
     for s in (1, 2, 3):
         for k, n in enumerate(SIZES):
             texts[f"s{s}k{k}n{n}.yaml"] = inputs.random_instance(np.random.default_rng([s, k]), n).to_yaml()
+    texts[SIMULATE_CONFIG] = texts["s1k1n200.yaml"] + SIMULATE_SIM
     paths = []
     for name, text in texts.items():
         paths.append(where / name)
@@ -116,6 +124,10 @@ def commands(configs: list[Path]) -> dict[str, list[str]]:
     for json_flag in ([], ["--json"]):
         suffix = "".join(json_flag)
         for config in configs:
+            if config.name == SIMULATE_CONFIG:
+                runs[f"simulate{suffix} {config.name}"] = ["simulate", "--config", str(config),
+                                                           "--out", f"{config.stem}{suffix}", *json_flag]
+                continue
             for command in ("analyze", "tune"):
                 runs[f"{command}{suffix} {config.name}"] = [command, "--config", str(config), *json_flag]
         runs[f"simulate{suffix}"] = ["simulate", "--config", str(configs[0]),

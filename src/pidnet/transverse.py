@@ -28,7 +28,7 @@ D2 = diag(1 + gamma*lambda_k), C2 = alpha Lambda_2 - V2^T P V2 (V2 =
 V[:, 1:]) and Lambda_2. There m > 0, c > 0 when C2 is positive
 definite and k > 0 when beta > 0, so every root lies in the open left
 half-plane. This costs one symmetric (N-1)^2 eigvalsh; the dense eigvals of
-the sub-block runs only where it does not hold.
+the sub-block runs only where it does not hold and beta > 0.
 
 Hyperbolic certificate (the full system). If beta > 0 and Q~(mu) = mu^2 I +
 mu C~ + diag(k) is negative definite for some mu < 0, then mu^2 + mu c(x) +
@@ -386,10 +386,6 @@ class TransverseSystem:
         eigs.flags.writeable = False
         return eigs
 
-    def sub_block_eigenvalues(self) -> np.ndarray:
-        """Spectrum of the (x_hat, z_hat) dynamics, excluding the average mode."""
-        return np.linalg.eigvals(self.A_tv[1:, 1:])
-
     @property
     def spectrum(self) -> str:
         """Which computation decides ``hurwitz`` and ``max_real_part``."""
@@ -401,20 +397,23 @@ class TransverseSystem:
             return self.hyperbolic_max_real_part
         return float(np.max(self.eigenvalues.real))
 
-    def is_hurwitz(self, include_average_mode: bool = True) -> bool:
-        """Every eigenvalue in the open left half-plane.
-
-        A certificate decides where it holds, the hyperbolic one with the
-        average mode and the energy one without it; else the sign of the
-        dense spectrum does. A certified root can round to -0.0 (a subnormal
-        beta), so the hyperbolic certificate is not read from its sign.
+    def is_hurwitz(self) -> bool:
+        """Every eigenvalue in the open left half-plane: the hyperbolic
+        certificate where it holds, else the sign of the dense spectrum. A
+        certified root can round to -0.0 (a subnormal beta), so the
+        certificate is not read from its sign.
         """
-        if include_average_mode:
-            return self.hyperbolic_max_real_part is not None or self.max_real_part < 0
-        return self.energy_certified or bool(np.all(self.sub_block_eigenvalues().real < 0))
+        return self.hyperbolic_max_real_part is not None or self.max_real_part < 0
+
+    @property
+    def hurwitz_sub_block(self) -> bool:
+        """Whether the (x_hat, z_hat) dynamics are Hurwitz: the energy certificate, else
+        the dense A_tv[1:, 1:]; at beta = 0 its z_hat rows are 0, so N - 1 roots are 0."""
+        return self.energy_certified or (
+            self.gains.beta > 0 and bool(np.all(np.linalg.eigvals(self.A_tv[1:, 1:]).real < 0)))
 
     def verdict(self) -> TransverseVerdict:
-        return TransverseVerdict(self.is_hurwitz(), self.is_hurwitz(include_average_mode=False),
+        return TransverseVerdict(self.is_hurwitz(), self.hurwitz_sub_block,
                                  self.max_real_part, self.energy_margin, self.spectrum)
 
 

@@ -151,7 +151,7 @@ def test_criterion_4_rate_formula():
         gains = Gains(float(rng.uniform(0.1, 5)), float(rng.uniform(0.1, 5)),
                       float(rng.uniform(0.0, 3)))
         tv = transverse_system(inst, gains)
-        mu_eig = float(-np.max(tv.sub_block_eigenvalues().real))
+        mu_eig = float(-np.max(np.linalg.eigvals(tv.A_tv[1:, 1:]).real))
         worst_formula = max(worst_formula, abs(convergence_rate(inst, gains) - mu_eig))
 
     # The empirical check targets representative tunings with beta <= alpha:
@@ -341,8 +341,8 @@ def test_criterion_7_hurwitz_consistency():
     checked = 0
     for inst, gains, cert in _certified_pi_pid_instances(rng, 30):
         tv = transverse_system(inst, gains)
-        include_avg = cert.regime == "HeterogeneousPID"
-        if not tv.is_hurwitz(include_average_mode=include_avg):
+        heterogeneous = cert.regime == "HeterogeneousPID"
+        if not (tv.is_hurwitz() if heterogeneous else tv.hurwitz_sub_block):
             hurwitz_ok = False
             break
         checked += 1

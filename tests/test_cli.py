@@ -1152,6 +1152,33 @@ def test_simulate_idempotent_csv(tmp_path, capsys, hom_config):
     assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
 
+# Largest |difference| between trace.csv values written at two BLAS thread
+# counts, over the file's largest |value|: about one unit in the last printed
+# digit. 2.8e-13 was measured on the N = 200 config below.
+THREAD_COUNT_RTOL = 1e-11
+
+
+def test_trace_bytes_repeat_at_one_blas_thread_count(tmp_path):
+    # BLAS sums in another order at another thread count (eigvals picks dt,
+    # matmul propagates), so only a repeat at one count writes the same bytes
+    config = tmp_path / "n200.yaml"
+    config.write_text(load_pidbench("inputs").random_instance(np.random.default_rng([1, 1]), 200)
+                      .to_yaml() + "sim: {t_end: 0.0002, record_stride: 10}\n")
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    traces = []
+    for k, threads in enumerate(("1", "1", "2")):
+        pinned = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)
+        run = subprocess.run([sys.executable, "-m", "pidnet.cli", "simulate", "--config", str(config),
+                              "--out", str(tmp_path / str(k))], capture_output=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": path, **pinned})
+        assert run.returncode == 0, run.stderr
+        traces.append((tmp_path / str(k) / "trace.csv").read_bytes())
+    assert traces[1] == traces[0]
+    one, two = (np.loadtxt(io.BytesIO(trace), delimiter=",", skiprows=1) for trace in traces[::2])
+    assert one.shape == two.shape == (150, 603)
+    assert np.max(np.abs(one - two)) <= THREAD_COUNT_RTOL * np.max(np.abs(one))
+
+
 @pytest.mark.parametrize(
     "sim",
     ["", "sim: {t_end: 1.0e+300, dt: 1.0e-300}\n"],

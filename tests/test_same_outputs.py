@@ -4,6 +4,8 @@ import importlib.util
 import itertools
 from pathlib import Path
 
+import pytest
+
 from pidnet import certify, transverse_system
 from pidnet.config import parse_config
 from pidnet.errors import ConfigError
@@ -16,6 +18,14 @@ def load_same_outputs():
     same_outputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(same_outputs)
     return same_outputs
+
+
+@pytest.fixture(scope="module")
+def default_set(tmp_path_factory):
+    """The script, where it wrote the default set's configs, and their runs by name."""
+    same_outputs, where = load_same_outputs(), tmp_path_factory.mktemp("configs")
+    paths = same_outputs.write_configs(ROOT, where)
+    return same_outputs, where, paths, same_outputs.commands(paths)
 
 
 def test_compare_names_each_difference():
@@ -38,7 +48,7 @@ def test_compare_names_each_difference():
     ]
 
 
-def test_variants_reach_each_regime_spectrum_and_section_error(tmp_path):
+def test_variants_reach_each_regime_spectrum_and_section_error(default_set):
     # the default set holds the homogeneous certificates, the dense spectrum,
     # a certified root that rounds to -0.0 and the agent-data sections' errors
     exactly_one = "config: exactly one of 'ensemble' or 'microgrid' is required"
@@ -54,16 +64,14 @@ def test_variants_reach_each_regime_spectrum_and_section_error(tmp_path):
         "microgrid-unknown-key.yaml": "microgrid: unknown keys ['droop'] (allowed: ['k', 'p_star'])",
         "short-p-star.yaml": "microgrid.p_star: expected 6 entries, got 2",
     }
-    same_outputs = load_same_outputs()
-    paths = same_outputs.write_configs(ROOT, tmp_path)
-    runs = same_outputs.commands(paths)
+    _, where, paths, runs = default_set
     reached = {}
     for name in expected:
-        assert tmp_path / name in paths
+        assert where / name in paths
         for command, flag in itertools.product(("analyze", "tune"), ("", "--json")):
             assert f"{command}{flag} {name}" in runs
         try:
-            cfg = parse_config((tmp_path / name).read_text())
+            cfg = parse_config((where / name).read_text())
         except ConfigError as exc:
             reached[name] = str(exc)
             continue
@@ -71,3 +79,15 @@ def test_variants_reach_each_regime_spectrum_and_section_error(tmp_path):
         reached[name] = (certify(cfg.instance, cfg.effective_gains).regime, verdict.hurwitz,
                          verdict.spectrum)
     assert reached == expected
+
+
+def test_simulate_runs_on_an_n200_config(default_set):
+    # the microgrid's trace is 6 nodes wide; this one is 200
+    same_outputs, where, _, runs = default_set
+    config = where / same_outputs.SIMULATE_CONFIG
+    for flag in ("", "--json"):
+        argv = runs[f"simulate{flag} {config.name}"]
+        assert argv[:3] == ["simulate", "--config", str(config)] and "--out" in argv
+        assert ("--json" in argv) is bool(flag)
+    cfg = parse_config(config.read_text())
+    assert (cfg.instance.dec.node_count, cfg.sim.t_end, cfg.sim.record_stride) == (200, 0.002, 10)

@@ -127,7 +127,7 @@ def test_homogeneous_positive_gains_hurwitz_sub_block(rng):
         gains = Gains(alpha=float(rng.uniform(0.1, 5)), beta=float(rng.uniform(0.1, 5)),
                       gamma=float(rng.uniform(0.01, 3)))
         tv = transverse_system(inst, gains)
-        assert tv.is_hurwitz(include_average_mode=False)
+        assert tv.hurwitz_sub_block
         assert tv.is_hurwitz()  # stable poles: average mode negative too
 
 
@@ -182,7 +182,8 @@ def test_sub_block_is_the_damped_quadratic_eigenproblem(rng):
             [[np.zeros((m, m)), np.eye(m)], [-gains.beta * D2_inv @ np.diag(lam), -D2_inv @ C2]]
         )
         scale = max(1.0, float(np.max(np.abs(companion))))
-        assert _match(tv.sub_block_eigenvalues(), np.linalg.eigvals(companion), 1e-9 * scale)
+        assert _match(np.linalg.eigvals(tv.A_tv[1:, 1:]), np.linalg.eigvals(companion),
+                      1e-9 * scale)
 
 
 @settings(max_examples=200, deadline=None)
@@ -199,9 +200,17 @@ def test_property_energy_certificate_has_no_false_positive(n, seed, alpha, beta,
     g = np.random.default_rng(seed)
     inst = Instance.from_graph(random_graph(g, n), g.uniform(-3, 2, n), np.zeros(n))
     tv = transverse_system(inst, Gains(alpha=alpha, beta=beta, gamma=gamma))
+    eigs = np.linalg.eigvals(tv.A_tv[1:, 1:])
     if tv.energy_certified:
         assert beta > 0 and tv.energy_margin > 0
-        assert np.all(np.linalg.eigvals(tv.A_tv[1:, 1:]).real < 0)
+        assert np.all(eigs.real < 0)
+    # beta = 0 leaves N - 1 roots at 0; elsewhere the dense sign decides where
+    # it clears the rounding floor of loop_facts
+    sub = float(np.max(eigs.real))
+    if beta == 0:
+        assert tv.hurwitz_sub_block is False
+    elif abs(sub) > n * np.finfo(float).eps * float(np.max(np.abs(tv.A_tv))):
+        assert tv.hurwitz_sub_block is (sub < 0)
 
 
 @pytest.mark.parametrize(
@@ -222,8 +231,8 @@ def test_sub_block_falls_back_to_eigvals(monkeypatch, rho, gains, hurwitz):
     calls = []
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
-    assert tv.is_hurwitz(include_average_mode=False) is hurwitz
-    assert calls == [(4, 4)]
+    assert tv.hurwitz_sub_block is hurwitz
+    assert calls == ([(4, 4)] if gains.beta > 0 else [])  # beta = 0 decides by structure
     assert hurwitz is bool(np.all(eigvals(tv.A_tv[1:, 1:]).real < 0))
 
 
@@ -243,7 +252,7 @@ def test_overflowing_damping_certified_over_alpha(monkeypatch, alpha, margin):
     else:
         assert tv.energy_margin == pytest.approx(margin, rel=1e-12)
     monkeypatch.setattr(np.linalg, "eigvals", None)  # neither certificate needs it
-    assert tv.is_hurwitz(include_average_mode=False)
+    assert tv.hurwitz_sub_block
     assert tv.is_hurwitz()
 
 
@@ -522,7 +531,7 @@ def test_certified_root_that_rounds_to_zero_is_hurwitz():
     tv = transverse_system(Instance.from_graph(path, -2.0 * np.ones(8), np.zeros(8)),
                            Gains(alpha=2.0, beta=2.5e-323, gamma=0.0))
     assert (tv.spectrum, tv.max_real_part) == ("hyperbolic", 0.0)
-    assert tv.is_hurwitz() and tv.is_hurwitz(include_average_mode=False)
+    assert tv.is_hurwitz() and tv.hurwitz_sub_block
 
 
 def test_singular_estimate_solve_starts_from_ones(monkeypatch):
@@ -690,14 +699,14 @@ def loop_facts(n, edges, rho, delta, gains):
         verdict, values = type(exc).__name__, {}
     size = float(np.max(np.abs(tv.A_tv)))
     floor = n * np.finfo(float).eps * size  # below it the dense eigvals cannot tell a sign
-    sub = float(np.max(tv.sub_block_eigenvalues().real))
+    sub = float(np.max(np.linalg.eigvals(tv.A_tv[1:, 1:]).real))
     return {
         "verdict": verdict,
         "spectrum": tv.spectrum,
         "max_real_part": tv.max_real_part,
         "size": size,
         "hurwitz": tv.is_hurwitz() if abs(tv.max_real_part) > floor else None,
-        "hurwitz_sub_block": tv.is_hurwitz(include_average_mode=False) if abs(sub) > floor else None,
+        "hurwitz_sub_block": tv.hurwitz_sub_block if abs(sub) > floor else None,
         "values": values,
     }
 
