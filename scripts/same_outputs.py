@@ -6,9 +6,11 @@ with the tree output:
 - ``analyze`` and ``tune`` on ``microgrid6.yaml``, on the 12 pidbench
   configs ``random_instance(default_rng([s, k]), (50, 200, 800, 200)[k])``,
   s = 1-3, k = 0-3, and on the ``variants``: the homogeneous PID, PI and PD
-  regimes, the dense spectrum and each agent-data section's config errors;
-- ``simulate`` on ``microgrid6.yaml`` and on ``SIMULATE_CONFIG``, the N = 200
-  config of seed 1 with a short ``sim`` section;
+  regimes, the dense spectrum, each agent-data section's config errors and
+  the homogeneous PID and PD at ``gamma: 1.0e+308``, where gamma*L overflows;
+- ``simulate`` on ``microgrid6.yaml``, on ``SIMULATE_CONFIG``, the N = 200
+  config of seed 1 with a short ``sim`` section, and on the ``OVERFLOWING_GAMMA``
+  variants, whose error must come out the same whichever stage raises it;
 - ``reproduce``.
 
 Both sides read the same config files: the bundled ``microgrid6.yaml`` and
@@ -43,6 +45,10 @@ SIZES = (50, 200, 800, 200)
 # are 13 x 13).
 SIMULATE_CONFIG = "s1k1n200-simulate.yaml"
 SIMULATE_SIM = "sim: {t_end: 0.002, record_stride: 10}\n"
+
+# The README example as homogeneous PID and PD with gamma*lambda_N beyond the
+# float range; simulate runs on them too.
+OVERFLOWING_GAMMA = ("readme-pid-gamma-overflow.yaml", "readme-pd-gamma-overflow.yaml")
 
 
 # The path of 3 whose slow roots, near -1e-320, the dense eigvals reads as 0:
@@ -83,6 +89,7 @@ def variants(readme: str, microgrid: str) -> dict[str, str]:
     bundled microgrid config."""
     poles, injections = "[-2.0, -2.0, -2.0, -2.0]", "[150.0, 80.0, 120.0, 100.0, 100.0, 50.0]"
     section = microgrid[microgrid.index("microgrid:"):microgrid.index("gains:")]
+    overflowing = replaced(readme, "gamma: 0.5", "gamma: 1.0e+308")
     return {
         "readme-pid.yaml": readme,
         "readme-pi.yaml": replaced(readme, "gamma: 0.5", "gamma: 0.0"),
@@ -96,6 +103,8 @@ def variants(readme: str, microgrid: str) -> dict[str, str]:
         "no-agent-section.yaml": replaced(microgrid, section, ""),
         "microgrid-unknown-key.yaml": replaced(microgrid, "  p_star:", "  droop: 1.0\n  p_star:"),
         "short-p-star.yaml": replaced(microgrid, injections, "[150.0, 80.0]"),
+        OVERFLOWING_GAMMA[0]: overflowing,
+        OVERFLOWING_GAMMA[1]: replaced(overflowing, "beta: 1.0", "beta: 0.0"),
     }
 
 
@@ -125,11 +134,15 @@ def commands(configs: list[Path]) -> dict[str, list[str]]:
         suffix = "".join(json_flag)
         for config in configs:
             if config.name == SIMULATE_CONFIG:
-                runs[f"simulate{suffix} {config.name}"] = ["simulate", "--config", str(config),
-                                                           "--out", f"{config.stem}{suffix}", *json_flag]
-                continue
-            for command in ("analyze", "tune"):
-                runs[f"{command}{suffix} {config.name}"] = [command, "--config", str(config), *json_flag]
+                names = ("simulate",)
+            elif config.name in OVERFLOWING_GAMMA:
+                names = ("analyze", "tune", "simulate")
+            else:
+                names = ("analyze", "tune")
+            for command in names:
+                out = ["--out", f"{config.stem}{suffix}"] if command == "simulate" else []
+                runs[f"{command}{suffix} {config.name}"] = [command, "--config", str(config), *out,
+                                                            *json_flag]
         runs[f"simulate{suffix}"] = ["simulate", "--config", str(configs[0]),
                                      "--out", f"simulate{suffix}", *json_flag]
         runs[f"reproduce{suffix}"] = ["reproduce", "--out", f"reproduce{suffix}", *json_flag]

@@ -194,8 +194,10 @@ def spectral_decompose(graph: Graph) -> SpectralDecomposition:
     # lambda_1 is simple for connected graphs, so the remaining columns are
     # already orthogonal to ones; replace column 0 exactly.
     V[:, 0] = 1.0 / np.sqrt(n)
-    # a unit column has an entry of at least 1/sqrt(N), far above the floor
-    lead = V[np.argmax(np.abs(V[:, 1:]) > 1e-12, axis=0), np.arange(1, n)]
+    # a unit column has an entry of at least 1/sqrt(N), far above the floor;
+    # compared on both sides, so no float |V| is formed beside V
+    V2 = V[:, 1:]
+    lead = V[np.argmax((V2 > 1e-12) | (V2 < -1e-12), axis=0), np.arange(1, n)]
     flip = 1 + np.flatnonzero(lead < 0)
     V[:, flip] = -V[:, flip]
     return SpectralDecomposition(graph=graph, degree=np.diagonal(L).copy(), lam=eigs, V=V)
@@ -296,16 +298,19 @@ def _pencil_top(g: np.ndarray, z: np.ndarray, shift: float) -> float:
     return d2 + hi
 
 
-def check_gamma(dec: SpectralDecomposition, gamma: float) -> None:
-    """Raise NonFinite where gamma*L or gamma*lambda leaves the float range;
-    no entry of L exceeds its largest diagonal entry."""
+def gamma_scaling(dec: SpectralDecomposition, gamma: float) -> np.ndarray:
+    """d_k = gamma*lambda_k + 1 for every mode (d[0] = 1): the eigenvalues of I +
+    gamma*L, through which alone the derivative gain enters. Raises NonFinite
+    where gamma*L leaves the float range; no entry of L exceeds its largest
+    diagonal entry."""
     if not math.isfinite(gamma * max(dec.lambda_max, float(np.max(dec.degree)))):
         raise NonFinite(f"modified Laplacian: gains.gamma * L leaves the float range "
                         f"(gains.gamma = {gamma:.6g})")
+    return gamma * dec.lam + 1.0
 
 
 def modified_laplacian(dec: SpectralDecomposition, gamma: float) -> ModifiedLaplacian:
-    """I + gamma*L in the graph's eigenbasis: g_k = 1/(gamma*lambda_k + 1), k >= 2.
+    """I + gamma*L in the graph's eigenbasis: g_k = 1/d_k, k >= 2, d from gamma_scaling.
 
     No matrix is formed. Where gamma*L_ii absorbs the identity on every
     diagonal entry, the formed I + gamma*L would be fl(gamma*L), singular to
@@ -314,22 +319,17 @@ def modified_laplacian(dec: SpectralDecomposition, gamma: float) -> ModifiedLapl
     """
     if gamma < 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    check_gamma(dec, gamma)
+    d = gamma_scaling(dec, gamma)
     scaled = gamma * dec.degree
     if np.all(scaled + 1.0 == scaled):
         raise NonFinite(
             f"modified Laplacian I + gamma*L is singular to working precision at gamma = {gamma:.6g}"
         )
-    return ModifiedLaplacian(
-        gamma=float(gamma),
-        g=1.0 / (gamma * dec.lam[1:] + 1.0),
-        z=dec.V[0, 1:],
-        dec=dec,
-    )
+    return ModifiedLaplacian(gamma=float(gamma), g=1.0 / d[1:], z=dec.V[0, 1:], dec=dec)
 
 
 def h_norm_bound(dec: SpectralDecomposition, gamma: float) -> float:
-    """Closed-form upper bound N / (gamma*lambda_2 + 1) on ||H_hat||."""
+    """Closed-form upper bound N / d_2 = N / (gamma*lambda_2 + 1) on ||H_hat||."""
     if dec.lambda_2 <= 0:
         raise DisconnectedGraph("bound requires lambda_2 > 0")
-    return dec.node_count / (gamma * dec.lambda_2 + 1.0)
+    return dec.node_count / float(gamma_scaling(dec, gamma)[1])

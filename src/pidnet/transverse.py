@@ -72,7 +72,7 @@ import numpy as np
 
 from .errors import NonFinite
 from .netmodel import Gains, Instance, norm2
-from .spectral import EPS, check_gamma, modified_laplacian
+from .spectral import EPS, gamma_scaling, modified_laplacian
 
 # Rounding allowance of both certificates, relative to the size of the terms.
 IDENTITY_TOL = 1e-9
@@ -144,7 +144,7 @@ class DampedQEP:
         lam = instance.dec.lam
         n = lam.size
         self.gains, self.lam = gains, lam
-        self.d = 1.0 + gains.gamma * lam
+        self.d = gamma_scaling(instance.dec, gains.gamma)
         self.r = 1.0 / np.sqrt(self.d)
         self.rho_max = float(np.max(np.abs(instance.ensemble.rho)))
         with np.errstate(all="ignore"):  # a non-finite value sends the caller to eigvals
@@ -433,7 +433,6 @@ def transverse_system(instance: Instance, gains: Gains) -> TransverseSystem:
     """The transverse system with its energy and hyperbolic certificates, both
     read from one DampedQEP."""
     dec = instance.dec
-    check_gamma(dec, gains.gamma)
     qep = DampedQEP(instance, gains)
     rho_max = qep.rho_max
     # alpha*lambda_N + max|rho| bounds the entries and the norm of both terms

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NonFinite, NotHomogeneous, UnstableAverage
 from .netmodel import Gains, Instance, norm2
-from .spectral import h_norm_bound, modified_laplacian
+from .spectral import gamma_scaling, h_norm_bound, modified_laplacian
 from .transverse import dominant_real_part
 
 REGIME_HOMOGENEOUS_PID = "HomogeneousPID"
@@ -97,7 +97,7 @@ def certify_homogeneous_pid(instance: Instance, gains: Gains) -> Certificate:
     reached in the disagreement sense).
     """
     n = instance.node_count
-    factor = math.sqrt(n**3 * (n - 1)) / (gains.gamma * instance.dec.lambda_2 + 1.0)
+    factor = math.sqrt(n**3 * (n - 1)) / float(gamma_scaling(instance.dec, gains.gamma)[1])
     return _certify_homogeneous_integral(
         instance, gains, REGIME_HOMOGENEOUS_PID,
         Condition("gamma_positive", gains.gamma > 0, gains.gamma), factor)
@@ -115,9 +115,8 @@ def certify_homogeneous_pd(instance: Instance, gains: Gains) -> Certificate:
     """PD protocol (beta = 0): residual disagreement bounded by epsilon."""
     rho_star = _require_homogeneous(instance)
     n = instance.node_count
-    lam2 = instance.dec.lambda_2
-    lamN = instance.dec.lambda_max
-    denom = gains.alpha * lamN + rho_star
+    d = gamma_scaling(instance.dec, gains.gamma)
+    denom = gains.alpha * instance.dec.lambda_max + rho_star
     conditions = (
         Condition("alpha_positive", gains.alpha > 0, gains.alpha),
         Condition("beta_zero", gains.beta == 0, -abs(gains.beta)),
@@ -125,13 +124,7 @@ def certify_homogeneous_pd(instance: Instance, gains: Gains) -> Certificate:
     )
     eps = None
     if denom > 0:
-        eps = (
-            (gains.gamma * lamN + 1.0)
-            / (gains.gamma * lam2 + 1.0)
-            * n
-            / denom
-            * instance.ensemble.delta_norm
-        )
+        eps = float(d[-1]) / float(d[1]) * n / denom * instance.ensemble.delta_norm
     return Certificate(
         regime=REGIME_HOMOGENEOUS_PD,
         conditions=conditions,
@@ -148,8 +141,8 @@ def convergence_rate(instance: Instance, gains: Gains) -> float:
     """
     rho_star = _require_homogeneous(instance)
     lam = instance.dec.lam[1:]
+    denom = gamma_scaling(instance.dec, gains.gamma)[1:]
     with np.errstate(all="ignore"):
-        denom = gains.gamma * lam + 1.0
         b = gains.alpha * (lam / denom) + rho_star / denom  # finite where alpha*lam need not be
         c = gains.beta * lam / denom
     return float(abs(np.max(dominant_real_part(b, c))))  # np.max keeps a NaN
@@ -177,9 +170,9 @@ def min_alpha(instance: Instance, gamma: float, conservative: bool = False) -> f
     """
     mod_lap = modified_laplacian(instance.dec, gamma)
     h1_norm = 1.0 + h_norm_bound(instance.dec, gamma) if conservative else mod_lap.h1_norm
-    lam2 = instance.dec.lambda_2
     rhs = _gain_threshold_rhs(instance, h1_norm)
-    return rhs * (gamma * lam2 + 1.0) / lam2  # Python floats: inf, not a warning
+    d2, lam2 = float(gamma_scaling(instance.dec, gamma)[1]), instance.dec.lambda_2
+    return rhs * d2 / lam2  # Python floats: inf, not a warning
 
 
 def z_infinity_bound(instance: Instance, gains: Gains) -> float:
@@ -209,7 +202,7 @@ def certify_heterogeneous_pid(instance: Instance, gains: Gains) -> Certificate:
     mod_lap = modified_laplacian(instance.dec, gains.gamma)
     ens = instance.ensemble
     lam2 = instance.dec.lambda_2
-    lhs = gains.alpha * lam2 / (gains.gamma * lam2 + 1.0)
+    lhs = gains.alpha * lam2 / float(gamma_scaling(instance.dec, gains.gamma)[1])
     rhs = _gain_threshold_rhs(instance, mod_lap.h1_norm)
     conditions = (
         Condition("average_pole_negative", ens.psi11 < 0, -ens.psi11),

@@ -1047,7 +1047,9 @@ def test_analyze_traced_peak_in_dense_matrices(tmp_path, capsys):
 
 
 def test_tune_traced_peak_in_dense_matrices(tmp_path, capsys):
-    # 3.4: L, V and the sign fix's |V| (3.6 while two blocks of rows of a
+    # 3.32: the YAML load of the config, its Python objects; L, V and the
+    # sign fix's copies of the flipped columns peak just below, at 3.20
+    # (3.30 while the sign fix formed |V|, 3.6 while two blocks of rows of a
     # reconstruction check were formed beside them, 4.2 with the whole one)
     assert traced_peak(tmp_path, capsys, "tune") < 3.5
 

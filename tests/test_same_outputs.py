@@ -8,7 +8,7 @@ import pytest
 
 from pidnet import certify, transverse_system
 from pidnet.config import parse_config
-from pidnet.errors import ConfigError
+from pidnet.errors import ConfigError, NonFinite
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,8 +50,10 @@ def test_compare_names_each_difference():
 
 def test_variants_reach_each_regime_spectrum_and_section_error(default_set):
     # the default set holds the homogeneous certificates, the dense spectrum,
-    # a certified root that rounds to -0.0 and the agent-data sections' errors
+    # a certified root that rounds to -0.0, the agent-data sections' errors
+    # and gamma*L beyond the float range
     exactly_one = "config: exactly one of 'ensemble' or 'microgrid' is required"
+    overflow = "modified Laplacian: gains.gamma * L leaves the float range (gains.gamma = 1e+308)"
     expected = {
         "readme-pid.yaml": ("HomogeneousPID", True, "hyperbolic"),
         "readme-pi.yaml": ("HomogeneousPI", True, "hyperbolic"),
@@ -63,6 +65,8 @@ def test_variants_reach_each_regime_spectrum_and_section_error(default_set):
         "no-agent-section.yaml": exactly_one,
         "microgrid-unknown-key.yaml": "microgrid: unknown keys ['droop'] (allowed: ['k', 'p_star'])",
         "short-p-star.yaml": "microgrid.p_star: expected 6 entries, got 2",
+        "readme-pid-gamma-overflow.yaml": overflow,
+        "readme-pd-gamma-overflow.yaml": overflow,
     }
     _, where, paths, runs = default_set
     reached = {}
@@ -72,12 +76,11 @@ def test_variants_reach_each_regime_spectrum_and_section_error(default_set):
             assert f"{command}{flag} {name}" in runs
         try:
             cfg = parse_config((where / name).read_text())
-        except ConfigError as exc:
+            verdict = transverse_system(cfg.instance, cfg.effective_gains).verdict()
+            reached[name] = (certify(cfg.instance, cfg.effective_gains).regime, verdict.hurwitz,
+                             verdict.spectrum)
+        except (ConfigError, NonFinite) as exc:
             reached[name] = str(exc)
-            continue
-        verdict = transverse_system(cfg.instance, cfg.effective_gains).verdict()
-        reached[name] = (certify(cfg.instance, cfg.effective_gains).regime, verdict.hurwitz,
-                         verdict.spectrum)
     assert reached == expected
 
 
@@ -91,3 +94,14 @@ def test_simulate_runs_on_an_n200_config(default_set):
         assert ("--json" in argv) is bool(flag)
     cfg = parse_config(config.read_text())
     assert (cfg.instance.dec.node_count, cfg.sim.t_end, cfg.sim.record_stride) == (200, 0.002, 10)
+
+
+def test_simulate_runs_on_the_overflowing_gamma_variants(default_set):
+    # at gamma = 1e308 simulate's certify raises before its assembly would;
+    # these runs pin the exit code and stderr of that error
+    same_outputs, where, _, runs = default_set
+    for name in same_outputs.OVERFLOWING_GAMMA:
+        for flag in ("", "--json"):
+            argv = runs[f"simulate{flag} {name}"]
+            assert argv[:3] == ["simulate", "--config", str(where / name)] and "--out" in argv
+            assert ("--json" in argv) is bool(flag)

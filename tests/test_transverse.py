@@ -15,6 +15,9 @@ from pidnet import (
     NodeEnsemble,
     assemble,
     certify,
+    convergence_rate,
+    h_norm_bound,
+    min_alpha,
     modified_laplacian,
     psi_blocks,
     spectral_decompose,
@@ -668,13 +671,34 @@ def test_non_finite_pencil_falls_back_to_eigvals():
             tv.is_hurwitz()
 
 
-def test_overflowing_gamma_names_the_gain():
+# Each reader of d = gamma*lambda + 1 at gamma = 1e308 on the unit 4-ring, with
+# identical poles (heterogeneous ones in its certify row) and beta = 1 (0 for
+# PD): an unguarded d makes the homogeneous certificates, the rate and the
+# closed-form bound 0.0 or NaN.
+GAMMA_OVERFLOW_ROWS = {
+    "modified_laplacian": lambda inst, gains: modified_laplacian(inst.dec, gains.gamma),
+    "h_norm_bound": lambda inst, gains: h_norm_bound(inst.dec, gains.gamma),
+    "certify-homogeneous-pid": certify,
+    "certify-homogeneous-pd": lambda inst, gains: certify(
+        inst, Gains(alpha=gains.alpha, beta=0.0, gamma=gains.gamma)),
+    "certify-heterogeneous": lambda inst, gains: certify(
+        Instance.from_graph(inst.dec.graph, np.array([-1.0, -2.0, -1.5, -3.0]), np.zeros(4)),
+        gains),
+    "convergence_rate": convergence_rate,
+    "min_alpha-exact": lambda inst, gains: min_alpha(inst, gains.gamma),
+    "min_alpha-conservative": lambda inst, gains: min_alpha(inst, gains.gamma, conservative=True),
+    "transverse_system": transverse_system,
+}
+
+
+@pytest.mark.parametrize("reader", GAMMA_OVERFLOW_ROWS.values(), ids=GAMMA_OVERFLOW_ROWS.keys())
+def test_overflowing_gamma_names_the_gain(reader):
     # gamma * lambda_N = 4e308 leaves the float range before any matrix is formed
     inst = Instance.from_graph(ring(4, 1.0), -np.ones(4), np.zeros(4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFinite, match=r"gains.gamma \* L leaves the float range"):
-            transverse_system(inst, Gains(alpha=1.0, beta=1.0, gamma=1e308))
+            reader(inst, Gains(alpha=1.0, beta=1.0, gamma=1e308))
 
 
 # ----------------------------------------------- relabelling and rescaling
