@@ -178,7 +178,8 @@ def spectral_decompose(graph: Graph) -> SpectralDecomposition:
     This is the only eigensolve of a graph. The eigenvector of the zero
     eigenvalue is fixed to +ones/sqrt(N) exactly; the sign of every other
     eigenvector is fixed so its first entry above the noise floor is
-    positive. Within a repeated eigenvalue any orthonormal basis is accepted.
+    positive, in place on eigh's V: no copy of V or of its columns is made.
+    Within a repeated eigenvalue any orthonormal basis is accepted.
     LAPACK's ``eigh`` is backward stable (L - V diag(lambda) V^T and V^T V - I
     within a small multiple of N eps ||L||), so the result is not re-checked.
     """
@@ -198,8 +199,7 @@ def spectral_decompose(graph: Graph) -> SpectralDecomposition:
     # compared on both sides, so no float |V| is formed beside V
     V2 = V[:, 1:]
     lead = V[np.argmax((V2 > 1e-12) | (V2 < -1e-12), axis=0), np.arange(1, n)]
-    flip = 1 + np.flatnonzero(lead < 0)
-    V[:, flip] = -V[:, flip]
+    V2 *= np.where(lead < 0, -1.0, 1.0)  # in place on V's view; exact for +-0 too
     return SpectralDecomposition(graph=graph, degree=np.diagonal(L).copy(), lam=eigs, V=V)
 
 

@@ -1047,9 +1047,10 @@ def test_analyze_traced_peak_in_dense_matrices(tmp_path, capsys):
 
 
 def test_tune_traced_peak_in_dense_matrices(tmp_path, capsys):
-    # 3.32: the YAML load of the config, its Python objects; L, V and the
-    # sign fix's copies of the flipped columns peak just below, at 3.20
-    # (3.30 while the sign fix formed |V|, 3.6 while two blocks of rows of a
+    # 3.31: the YAML load of the config, its Python objects; the graph's
+    # decomposition (L, V, eigh's workspace and the leading-entry masks) peaks
+    # below it, at 2.73 (3.20 while the sign fix copied the flipped columns out
+    # and back, 3.30 while it formed |V|, 3.6 while two blocks of rows of a
     # reconstruction check were formed beside them, 4.2 with the whole one)
     assert traced_peak(tmp_path, capsys, "tune") < 3.5
 

@@ -1,7 +1,9 @@
 """Graph/Laplacian construction and the block spectral identities."""
 
 import dataclasses
+import gc
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +166,24 @@ def test_sign_fixing_is_deterministic():
     a, b = decompose(g), decompose(g)
     assert np.array_equal(a.U, b.U)
     assert np.array_equal(a.U_inv, b.U_inv)
+
+
+@pytest.mark.parametrize("seed, n", [((1, 1), 200), ((1, 2), 800)])
+def test_decompose_traced_peak_in_dense_matrices(seed, n):
+    # 2.64 and 2.26 N^2 floats at N = 200 and 800: L, V, eigh's workspace and
+    # the leading-entry masks (3.07 and 2.98 while the sign fix copied the
+    # flipped columns out and back); one warm call and a full collection
+    # first, so the free lists hold the same at every run
+    graph = Graph(n, load_pidbench("inputs").random_instance(np.random.default_rng(seed), n).edges)
+    decompose(graph)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        decompose(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.85 * 8 * n * n
 
 
 def block_residuals(dec) -> float:
